@@ -11,8 +11,9 @@ stderr. Payloads are pure functions of the input files, so re-running a
 command reproduces stdout byte for byte.
 
 Exit codes: 0 success, 1 usage, 2 invalid input (including an entity that
-already has label 0), 3 no counterfactual exists, 4 classifier backend
-failure.
+already has label 0), 3 no counterfactual exists (proven: the search was not
+truncated), 4 classifier backend failure, 5 inconclusive (a budget or bound
+truncated the search before it found anything, so nothing is proven).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NO_COUNTERFACTUAL = 3
 EXIT_BACKEND = 4
+EXIT_INCONCLUSIVE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,7 +260,6 @@ def _cmd_explain(args, schema, classifier, entity, constraints, manifest) -> int
         "max_cardinality": cfg.max_cardinality,
         "budget": cfg.budget,
         "jobs": cfg.jobs,
-        "mode": cfg.mode,
     }
     result = search.enumerate_counterfactuals(
         schema, classifier, entity, constraints, cfg
@@ -268,7 +269,9 @@ def _cmd_explain(args, schema, classifier, entity, constraints, manifest) -> int
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(_explain_table(payload))
-    return EXIT_OK if result.explanations else EXIT_NO_COUNTERFACTUAL
+    if result.explanations:
+        return EXIT_OK
+    return EXIT_NO_COUNTERFACTUAL if result.no_counterfactual else EXIT_INCONCLUSIVE
 
 
 def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
@@ -290,14 +293,17 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
             sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         else:
             sys.stdout.write(_score_table(payload))
-        return EXIT_NO_COUNTERFACTUAL if empty else EXIT_OK
+        if not empty:
+            return EXIT_OK
+        return EXIT_NO_COUNTERFACTUAL if report.authoritative else EXIT_INCONCLUSIVE
 
     dist = _build_distribution(args, schema)
     rows = []
-    any_positive = False
+    any_positive = any_truncated = False
     for i in range(len(schema)):
         result = score_mod.global_resp(schema, classifier, entity, i, dist)
         any_positive = any_positive or result.score > 0
+        any_truncated = any_truncated or result.truncated
         rows.append(
             {
                 "feature": schema.feature(i).name,
@@ -326,7 +332,9 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(_global_table(payload))
-    return EXIT_OK if any_positive else EXIT_NO_COUNTERFACTUAL
+    if any_positive:
+        return EXIT_OK
+    return EXIT_INCONCLUSIVE if any_truncated else EXIT_NO_COUNTERFACTUAL
 
 
 def _build_distribution(args, schema: FeatureSchema):

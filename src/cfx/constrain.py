@@ -182,8 +182,13 @@ def constraints_from_dict(data: dict, schema: FeatureSchema) -> ConstraintSet:
         actionability.append(ActionabilityRule(idx, mode))
     onehot = []
     for raw in data.get("onehot", []):
+        if isinstance(raw, dict):
+            raw = raw.get("features")
         if not isinstance(raw, list):
-            raise InputError("one-hot groups must be lists of feature names")
+            raise InputError(
+                'one-hot groups must be {"features": [...]} objects '
+                "or lists of feature names"
+            )
         onehot.append(OneHotGroup(tuple(schema.index_of(str(n)) for n in raw)))
     return ConstraintSet(
         schema,

@@ -1,17 +1,17 @@
 """Enumeration of counterfactual explanations.
 
 Given a label-1 entity, the search walks candidate entities and keeps those
-the admissibility filter lets through and the classifier maps to 0. Two
-modes produce identical results:
-
-* ``levelwise`` explores Hamming distance k = 1, 2, ... and is the default;
-  when only minimum-distance answers are wanted it stops at the first level
-  with hits, so it issues at most sum(level sizes up to d*) queries.
-* ``exhaustive`` sweeps the whole product space once; it exists as the
-  plain-stupid oracle the clever mode is checked against.
+the admissibility filter lets through and the classifier maps to 0. The walk
+is levelwise: Hamming distance k = 1, 2, ... . When only minimum-distance
+answers are wanted it stops at the first level with hits, so it issues at
+most sum(level sizes up to d*) queries.
 
 Candidate order is deterministic: index sets lexicographically, then value
-combinations in domain order. Results come back sorted the same way.
+combinations in domain order. Results come back in that same canonical
+order (cardinality, index set, domain positions) without a sort, and each
+explanation is built straight from the index set and values that produced
+it. Subset-minimality is settled once per distinct changed-index set against
+the minimal sets of lower levels, which are the only possible strict subsets.
 
 A search may be truncated by ``max_cardinality`` or ``budget``; the result
 then carries ``exhausted=False`` and its minimality flags describe only the
@@ -29,10 +29,7 @@ from typing import Iterator, Sequence
 
 from . import constrain
 from .errors import EngineError, InputError, NothingToExplainError
-from .schema import Entity, Explanation, FeatureSchema, diff
-
-LEVELWISE = "levelwise"
-EXHAUSTIVE = "exhaustive"
+from .schema import Entity, Explanation, FeatureSchema
 
 
 class SearchTruncatedError(EngineError):
@@ -43,12 +40,9 @@ class SearchTruncatedError(EngineError):
 class SearchConfig:
     max_cardinality: int | None = None
     budget: int | None = None
-    mode: str = LEVELWISE
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in (LEVELWISE, EXHAUSTIVE):
-            raise InputError(f"unknown search mode {self.mode!r}")
         if self.max_cardinality is not None and self.max_cardinality < 1:
             raise InputError("max_cardinality must be >= 1")
         if self.budget is not None and self.budget < 1:
@@ -125,19 +119,6 @@ class SearchResult:
         }
 
 
-def explanation_sort_key(schema: FeatureSchema):
-    """Canonical order: cardinality, index set, then domain positions."""
-
-    def key(x: Explanation):
-        idxs = tuple(i for i, _ in x.changed)
-        positions = tuple(
-            schema.feature(i).rank(x.counterfactual.values[i]) for i in idxs
-        )
-        return (x.cardinality, idxs, positions)
-
-    return key
-
-
 class _Budget:
     def __init__(self, limit: int | None):
         self.limit = limit
@@ -158,18 +139,19 @@ class _Budget:
 
 
 def _level_candidates(
-    schema: FeatureSchema, values: tuple[str, ...], k: int
-) -> Iterator[tuple[str, ...]]:
-    n = len(schema)
-    for idxs in combinations(range(n), k):
-        alternatives = [
-            [v for v in schema.feature(i).domain if v != values[i]] for i in idxs
-        ]
-        for combo in product(*alternatives):
+    alternatives: Sequence[Sequence[str]], values: tuple[str, ...], k: int
+) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
+    """(index set, candidate) pairs at Hamming distance ``k``, canonical order.
+
+    ``alternatives[i]`` lists feature i's domain without ``values[i]``, in
+    domain order.
+    """
+    for idxs in combinations(range(len(values)), k):
+        for combo in product(*(alternatives[i] for i in idxs)):
             cand = list(values)
             for i, v in zip(idxs, combo):
                 cand[i] = v
-            yield tuple(cand)
+            yield idxs, tuple(cand)
 
 
 def _labels(classifier, cands: Sequence[tuple[str, ...]], jobs: int) -> list[int]:
@@ -211,42 +193,51 @@ def enumerate_counterfactuals(
             f"entity {entity.id!r} already has label 0; nothing to explain"
         )
 
-    hits: list[tuple[str, ...]] = []
+    values = entity.values
+    alternatives = [
+        [v for v in f.domain if v != values[i]] for i, f in enumerate(schema)
+    ]
+    explanations: list[Explanation] = []
+    s_flags: list[bool] = []
+    # (changed pairs, s-verdict) per changed-index set, and the bitmasks of
+    # the minimal sets. A strict subset of a level-k set lies on a lower
+    # level, and a non-minimal one contains a minimal one, so checking a new
+    # set against the minimal masks found so far settles it; two sets of one
+    # level are never strict subsets of each other.
+    seen: dict[tuple[int, ...], tuple[tuple[tuple[int, str], ...], bool]] = {}
+    minimal_masks: list[int] = []
     stopped_early = False
 
-    if cfg.mode == EXHAUSTIVE:
-        stats.levels_explored = bound
-        for cand in schema.iter_space():
-            if cand == entity.values:
+    for k in range(1, bound + 1):
+        stats.levels_explored = k
+        admissible = [
+            (idxs, cand)
+            for idxs, cand in _level_candidates(alternatives, values, k)
+            if cs.admissible(values, cand)
+        ]
+        granted = budget.take(len(admissible))
+        batch = admissible[:granted]
+        stats.classifier_calls += len(batch)
+        labels = _labels(classifier, [cand for _, cand in batch], cfg.jobs)
+        for (idxs, cand), lab in zip(batch, labels):
+            if lab != 0:
                 continue
-            distance = sum(1 for a, b in zip(cand, entity.values) if a != b)
-            if distance > bound:
-                continue
-            if not cs.admissible(entity.values, cand):
-                continue
-            if budget.take(1) < 1:
-                break
-            stats.classifier_calls += 1
-            if classifier.label(cand) == 0:
-                hits.append(cand)
-    else:
-        for k in range(1, bound + 1):
-            stats.levels_explored = k
-            admissible = [
-                cand
-                for cand in _level_candidates(schema, entity.values, k)
-                if cs.admissible(entity.values, cand)
-            ]
-            granted = budget.take(len(admissible))
-            batch = admissible[:granted]
-            stats.classifier_calls += len(batch)
-            labels = _labels(classifier, batch, cfg.jobs)
-            hits.extend(c for c, lab in zip(batch, labels) if lab == 0)
-            if budget.hit:
-                break
-            if stop_at_first_hit and hits:
-                stopped_early = True
-                break
+            if idxs not in seen:
+                mask = sum(1 << i for i in idxs)
+                minimal = not any(m & mask == m for m in minimal_masks)
+                if minimal:
+                    minimal_masks.append(mask)
+                seen[idxs] = (tuple((i, values[i]) for i in idxs), minimal)
+            changed, minimal = seen[idxs]
+            explanations.append(
+                Explanation(changed, Entity(id=entity.id, values=cand))
+            )
+            s_flags.append(minimal)
+        if budget.hit:
+            break
+        if stop_at_first_hit and explanations:
+            stopped_early = True
+            break
 
     if budget.hit:
         exhausted = False
@@ -257,12 +248,7 @@ def enumerate_counterfactuals(
     else:
         exhausted = bound == n
 
-    explanations = sorted(
-        (diff(schema, entity, Entity(id=entity.id, values=cand)) for cand in hits),
-        key=explanation_sort_key(schema),
-    )
-    index_sets = [x.changed_indices for x in explanations]
-    s_flags = [not any(other < mine for other in index_sets) for mine in index_sets]
+    # the walk yields hits by increasing cardinality, so the first is minimum
     dstar = explanations[0].cardinality if explanations else None
     c_flags = [x.cardinality == dstar for x in explanations]
 

@@ -30,6 +30,17 @@ def counterfactuals(domains, values, label, admissible=None):
     return out
 
 
+def canonical_order(domains, values, cands):
+    """Candidates sorted by cardinality, changed index set, then the domain
+    positions of their new values."""
+
+    def key(cand):
+        idxs = sorted(changed_set(values, cand))
+        return (len(idxs), idxs, [domains[i].index(cand[i]) for i in idxs])
+
+    return sorted(cands, key=key)
+
+
 def s_minimal(cfs):
     """Counterfactuals whose changed set has no proper subset among the rest."""
     out = []

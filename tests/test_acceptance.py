@@ -47,7 +47,7 @@ from cfx.score import (
     max_resp_features,
     x_resp,
 )
-from cfx.search import SearchConfig, enumerate_counterfactuals
+from cfx.search import enumerate_counterfactuals
 
 GOLDEN = Path(__file__).parent / "golden"
 CHILD = str(Path(__file__).parent / "fixtures" / "tennis_child.py")
@@ -156,19 +156,17 @@ def test_criterion_4():
         entity = Entity("e", rng.choice(ones))
         clf = TableClassifier(schema, table)
 
-        level = enumerate_counterfactuals(schema, clf, entity)
-        full = enumerate_counterfactuals(
-            schema, clf, entity, config=SearchConfig(mode="exhaustive")
-        )
+        result = enumerate_counterfactuals(schema, clf, entity)
         cfs = oracles.counterfactuals(domains, entity.values, table.__getitem__)
-        for result in (level, full):
-            assert values_of(result) == {vec for vec, _ in cfs}
-            assert {x.counterfactual.values for x in result.s_set} == {
-                vec for vec, _ in oracles.s_minimal(cfs)
-            }
-            assert {x.counterfactual.values for x in result.c_set} == {
-                vec for vec, _ in oracles.c_minimal(cfs)
-            }
+        assert [x.counterfactual.values for x in result.explanations] == (
+            oracles.canonical_order(domains, entity.values, [vec for vec, _ in cfs])
+        )
+        assert {x.counterfactual.values for x in result.s_set} == {
+            vec for vec, _ in oracles.s_minimal(cfs)
+        }
+        assert {x.counterfactual.values for x in result.c_set} == {
+            vec for vec, _ in oracles.c_minimal(cfs)
+        }
 
         report = x_resp(schema, clf, entity)
         assert [fs.score for fs in report.scores] == oracles.x_resp(

@@ -153,6 +153,29 @@ class TestExplain:
         payload = json.loads(out)
         assert payload["no_counterfactual"] is True
 
+    def test_truncated_without_hits_exit_5(self, capsys, files):
+        # the one granted candidate, (1,1,1), keeps label 1: nothing is proven
+        code, out, _ = run(capsys, self.argv(files, "--budget", "2"))
+        assert code == cli.EXIT_INCONCLUSIVE == 5
+        payload = json.loads(out)
+        assert payload["explanations"] == []
+        assert payload["no_counterfactual"] is False
+        assert payload["exhausted"] is False
+
+    @pytest.mark.parametrize("group", [
+        {"features": ["F1", "F2"]},  # the README form
+        ["F1", "F2"],  # the bare-list form
+    ])
+    def test_onehot_constraints_file(self, capsys, files, group):
+        onehot = files / "onehot.json"
+        onehot.write_text(json.dumps({"onehot": [group]}))
+        code, out, _ = run(capsys, self.argv(files, "--constraints", str(onehot)))
+        assert code == 0
+        # of the three counterfactuals only (1,0,1) sets exactly one of F1, F2
+        assert [x["counterfactual"] for x in json.loads(out)["explanations"]] == [
+            ["1", "0", "1"],
+        ]
+
     def test_constraints_flag(self, capsys, files):
         code, out, _ = run(capsys, [
             "explain",
@@ -297,6 +320,47 @@ class TestScore:
         assert code == 3
         payload = json.loads(out)
         assert all(s["score"] == "0/1" for s in payload["scores"])
+
+    def test_truncated_x_resp_exit_5(self, capsys, files):
+        code, out, _ = run(capsys, [
+            "score",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(files / "e1.json"),
+            "--table", str(files / "table1.csv"),
+            "--budget", "2",
+        ])
+        assert code == cli.EXIT_INCONCLUSIVE
+        payload = json.loads(out)
+        assert payload["authoritative"] is False
+        assert all(s["score"] == "0/1" for s in payload["scores"])
+
+    def prob_argv(self, files):
+        return [
+            "score",
+            "--schema", str(files / "tennis_schema.json"),
+            "--entity", str(files / "tennis_e.json"),
+            "--rules", str(files / "ones.rules"),
+            "--prob", "uniform",
+        ]
+
+    def test_prob_all_zero_exit_3(self, capsys, files):
+        code, out, _ = run(capsys, self.prob_argv(files))
+        assert code == cli.EXIT_NO_COUNTERFACTUAL
+        rows = json.loads(out)["scores"]
+        assert all(r["score"] == "0/1" and not r["truncated"] for r in rows)
+
+    def test_prob_truncated_rows_exit_5(self, capsys, files, monkeypatch):
+        # with contingency sets cut to size 0 the constant classifier leaves
+        # every row zero and truncated: a larger set might still score
+        full = cli.score_mod.global_resp
+        monkeypatch.setattr(
+            cli.score_mod, "global_resp",
+            lambda *args: full(*args, max_gamma=0),
+        )
+        code, out, _ = run(capsys, self.prob_argv(files))
+        assert code == cli.EXIT_INCONCLUSIVE
+        rows = json.loads(out)["scores"]
+        assert all(r["score"] == "0/1" and r["truncated"] for r in rows)
 
     def test_table_format(self, capsys, files):
         code, out, _ = run(capsys, [

@@ -23,7 +23,7 @@ from cfx.schema import (
     leq_s,
 )
 from cfx.score import max_resp_features, x_resp
-from cfx.search import SearchConfig, enumerate_counterfactuals
+from cfx.search import enumerate_counterfactuals
 from cfx import aspgen
 
 
@@ -134,16 +134,20 @@ class TestSearchInvariants:
 
     @settings(max_examples=40, deadline=None)
     @given(classified_spaces())
-    def test_exhaustive_agrees_with_levelwise(self, case):
+    def test_levelwise_agrees_with_oracle(self, case):
         schema, table, entity = case
         clf = TableClassifier(schema, table)
-        level = enumerate_counterfactuals(schema, clf, entity)
-        full = enumerate_counterfactuals(
-            schema, clf, entity, config=SearchConfig(mode="exhaustive")
+        result = enumerate_counterfactuals(schema, clf, entity)
+        domains = [f.domain for f in schema.features]
+        cfs = oracles.counterfactuals(domains, entity.values, table.__getitem__)
+        s_vals = {cand for cand, _ in oracles.s_minimal(cfs)}
+        c_vals = {cand for cand, _ in oracles.c_minimal(cfs)}
+        got = [x.counterfactual.values for x in result.explanations]
+        assert got == oracles.canonical_order(
+            domains, entity.values, [cand for cand, _ in cfs]
         )
-        assert [x.counterfactual.values for x in level.explanations] == [
-            x.counterfactual.values for x in full.explanations
-        ]
+        assert result.s_flags == [v in s_vals for v in got]
+        assert result.c_flags == [v in c_vals for v in got]
 
     @settings(max_examples=40, deadline=None)
     @given(classified_spaces())

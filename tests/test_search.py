@@ -1,3 +1,6 @@
+import time
+from math import comb
+
 import pytest
 
 import oracles
@@ -146,18 +149,19 @@ class TestTennis:
 
 
 class TestModesAndConfig:
-    def test_exhaustive_equals_levelwise(self, tennis_schema, tennis_clf, tennis_entity):
-        a = enumerate_counterfactuals(tennis_schema, tennis_clf, tennis_entity)
-        b = enumerate_counterfactuals(
-            tennis_schema,
-            tennis_clf,
-            tennis_entity,
-            config=SearchConfig(mode="exhaustive"),
+    def test_levelwise_matches_oracle(self, tennis_schema, tennis_clf, tennis_entity):
+        result = enumerate_counterfactuals(tennis_schema, tennis_clf, tennis_entity)
+        domains = [f.domain for f in tennis_schema]
+        cfs = oracles.counterfactuals(domains, tennis_entity.values, tennis_clf.label)
+        s_vals = {cand for cand, _ in oracles.s_minimal(cfs)}
+        c_vals = {cand for cand, _ in oracles.c_minimal(cfs)}
+        got = cf_values(result)
+        assert got == oracles.canonical_order(
+            domains, tennis_entity.values, [cand for cand, _ in cfs]
         )
-        assert cf_values(a) == cf_values(b)
-        assert a.s_flags == b.s_flags
-        assert a.c_flags == b.c_flags
-        assert a.exhausted and b.exhausted
+        assert result.s_flags == [v in s_vals for v in got]
+        assert result.c_flags == [v in c_vals for v in got]
+        assert result.exhausted
 
     def test_stop_at_first_hit_is_authoritative(self, bits_schema, t1_table, e1):
         result = enumerate_counterfactuals(
@@ -239,8 +243,6 @@ class TestModesAndConfig:
 
     def test_bad_config_rejected(self):
         with pytest.raises(InputError):
-            SearchConfig(mode="sideways")
-        with pytest.raises(InputError):
             SearchConfig(max_cardinality=0)
         with pytest.raises(InputError):
             SearchConfig(budget=0)
@@ -283,6 +285,46 @@ class TestModesAndConfig:
         result = enumerate_counterfactuals(bits_schema, memo, e1)
         assert result.stats.classifier_calls == 8
         assert memo.backend_calls == 8  # no new backend work
+
+
+class TestScale:
+    def test_full_enumeration_n10_closed_form(self):
+        # label 1 iff at least half of the ten features are "0"; from the
+        # all-"0" entity a counterfactual changes k >= 6 features, each to
+        # "1" or "2": sum over k of C(10,k) 2^k hits, the k = 6 ones minimal
+        n = 10
+        schema = FeatureSchema(tuple(
+            Feature(f"F{i}", ("0", "1", "2")) for i in range(n)
+        ))
+        clf = TableClassifier.from_function(
+            schema, lambda v: int(2 * v.count("0") >= n)
+        )
+        entity = schema.entity("e", ("0",) * n)
+
+        started = time.perf_counter()
+        result = enumerate_counterfactuals(schema, clf, entity)
+        elapsed = time.perf_counter() - started
+
+        assert result.exhausted
+        assert len(result.explanations) == 46464 == sum(
+            comb(n, k) * 2**k for k in range(6, n + 1)
+        )
+        six = [x.cardinality == 6 for x in result.explanations]
+        assert sum(six) == 13440 == comb(n, 6) * 2**6
+        assert result.s_flags == six
+        assert result.c_flags == six
+        # canonical order (cardinality, index set, domain ranks), strictly
+        # increasing, so the hits are also distinct
+        keys = []
+        for x in result.explanations:
+            cf = x.counterfactual.values
+            idxs = tuple(i for i, v in enumerate(cf) if v != "0")
+            assert x.changed == tuple((i, "0") for i in idxs)
+            keys.append((len(idxs), idxs, tuple(int(cf[i]) for i in idxs)))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        # about 0.5 s with s-flags settled per index set; a pairwise
+        # comparison of all hits takes tens of seconds here
+        assert elapsed < 10.0, f"n=10 full enumeration took {elapsed:.1f} s"
 
 
 class TestResultShape:
