@@ -436,9 +436,9 @@ class MemoClassifier:
 
     def label(self, values: Sequence[str]) -> int:
         key = tuple(values)
-        # The backend is called under the lock: concurrent searches then
-        # serialize here, which keeps backend call counts deterministic and
-        # respects the one-outstanding-query wire contract.
+        # The lock is for API callers sharing one classifier across threads;
+        # the package never calls it concurrently. The backend is called under
+        # it, keeping backend call counts deterministic for those callers.
         with self._lock:
             self.queries += 1
             if key in self._cache:

@@ -91,12 +91,11 @@ def build_parser() -> _Parser:
         group.add_argument("--table", help="truth-table CSV file")
         group.add_argument("--rules", help="rule DSL file")
         group.add_argument("--external", metavar="CMD", help="external classifier command")
-        p.add_argument("--constraints", help="constraints JSON file")
 
     def searchy(p: _Parser) -> None:
+        p.add_argument("--constraints", help="constraints JSON file")
         p.add_argument("--max-card", type=int, help="cardinality bound")
         p.add_argument("--budget", type=int, help="classifier call budget")
-        p.add_argument("--jobs", type=int, default=1, help="parallel classify dispatch")
         p.add_argument(
             "--format", choices=("json", "table"), default="json", help="output format"
         )
@@ -111,7 +110,8 @@ def build_parser() -> _Parser:
     p_score.add_argument(
         "--prob",
         metavar="uniform|product:FILE|empirical:FILE",
-        help="population distribution; switches to the probabilistic score",
+        help="population distribution; switches to the probabilistic score, "
+        "where --max-card N bounds contingency sets to N-1 features",
     )
     p_score.add_argument(
         "--condition", metavar="FILE", help="denial constraints conditioning --prob"
@@ -119,6 +119,7 @@ def build_parser() -> _Parser:
 
     p_emit = sub.add_parser("emit-asp", help="render the intervention program")
     common(p_emit, backend_required=False)
+    p_emit.add_argument("--constraints", help="constraints JSON file")
     p_emit.add_argument(
         "--dialect",
         choices=(aspgen.DLV_COMPLEX, aspgen.ASP_CORE_2),
@@ -242,11 +243,7 @@ def _search_config(args) -> search.SearchConfig:
     budget = args.budget
     if budget is None and args.external:
         budget = 10000  # keep runaway child processes bounded by default
-    return search.SearchConfig(
-        max_cardinality=args.max_card,
-        budget=budget,
-        jobs=args.jobs,
-    )
+    return search.SearchConfig(max_cardinality=args.max_card, budget=budget)
 
 
 def _cmd_classify(classifier: MemoClassifier, entity: Entity) -> int:
@@ -256,11 +253,7 @@ def _cmd_classify(classifier: MemoClassifier, entity: Entity) -> int:
 
 def _cmd_explain(args, schema, classifier, entity, constraints, manifest) -> int:
     cfg = _search_config(args)
-    manifest.config = {
-        "max_cardinality": cfg.max_cardinality,
-        "budget": cfg.budget,
-        "jobs": cfg.jobs,
-    }
+    manifest.config = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
     result = search.enumerate_counterfactuals(
         schema, classifier, entity, constraints, cfg
     )
@@ -275,17 +268,11 @@ def _cmd_explain(args, schema, classifier, entity, constraints, manifest) -> int
 
 
 def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
-    cfg = _search_config(args)
-    manifest.config = {
-        "max_cardinality": cfg.max_cardinality,
-        "budget": cfg.budget,
-        "jobs": cfg.jobs,
-        "prob": args.prob,
-        "condition": args.condition,
-    }
     if args.prob is None:
         if args.condition:
             raise InputError("--condition needs --prob")
+        cfg = _search_config(args)
+        manifest.config = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
         report = score_mod.x_resp(schema, classifier, entity, constraints, cfg)
         payload = report.to_json_dict(schema)
         empty = all(fs.score == 0 for fs in report.scores)
@@ -297,11 +284,26 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
             return EXIT_OK
         return EXIT_NO_COUNTERFACTUAL if report.authoritative else EXIT_INCONCLUSIVE
 
+    # The contingency walk runs no search: a call budget or an admissibility
+    # filter would be silently ignored, so both are refused.
+    if args.budget is not None:
+        raise InputError("--budget does not apply to --prob")
+    if constraints is not None:
+        raise InputError("--constraints does not apply to --prob; use --condition")
+    if args.max_card is not None and args.max_card < 1:
+        raise InputError("max_cardinality must be >= 1")
+    # a counterfactual changes the contingency set plus the scrutinized feature
+    max_gamma = None if args.max_card is None else args.max_card - 1
+    manifest.config = {
+        "max_cardinality": args.max_card,
+        "prob": args.prob,
+        "condition": args.condition,
+    }
     dist = _build_distribution(args, schema)
     rows = []
     any_positive = any_truncated = False
     for i in range(len(schema)):
-        result = score_mod.global_resp(schema, classifier, entity, i, dist)
+        result = score_mod.global_resp(schema, classifier, entity, i, dist, max_gamma)
         any_positive = any_positive or result.score > 0
         any_truncated = any_truncated or result.truncated
         rows.append(

@@ -158,9 +158,9 @@ def constraints_from_dict(data: dict, schema: FeatureSchema) -> ConstraintSet:
     if not isinstance(data, dict):
         raise InputError("constraints JSON must be an object")
     denials = []
-    for raw in data.get("denials", []):
+    for raw in _objects(data, "denials"):
         lits = []
-        for lit in raw.get("literals", []):
+        for lit in _objects(raw, "literals"):
             try:
                 idx = schema.index_of(str(lit["feature"]))
                 value = str(lit["value"])
@@ -173,7 +173,7 @@ def constraints_from_dict(data: dict, schema: FeatureSchema) -> ConstraintSet:
             )
         denials.append(DenialConstraint(tuple(lits)))
     actionability = []
-    for raw in data.get("actionability", []):
+    for raw in _objects(data, "actionability"):
         try:
             idx = schema.index_of(str(raw["feature"]))
             mode = str(raw["mode"])
@@ -181,7 +181,10 @@ def constraints_from_dict(data: dict, schema: FeatureSchema) -> ConstraintSet:
             raise InputError("actionability rule needs 'feature' and 'mode'") from None
         actionability.append(ActionabilityRule(idx, mode))
     onehot = []
-    for raw in data.get("onehot", []):
+    groups = data.get("onehot", [])
+    if not isinstance(groups, list):
+        raise InputError("'onehot' must be a list")
+    for raw in groups:
         if isinstance(raw, dict):
             raw = raw.get("features")
         if not isinstance(raw, list):
@@ -196,6 +199,13 @@ def constraints_from_dict(data: dict, schema: FeatureSchema) -> ConstraintSet:
         actionability=tuple(actionability),
         onehot=tuple(onehot),
     )
+
+
+def _objects(data: dict, key: str) -> list[dict]:
+    items = data.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise InputError(f"{key!r} must be a list of objects")
+    return items
 
 
 def load_constraints(path: str | Path, schema: FeatureSchema) -> ConstraintSet:

@@ -249,6 +249,8 @@ def schema_from_dict(data: dict) -> FeatureSchema:
     for item in raw:
         if not isinstance(item, dict) or "name" not in item or "domain" not in item:
             raise InputError("each feature needs 'name' and 'domain'")
+        if not isinstance(item["domain"], list):
+            raise InputError(f"domain of feature {item['name']!r} must be a list")
         feats.append(
             Feature(
                 name=str(item["name"]),
@@ -275,6 +277,8 @@ def load_schema(path: str | Path) -> FeatureSchema:
 def entity_from_dict(data: dict, schema: FeatureSchema) -> Entity:
     if not isinstance(data, dict) or "id" not in data or "values" not in data:
         raise InputError("entity JSON needs 'id' and 'values'")
+    if not isinstance(data["values"], list):
+        raise InputError("entity 'values' must be a list")
     return schema.entity(str(data["id"]), [_coerce_value(v) for v in data["values"]])
 
 

@@ -24,11 +24,10 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from . import constrain
+from . import constrain, search
 from .errors import InputError, NothingToExplainError
 from .schema import Entity, Explanation, FeatureSchema
 from .search import SearchConfig, SearchResult, enumerate_counterfactuals
@@ -464,31 +463,26 @@ def global_resp(
         raise NothingToExplainError(
             f"entity {entity.id!r} already has label 0; nothing to explain"
         )
-    n = len(schema)
-    others = [i for i in range(n) if i != f_star]
-    bound = len(others) if max_gamma is None else min(max_gamma, len(others))
+    values = entity.values
+    # an empty list at f_star keeps it out of every contingency set
+    alternatives = [
+        [] if i == f_star else [v for v in f.domain if v != values[i]]
+        for i, f in enumerate(schema)
+    ]
+    n_others = len(schema) - 1
+    bound = n_others if max_gamma is None else min(max_gamma, n_others)
 
     for size in range(0, bound + 1):
         best: tuple[Fraction, tuple[int, ...], tuple[str, ...]] | None = None
-        for gamma in combinations(others, size):
-            alternatives = [
-                [v for v in schema.feature(i).domain if v != entity.values[i]]
-                for i in gamma
-            ]
-            for combo in product(*alternatives):
-                primed = list(entity.values)
-                for i, v in zip(gamma, combo):
-                    primed[i] = v
-                if classifier.label(tuple(primed)) != 1:
-                    continue
-                try:
-                    score = _local_core(
-                        schema, classifier, tuple(primed), f_star, size, dist
-                    )
-                except ZeroMassError:
-                    continue
-                if score > 0 and (best is None or score > best[0]):
-                    best = (score, gamma, combo)
+        for gamma, primed in search.level_candidates(alternatives, values, size):
+            if classifier.label(primed) != 1:
+                continue
+            try:
+                score = _local_core(schema, classifier, primed, f_star, size, dist)
+            except ZeroMassError:
+                continue
+            if score > 0 and (best is None or score > best[0]):
+                best = (score, gamma, tuple(primed[i] for i in gamma))
         if best is not None:
             return GlobalScore(
                 feature=f_star,
@@ -502,5 +496,5 @@ def global_resp(
         score=Fraction(0),
         gamma=None,
         gamma_values=None,
-        truncated=bound < len(others),
+        truncated=bound < n_others,
     )

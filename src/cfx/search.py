@@ -22,7 +22,6 @@ empty, so nothing smaller can exist.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -40,15 +39,12 @@ class SearchTruncatedError(EngineError):
 class SearchConfig:
     max_cardinality: int | None = None
     budget: int | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.max_cardinality is not None and self.max_cardinality < 1:
             raise InputError("max_cardinality must be >= 1")
         if self.budget is not None and self.budget < 1:
             raise InputError("budget must be >= 1")
-        if self.jobs < 1:
-            raise InputError("jobs must be >= 1")
 
 
 @dataclass
@@ -138,13 +134,16 @@ class _Budget:
         return granted
 
 
-def _level_candidates(
+def level_candidates(
     alternatives: Sequence[Sequence[str]], values: tuple[str, ...], k: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
     """(index set, candidate) pairs at Hamming distance ``k``, canonical order.
 
-    ``alternatives[i]`` lists feature i's domain without ``values[i]``, in
-    domain order.
+    This is the one walk over the lattice of intervention sets: index sets
+    of size ``k`` lexicographically, then their value combinations in
+    domain order. ``alternatives[i]`` lists the values feature i may take
+    instead of ``values[i]``, in domain order; an empty list keeps feature
+    i out of every index set.
     """
     for idxs in combinations(range(len(values)), k):
         for combo in product(*(alternatives[i] for i in idxs)):
@@ -152,14 +151,6 @@ def _level_candidates(
             for i, v in zip(idxs, combo):
                 cand[i] = v
             yield idxs, tuple(cand)
-
-
-def _labels(classifier, cands: Sequence[tuple[str, ...]], jobs: int) -> list[int]:
-    if jobs <= 1 or len(cands) <= 1:
-        return [classifier.label(c) for c in cands]
-    # completion order may vary; map() restores generation order
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(classifier.label, cands))
 
 
 def enumerate_counterfactuals(
@@ -212,15 +203,13 @@ def enumerate_counterfactuals(
         stats.levels_explored = k
         admissible = [
             (idxs, cand)
-            for idxs, cand in _level_candidates(alternatives, values, k)
+            for idxs, cand in level_candidates(alternatives, values, k)
             if cs.admissible(values, cand)
         ]
         granted = budget.take(len(admissible))
-        batch = admissible[:granted]
-        stats.classifier_calls += len(batch)
-        labels = _labels(classifier, [cand for _, cand in batch], cfg.jobs)
-        for (idxs, cand), lab in zip(batch, labels):
-            if lab != 0:
+        stats.classifier_calls += granted
+        for idxs, cand in admissible[:granted]:
+            if classifier.label(cand) != 0:
                 continue
             if idxs not in seen:
                 mask = sum(1 << i for i in idxs)

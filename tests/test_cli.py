@@ -94,6 +94,19 @@ class TestClassify:
         assert code == 0
         assert out == "0\n"
 
+    def test_constraints_flag_is_usage_error(self, capsys, files):
+        # classify labels the entity as given; no constraint applies to it
+        with pytest.raises(SystemExit) as info:
+            cli.main([
+                "classify",
+                "--schema", str(files / "bits_schema.json"),
+                "--entity", str(files / "e1.json"),
+                "--table", str(files / "table1.csv"),
+                "--constraints", str(files / "constraints.json"),
+            ])
+        assert info.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestExplain:
     def argv(self, files, *extra):
@@ -187,6 +200,14 @@ class TestExplain:
         assert code == 0
         got = {tuple(x["counterfactual"]) for x in json.loads(out)["explanations"]}
         assert got == {("sunny", "high", "weak"), ("sunny", "high", "strong")}
+
+    def test_malformed_constraints_shape_exit_2(self, capsys, files):
+        bad = files / "bad.json"
+        bad.write_text(json.dumps({"denials": ["x"]}))
+        code, out, err = run(capsys, self.argv(files, "--constraints", str(bad)))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "'denials' must be a list of objects" in err
 
     def test_missing_table_file_exit_2(self, capsys, files):
         code, _, err = run(capsys, self.argv(files)[:-1] + [str(files / "nope.csv")])
@@ -334,13 +355,14 @@ class TestScore:
         assert payload["authoritative"] is False
         assert all(s["score"] == "0/1" for s in payload["scores"])
 
-    def prob_argv(self, files):
+    def prob_argv(self, files, *extra, rules="ones.rules"):
         return [
             "score",
             "--schema", str(files / "tennis_schema.json"),
             "--entity", str(files / "tennis_e.json"),
-            "--rules", str(files / "ones.rules"),
+            "--rules", str(files / rules),
             "--prob", "uniform",
+            *extra,
         ]
 
     def test_prob_all_zero_exit_3(self, capsys, files):
@@ -349,18 +371,63 @@ class TestScore:
         rows = json.loads(out)["scores"]
         assert all(r["score"] == "0/1" and not r["truncated"] for r in rows)
 
-    def test_prob_truncated_rows_exit_5(self, capsys, files, monkeypatch):
-        # with contingency sets cut to size 0 the constant classifier leaves
-        # every row zero and truncated: a larger set might still score
-        full = cli.score_mod.global_resp
-        monkeypatch.setattr(
-            cli.score_mod, "global_resp",
-            lambda *args: full(*args, max_gamma=0),
-        )
-        code, out, _ = run(capsys, self.prob_argv(files))
+    def test_prob_truncated_rows_exit_5(self, capsys, files):
+        # --max-card 1 cuts contingency sets to size 0, so the constant
+        # classifier leaves every row zero and truncated: a larger set might
+        # still score
+        code, out, _ = run(capsys, self.prob_argv(files, "--max-card", "1"))
         assert code == cli.EXIT_INCONCLUSIVE
         rows = json.loads(out)["scores"]
         assert all(r["score"] == "0/1" and r["truncated"] for r in rows)
+
+    def test_prob_max_card_bounds_contingency_sets(self, capsys, files):
+        # Outlook and Wind score only with a one-feature contingency set,
+        # which a counterfactual of two changes allows and one does not
+        argv = self.prob_argv(files, "--max-card", "1", rules="tennis.rules")
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_OK
+        rows = {r["feature"]: r for r in json.loads(out)["scores"]}
+        assert [(r["score"], r["truncated"]) for r in rows.values()] == [
+            ("0/1", True), ("1/2", False), ("0/1", True),
+        ]
+        assert manifest_of(err)["config"] == {
+            "max_cardinality": 1, "prob": "uniform", "condition": None,
+        }
+        argv = self.prob_argv(files, "--max-card", "2", rules="tennis.rules")
+        code, out, _ = run(capsys, argv)
+        assert code == cli.EXIT_OK
+        rows = {r["feature"]: r for r in json.loads(out)["scores"]}
+        assert rows["Outlook"]["score"] == "1/6"
+        assert rows["Outlook"]["gamma"] == {"Wind": "strong"}
+        assert rows["Wind"]["gamma"] == {"Outlook": "rain"}
+        assert not any(r["truncated"] for r in rows.values())
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--budget", "2"], "--budget does not apply to --prob"),
+        (["--constraints", "constraints.json"], "--constraints does not apply"),
+        (["--max-card", "0"], "max_cardinality must be >= 1"),
+    ])
+    def test_prob_rejects_unhonoured_flags(self, capsys, files, extra, message):
+        extra = [str(files / x) if x.endswith(".json") else x for x in extra]
+        argv = self.prob_argv(files, *extra, rules="tennis.rules")
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert message in err
+
+    def test_prob_manifest_echoes_no_budget(self, capsys, files):
+        # the default external budget caps searches; --prob runs none
+        code, _, err = run(capsys, [
+            "score",
+            "--schema", str(files / "tennis_schema.json"),
+            "--entity", str(files / "tennis_e.json"),
+            "--external", f"{sys.executable} {CHILD} ok",
+            "--prob", "uniform",
+        ])
+        assert code == cli.EXIT_OK
+        assert manifest_of(err)["config"] == {
+            "max_cardinality": None, "prob": "uniform", "condition": None,
+        }
 
     def test_table_format(self, capsys, files):
         code, out, _ = run(capsys, [

@@ -238,3 +238,20 @@ class TestLoading:
     def test_top_level_must_be_object(self, tennis_schema):
         with pytest.raises(InputError, match="object"):
             constraints_from_dict([], tennis_schema)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"denials": ["x"]}, "'denials' must be a list of objects"),
+            ({"denials": {"a": 1}}, "'denials' must be a list"),
+            ({"denials": [{"literals": 5}]}, "'literals' must be a list"),
+            ({"denials": [{"literals": ["Outlook"]}]}, "'literals' must be a list of"),
+            ({"actionability": 5}, "'actionability' must be a list"),
+            ({"actionability": ["Outlook"]}, "'actionability' must be a list of"),
+            ({"onehot": 5}, "'onehot' must be a list"),
+            ({"onehot": {"features": ["Outlook"]}}, "'onehot' must be a list"),
+        ],
+    )
+    def test_sections_must_be_lists(self, tennis_schema, doc, message):
+        with pytest.raises(InputError, match=message):
+            constraints_from_dict(doc, tennis_schema)

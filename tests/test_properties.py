@@ -22,7 +22,13 @@ from cfx.schema import (
     diff,
     leq_s,
 )
-from cfx.score import max_resp_features, x_resp
+from cfx.score import (
+    ProductDistribution,
+    UniformDistribution,
+    global_resp,
+    max_resp_features,
+    x_resp,
+)
 from cfx.search import enumerate_counterfactuals
 from cfx import aspgen
 
@@ -230,6 +236,38 @@ class TestScoreInvariants:
                 assert fs.witness.cardinality == Fraction(1, fs.score)
             else:
                 assert fs.witness is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(classified_spaces(), st.sampled_from([None, 0, 1]), st.data())
+    def test_global_resp_matches_brute_force(self, case, max_gamma, data):
+        schema, table, entity = case
+        clf = TableClassifier(schema, table)
+        domains = [f.domain for f in schema.features]
+        if data.draw(st.booleans(), label="uniform"):
+            dist = UniformDistribution(schema)
+            dist_table = oracles.uniform_table(domains)
+        else:
+            # zero weights leave some conditional slices without mass
+            marginals = []
+            for f in schema.features:
+                weights = data.draw(st.lists(
+                    st.integers(0, 3), min_size=len(f.domain), max_size=len(f.domain)
+                ).filter(any))
+                marginals.append({
+                    v: Fraction(w, sum(weights)) for v, w in zip(f.domain, weights)
+                })
+            dist = ProductDistribution(schema, marginals)
+            dist_table = oracles.product_table(domains, marginals)
+        n = len(schema.features)
+        for f_star in range(n):
+            got = global_resp(schema, clf, entity, f_star, dist, max_gamma)
+            assert (got.score, got.gamma, got.gamma_values) == oracles.global_resp(
+                domains, entity.values, table.__getitem__, f_star, dist_table,
+                max_gamma,
+            )
+            assert got.truncated == (
+                got.score == 0 and max_gamma is not None and max_gamma < n - 1
+            )
 
 
 class TestEmissionInvariants:

@@ -193,6 +193,16 @@ class TestSerialization:
         with pytest.raises(InputError, match="'features'"):
             schema_from_dict({"cols": []})
 
+    @pytest.mark.parametrize("domain", [5, "01", {"0": 1, "1": 1}])
+    def test_schema_domain_must_be_a_list(self, domain):
+        with pytest.raises(InputError, match="must be a list"):
+            schema_from_dict({"features": [{"name": "F1", "domain": domain}]})
+
+    @pytest.mark.parametrize("values", [5, "rhw", {"Outlook": "rain"}])
+    def test_entity_values_must_be_a_list(self, tennis_schema, values):
+        with pytest.raises(InputError, match="must be a list"):
+            entity_from_dict({"id": "e", "values": values}, tennis_schema)
+
     def test_load_schema_and_entity(self, tmp_path, tennis_schema):
         p = tmp_path / "schema.json"
         p.write_text(json.dumps(schema_to_dict(tennis_schema)))

@@ -246,19 +246,6 @@ class TestModesAndConfig:
             SearchConfig(max_cardinality=0)
         with pytest.raises(InputError):
             SearchConfig(budget=0)
-        with pytest.raises(InputError):
-            SearchConfig(jobs=0)
-
-    def test_jobs_preserve_order_and_results(self, tennis_schema, tennis_clf, tennis_entity):
-        seq = enumerate_counterfactuals(tennis_schema, tennis_clf, tennis_entity)
-        par = enumerate_counterfactuals(
-            tennis_schema,
-            tennis_clf,
-            tennis_entity,
-            config=SearchConfig(jobs=4),
-        )
-        assert cf_values(seq) == cf_values(par)
-        assert seq.stats.classifier_calls == par.stats.classifier_calls
 
     def test_admissibility_filtered_before_classify(
         self, tennis_schema, tennis_clf, tennis_entity
