@@ -599,54 +599,45 @@ def lint_cip(text: str) -> list[Diagnostic]:
     return diagnostics
 
 
+# a quoted constant; a backslash escapes the next character, and an
+# unterminated constant runs to the end of the text
+_QUOTED = re.compile(r'"(?:[^"\\]|\\.?)*"?', re.DOTALL)
+_QUOTED_OR_COMMENT = re.compile(f"({_QUOTED.pattern})|%.*")
+
+
 def _statements(text: str):
     """Statement strings, comments and directives stripped."""
-    cleaned: list[str] = []
-    for line in text.splitlines():
-        if line.lstrip().startswith("#include"):
-            continue
-        out = []
-        in_quote = False
-        for ch in line:
-            if ch == '"':
-                in_quote = not in_quote
-            if ch == "%" and not in_quote:
-                break
-            out.append(ch)
-        cleaned.append("".join(out))
-    stream = "\n".join(cleaned)
-
+    stream = "\n".join(
+        _QUOTED_OR_COMMENT.sub(lambda m: m.group(1) or "", line)
+        for line in text.splitlines()
+        if not line.lstrip().startswith("#include")
+    )
     depth = 0
-    in_quote = False
-    current: list[str] = []
+    start = 0
     i = 0
     while i < len(stream):
         ch = stream[i]
-        current.append(ch)
-        if ch == '"' and (i == 0 or stream[i - 1] != "\\"):
-            in_quote = not in_quote
-        elif not in_quote:
-            if ch in "({[":
-                depth += 1
-            elif ch in ")}]":
-                depth -= 1
-            elif ch == "." and depth == 0:
-                # absorb a weak-constraint weight suffix
-                j = i + 1
-                while j < len(stream) and stream[j].isspace():
-                    j += 1
-                if j < len(stream) and stream[j] == "[":
-                    while j < len(stream) and stream[j] != "]":
-                        current.append(stream[j])
-                        j += 1
-                    if j < len(stream):
-                        current.append("]")
-                        j += 1
-                    i = j - 1
-                statement = "".join(current).strip()
-                if statement:
-                    yield statement
-                current = []
+        if ch == '"':
+            i = _QUOTED.match(stream, i).end()
+            continue
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        elif ch == "." and depth == 0:
+            statement = stream[start : i + 1]
+            # absorb a weak-constraint weight suffix
+            j = i + 1
+            while j < len(stream) and stream[j].isspace():
+                j += 1
+            if j < len(stream) and stream[j] == "[":
+                close = stream.find("]", j)
+                i = len(stream) - 1 if close == -1 else close
+                statement += stream[j : i + 1]
+            statement = statement.strip()
+            if statement:
+                yield statement
+            start = i + 1
         i += 1
 
 
@@ -671,28 +662,27 @@ def _split_statement(statement: str) -> tuple[str, str, str]:
 def _split_top(text: str, separators: tuple[str, ...]) -> list[str]:
     parts: list[str] = []
     depth = 0
-    in_quote = False
     start = 0
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch == '"' and (i == 0 or text[i - 1] != "\\"):
-            in_quote = not in_quote
-        elif not in_quote:
-            if ch in "({[":
-                depth += 1
-            elif ch in ")}]":
-                depth -= 1
-            elif depth == 0:
-                for sep in separators:
-                    if text.startswith(sep, i):
-                        parts.append(text[start:i])
-                        i += len(sep)
-                        start = i
-                        break
-                else:
-                    i += 1
-                continue
+        if ch == '"':
+            i = _QUOTED.match(text, i).end()
+            continue
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        elif depth == 0:
+            for sep in separators:
+                if text.startswith(sep, i):
+                    parts.append(text[start:i])
+                    i += len(sep)
+                    start = i
+                    break
+            else:
+                i += 1
+            continue
         i += 1
     parts.append(text[start:])
     return [p for p in (part.strip() for part in parts) if p]

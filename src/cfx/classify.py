@@ -352,8 +352,9 @@ class ExternalClassifier:
     def _pump(self) -> None:
         proc = self._proc
         assert proc is not None and proc.stdout is not None
-        for line in proc.stdout:
-            self._queue.put(line.rstrip("\r\n"))
+        with proc.stdout:
+            for line in proc.stdout:
+                self._queue.put(line.rstrip("\r\n"))
         self._queue.put(None)
 
     def close(self) -> None:

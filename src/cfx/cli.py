@@ -83,14 +83,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cfx", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, backend_required: bool = True) -> None:
+    def common(p: _Parser, runs_classifier: bool = True) -> None:
         p.add_argument("--schema", required=True, help="schema JSON file")
         p.add_argument("--entity", required=True, help="entity JSON or CSV file")
         p.add_argument("--id", help="entity id to pick from a CSV file")
-        group = p.add_mutually_exclusive_group(required=backend_required)
+        group = p.add_mutually_exclusive_group(required=runs_classifier)
         group.add_argument("--table", help="truth-table CSV file")
         group.add_argument("--rules", help="rule DSL file")
-        group.add_argument("--external", metavar="CMD", help="external classifier command")
+        if runs_classifier:
+            group.add_argument(
+                "--external", metavar="CMD", help="external classifier command"
+            )
 
     def searchy(p: _Parser) -> None:
         p.add_argument("--constraints", help="constraints JSON file")
@@ -117,18 +120,18 @@ def build_parser() -> _Parser:
         "--condition", metavar="FILE", help="denial constraints conditioning --prob"
     )
 
-    p_emit = sub.add_parser("emit-asp", help="render the intervention program")
-    common(p_emit, backend_required=False)
+    p_emit = sub.add_parser(
+        "emit-asp",
+        help="render the intervention program",
+        description="The classifier is embedded as facts (--table), as rules "
+        "(--rules), or as an external predicate stub (neither).",
+    )
+    common(p_emit, runs_classifier=False)
     p_emit.add_argument("--constraints", help="constraints JSON file")
     p_emit.add_argument(
         "--dialect",
         choices=(aspgen.DLV_COMPLEX, aspgen.ASP_CORE_2),
         default=aspgen.DLV_COMPLEX,
-    )
-    p_emit.add_argument(
-        "--classifier",
-        choices=(aspgen.FACTS, aspgen.RULES, aspgen.EXTERNAL_STUB),
-        help="classifier embedding (default: matches the backend flag)",
     )
     p_emit.add_argument("--weak", action="store_true", help="add weak constraints")
     p_emit.add_argument("--count", action="store_true", help="add the change-count rule")
@@ -364,24 +367,15 @@ def _build_distribution(args, schema: FeatureSchema):
 
 
 def _cmd_emit_asp(args, schema, entity, constraints, manifest) -> int:
-    embedding = args.classifier
-    if embedding is None:
-        if args.table:
-            embedding = aspgen.FACTS
-        elif args.rules:
-            embedding = aspgen.RULES
-        else:
-            embedding = aspgen.EXTERNAL_STUB
-    backend = None
-    if embedding == aspgen.FACTS:
-        if not args.table:
-            raise InputError("facts embedding needs --table")
+    if args.table:
+        embedding = aspgen.FACTS
         backend = TableClassifier.from_csv(args.table, schema)
-    elif embedding == aspgen.RULES:
-        if not args.rules:
-            raise InputError("rules embedding needs --rules")
+    elif args.rules:
+        embedding = aspgen.RULES
         backend = load_rules(args.rules, schema)
-
+    else:
+        embedding = aspgen.EXTERNAL_STUB
+        backend = None
     options = aspgen.CipOptions(
         dialect=args.dialect,
         classifier_embedding=embedding,
@@ -400,11 +394,6 @@ def _cmd_emit_asp(args, schema, entity, constraints, manifest) -> int:
         "feature_tokens": args.feature_tokens,
     }
     program = aspgen.emit_cip(schema, entity, backend, options)
-    problems = aspgen.lint_cip(program.text)
-    if problems:  # self-emitted programs must be clean
-        for d in problems:
-            print(f"cfx: lint: {d.kind}: {d.message}", file=sys.stderr)
-        raise InputError("emitted program failed its own lint")
     if args.out:
         Path(args.out).write_text(program.text, encoding="utf-8")
         sys.stdout.write(json.dumps(program.section_index(), indent=2) + "\n")

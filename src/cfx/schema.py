@@ -251,11 +251,16 @@ def schema_from_dict(data: dict) -> FeatureSchema:
             raise InputError("each feature needs 'name' and 'domain'")
         if not isinstance(item["domain"], list):
             raise InputError(f"domain of feature {item['name']!r} must be a list")
+        ordered = item.get("ordered", False)
+        if not isinstance(ordered, bool):
+            raise InputError(
+                f"'ordered' of feature {item['name']!r} must be true or false"
+            )
         feats.append(
             Feature(
                 name=str(item["name"]),
                 domain=tuple(_coerce_value(v) for v in item["domain"]),
-                ordered=bool(item.get("ordered", False)),
+                ordered=ordered,
             )
         )
     return FeatureSchema(tuple(feats))

@@ -483,3 +483,12 @@ class TestLint:
     def test_comments_and_include_skipped(self):
         text = "#include<ListAndSet>\n% a comment\np(a).\n"
         assert lint_cip(text) == []
+
+    @pytest.mark.parametrize("text", [
+        'dom1("C:\\\\"). dom1(tmp).\n',
+        'dom1("a \\"b% c"). dom1(tmp).\n',
+    ], ids=["backslash-last", "percent-after-escaped-quote"])
+    def test_quoted_constants_end_at_their_closing_quote(self, text):
+        assert lint_cip(text) == []
+        # the scan resumes after the constant and still sees what follows
+        assert [d.kind for d in lint_cip(text + "dom1(tmp).\n")] == ["duplicate-fact"]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cfx import cli
+from cfx import aspgen, cli
 from conftest import T1_ROWS, TENNIS_RULES_TEXT
 
 CHILD = str(Path(__file__).parent / "fixtures" / "tennis_child.py")
@@ -443,7 +443,7 @@ class TestScore:
 
 class TestEmitAsp:
     def test_stdout_program(self, capsys, files):
-        code, out, _ = run(capsys, [
+        code, out, err = run(capsys, [
             "emit-asp",
             "--schema", str(files / "bits_schema.json"),
             "--entity", str(files / "e1.json"),
@@ -453,6 +453,7 @@ class TestEmitAsp:
         assert code == 0
         golden = (Path(__file__).parent / "golden" / "table1_weak_count.lp").read_text()
         assert out == golden
+        assert manifest_of(err)["config"]["classifier_embedding"] == "facts"
 
     def test_out_file_and_section_index(self, capsys, files, tmp_path):
         target = tmp_path / "program.lp"
@@ -469,7 +470,7 @@ class TestEmitAsp:
         assert target.read_text().startswith("#include<ListAndSet>")
 
     def test_rules_embedding_default(self, capsys, files):
-        code, out, _ = run(capsys, [
+        code, out, err = run(capsys, [
             "emit-asp",
             "--schema", str(files / "tennis_schema.json"),
             "--entity", str(files / "tennis_e.json"),
@@ -480,20 +481,21 @@ class TestEmitAsp:
         assert code == 0
         golden = (Path(__file__).parent / "golden" / "tennis_rules.lp").read_text()
         assert out == golden
+        assert manifest_of(err)["config"]["classifier_embedding"] == "rules"
 
     def test_external_stub_without_backend(self, capsys, files):
-        code, out, _ = run(capsys, [
+        code, out, err = run(capsys, [
             "emit-asp",
             "--schema", str(files / "tennis_schema.json"),
             "--entity", str(files / "tennis_e.json"),
             "--dialect", "asp-core-2",
-            "--classifier", "external-stub",
             "--feature-tokens", "names",
             "--count",
         ])
         assert code == 0
         golden = (Path(__file__).parent / "golden" / "tennis_external.lp").read_text()
         assert out == golden
+        assert manifest_of(err)["config"]["classifier_embedding"] == "external-stub"
 
     def test_shift_flag(self, capsys, files):
         code, out, _ = run(capsys, [
@@ -508,15 +510,50 @@ class TestEmitAsp:
         assert out.count("not ent(") == 6
 
     def test_facts_embedding_needs_table(self, capsys, files):
-        code, _, err = run(capsys, [
+        # the backend flag picks the embedding; there is no flag to override it
+        with pytest.raises(SystemExit) as info:
+            cli.main([
+                "emit-asp",
+                "--schema", str(files / "bits_schema.json"),
+                "--entity", str(files / "e1.json"),
+                "--rules", str(files / "tennis.rules"),
+                "--classifier", "facts",
+            ])
+        assert info.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_external_flag_is_usage_error(self, capsys, files):
+        # emit-asp runs no classifier; the stub is emitted without a backend
+        with pytest.raises(SystemExit) as info:
+            cli.main([
+                "emit-asp",
+                "--schema", str(files / "tennis_schema.json"),
+                "--entity", str(files / "tennis_e.json"),
+                "--dialect", "asp-core-2",
+                "--external", f"{sys.executable} {CHILD} ok",
+            ])
+        assert info.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_backslash_value_emits_lint_clean_program(self, capsys, files, tmp_path):
+        schema = tmp_path / "path_schema.json"
+        schema.write_text(json.dumps({"features": [
+            {"name": "Path", "domain": ["C:\\", "tmp"]},
+            {"name": "F2", "domain": ["0", "1"]},
+        ]}))
+        entity = tmp_path / "path_e.json"
+        entity.write_text(json.dumps({"id": "e", "values": ["C:\\", "0"]}))
+        table = tmp_path / "path_table.csv"
+        table.write_text('Path,F2,label\n"C:\\",0,1\n"C:\\",1,1\ntmp,0,0\ntmp,1,0\n')
+        code, out, _ = run(capsys, [
             "emit-asp",
-            "--schema", str(files / "bits_schema.json"),
-            "--entity", str(files / "e1.json"),
-            "--rules", str(files / "tennis.rules"),
-            "--classifier", "facts",
+            "--schema", str(schema),
+            "--entity", str(entity),
+            "--table", str(table),
         ])
-        assert code == 2
-        assert "facts embedding needs --table" in err
+        assert code == 0
+        assert 'dom1("C:\\\\"). dom1(tmp).' in out
+        assert aspgen.lint_cip(out) == []
 
 
 class TestExternalBackend:

@@ -1,6 +1,7 @@
 """External classifier backend: wire conformance and failure handling."""
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,13 @@ class TestConstruction:
         ext.label(("sunny", "normal", "weak"))
         ext.close()
         ext.close()
+
+    def test_close_closes_the_reply_pipe(self, tennis_schema):
+        ext = ExternalClassifier(child_cmd(), tennis_schema)
+        ext.label(("sunny", "normal", "weak"))
+        replies = ext._proc.stdout
+        ext.close()
+        deadline = time.monotonic() + 1.0
+        while not replies.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert replies.closed

@@ -10,8 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cfx.classify import MemoClassifier, TableClassifier
-from cfx.constrain import ConstraintSet, DenialConstraint, DenialLiteral
+from cfx.classify import MemoClassifier, Rule, RuleClassifier, TableClassifier
+from cfx.constrain import (
+    EQ,
+    FIXED,
+    FREE,
+    MODES,
+    NE,
+    ActionabilityRule,
+    ConstraintSet,
+    DenialConstraint,
+    DenialLiteral,
+    OneHotGroup,
+)
 from cfx.schema import (
     Entity,
     Explanation,
@@ -270,16 +281,99 @@ class TestScoreInvariants:
             )
 
 
+# Constants the emitter passes through, lowercases (Yes collides with yes)
+# or quotes with backslash escapes.
+EMITTED_VALUES = (
+    "a", "0", "12", "Yes", "yes", "X", "a b", 'say "hi"', "C:\\", "50%", "x.y", "a,b",
+)
+EMITTED_NAMES = ("F1", "age", "Yes", "yes", "X")
+
+
+@st.composite
+def emission_cases(draw):
+    """Everything ``emit_cip`` accepts: schema, entity, classifier, options."""
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(
+        st.sampled_from(EMITTED_NAMES), min_size=n, max_size=n, unique=True
+    ))
+    binary = st.just(("0", "1"))
+    tricky = st.lists(
+        st.sampled_from(EMITTED_VALUES), min_size=2, max_size=3, unique=True
+    ).map(tuple)
+    schema = FeatureSchema(tuple(
+        Feature(name, draw(binary | tricky), ordered=draw(st.booleans()))
+        for name in names
+    ))
+    entity = Entity(
+        draw(st.sampled_from(EMITTED_VALUES)),
+        tuple(draw(st.sampled_from(f.domain)) for f in schema.features),
+    )
+
+    embedding = draw(st.sampled_from(aspgen.EMBEDDINGS))
+    if embedding == aspgen.FACTS:
+        space = list(schema.iter_space())
+        labels = draw(st.lists(
+            st.integers(0, 1), min_size=len(space), max_size=len(space)
+        ))
+        classifier = TableClassifier(schema, dict(zip(space, labels)))
+    elif embedding == aspgen.RULES:
+        label = draw(st.integers(0, 1))
+        rules = [
+            Rule(tuple(
+                (i, draw(st.sampled_from(schema.features[i].domain)))
+                for i in sorted(indices)
+            ), label)
+            for indices in draw(st.lists(
+                st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=3
+            ))
+        ]
+        classifier = RuleClassifier(schema, rules, 1 - label)
+    else:
+        classifier = None
+
+    def literal(i):
+        value = draw(st.sampled_from(schema.features[i].domain))
+        return DenialLiteral(i, value, draw(st.sampled_from((EQ, NE))))
+
+    denials = tuple(
+        DenialConstraint(tuple(literal(i) for i in sorted(indices)))
+        for indices in draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=2), max_size=2
+        ))
+    )
+    actionability = tuple(
+        ActionabilityRule(i, draw(st.sampled_from(
+            MODES if schema.features[i].ordered else (FIXED, FREE)
+        )))
+        for i in sorted(draw(st.sets(st.integers(0, n - 1))))
+    )
+    binaries = [i for i, f in enumerate(schema.features) if f.domain == ("0", "1")]
+    onehot = ()
+    if len(binaries) >= 2 and draw(st.booleans()):
+        onehot = (OneHotGroup(tuple(binaries)),)
+    constraints = ConstraintSet(schema, denials, actionability, onehot)
+
+    options = aspgen.CipOptions(
+        dialect=(
+            aspgen.ASP_CORE_2 if embedding == aspgen.EXTERNAL_STUB
+            else draw(st.sampled_from(aspgen.DIALECTS))
+        ),
+        classifier_embedding=embedding,
+        include_weak=draw(st.booleans()),
+        include_count=draw(st.booleans()),
+        shift=draw(st.booleans()),
+        feature_tokens=draw(st.sampled_from((aspgen.INDICES, aspgen.NAMES))),
+        hard_constraints=constraints,
+    )
+    return schema, entity, classifier, options
+
+
 class TestEmissionInvariants:
-    @settings(max_examples=25, deadline=None)
-    @given(classified_spaces(), st.booleans(), st.booleans())
-    def test_emitted_programs_lint_clean(self, case, weak, shift):
-        schema, table, entity = case
-        clf = TableClassifier(schema, table)
-        program = aspgen.emit_cip(
-            schema, entity, clf,
-            options=aspgen.CipOptions(include_weak=weak, include_count=True, shift=shift),
-        )
+    @settings(max_examples=200, deadline=None)
+    @given(emission_cases())
+    def test_emitted_programs_lint_clean(self, case):
+        schema, entity, classifier, options = case
+        program = aspgen.emit_cip(schema, entity, classifier, options)
         assert aspgen.lint_cip(program.text) == []
 
     @settings(max_examples=25, deadline=None)

@@ -198,6 +198,17 @@ class TestSerialization:
         with pytest.raises(InputError, match="must be a list"):
             schema_from_dict({"features": [{"name": "F1", "domain": domain}]})
 
+    @pytest.mark.parametrize("ordered", ["false", "true", 0, 1, None, []])
+    def test_schema_ordered_must_be_a_boolean(self, ordered):
+        feature = {"name": "F1", "domain": ["0", "1"], "ordered": ordered}
+        with pytest.raises(InputError, match="must be true or false"):
+            schema_from_dict({"features": [feature]})
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_schema_ordered_booleans_accepted(self, ordered):
+        feature = {"name": "F1", "domain": ["0", "1"], "ordered": ordered}
+        assert schema_from_dict({"features": [feature]}).feature(0).ordered is ordered
+
     @pytest.mark.parametrize("values", [5, "rhw", {"Outlook": "rain"}])
     def test_entity_values_must_be_a_list(self, tennis_schema, values):
         with pytest.raises(InputError, match="must be a list"):
