@@ -22,11 +22,12 @@ predicates. Everything else is identical across dialects.
 Rendering notes. Statements are one per line; groups of facts are packed
 greedily at 79 columns. Domain values, entity ids, and feature-name tokens
 become solver constants: lowercase identifier-like or plain integer tokens
-pass through, other identifier-like tokens are lowercased, anything else is
-double-quoted with backslash escaping (reversible); if lowercasing would
-collide inside one group, later colliders are quoted instead. Directional
-actionability constraints compare value variables with ``<``/``>``, which
-solvers apply to integer constants; use them with numeric domains.
+pass through, other letter-led identifier-like tokens are lowercased, and
+anything else, ``_``-led tokens included, is double-quoted with backslash
+escaping (reversible); if lowercasing would collide inside one group, later
+colliders are quoted instead. Directional actionability constraints compare
+value variables with ``<``/``>``, which solvers apply to integer constants;
+use them with numeric domains.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class CipProgram:
 # --- constant rendering -------------------------------------------------------
 
 _LOWER_TOKEN = re.compile(r"[a-z][a-z0-9_]*\Z")
-_ALPHA_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_ALPHA_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _INT_TOKEN = re.compile(r"(0|[1-9][0-9]*)\Z")
 
 
@@ -485,7 +486,8 @@ def shift_disjunctive_rule(program: CipProgram) -> CipProgram:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    kind: str  # arity-clash | unsafe-variable | duplicate-fact | parse-error
+    # arity-clash | unsafe-variable | duplicate-fact | underscore-term | parse-error
+    kind: str
     message: str
 
 
@@ -494,7 +496,8 @@ _CMP_OPS = ("!=", "<=", ">=", "=", "<", ">")
 
 
 def lint_cip(text: str) -> list[Diagnostic]:
-    """Well-formedness scan: predicate arities, safety, duplicate facts.
+    """Well-formedness scan: predicate arities, safety, duplicate facts,
+    and ``_``-led terms in facts (an anonymous variable or a non-constant).
 
     Self-emitted programs must come back clean; the scan is deliberately
     solver-agnostic and checks nothing about semantics.
@@ -534,6 +537,13 @@ def lint_cip(text: str) -> list[Diagnostic]:
                         Diagnostic("duplicate-fact", f"fact {rendered} repeated")
                     )
                 facts_seen.add(rendered)
+                if any(arg.startswith("_") for arg in atom[1]):
+                    diagnostics.append(
+                        Diagnostic(
+                            "underscore-term",
+                            f"fact {rendered} has a term starting with '_'",
+                        )
+                    )
             continue
 
         bound: set[str] = set()

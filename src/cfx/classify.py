@@ -147,27 +147,64 @@ class Rule:
 
 
 class RuleClassifier:
-    """Ordered rule list with first-match-wins semantics and a default."""
+    """Ordered rule list with first-match-wins semantics and a default.
+
+    The list is compiled to bitmasks, bit r standing for rule r: per feature,
+    one mask per domain value holding the rules whose test on that feature
+    passes (rules not testing the feature pass), and one for values outside
+    the domain (only those rules). A label ANDs the masks of the vector's
+    values; the lowest surviving bit is the first match.
+    """
 
     def __init__(self, schema: FeatureSchema, rules: Iterable[Rule], default: int):
         self.schema = schema
         self.rules = tuple(rules)
         self.default = _check_label(default, "default")
-        for r in self.rules:
-            _check_label(r.label, "rule")
-            for i, v in r.conditions:
+        # equals[i][v]: the rules testing feature i against v
+        equals: list[dict[str, int]] = [{} for _ in schema.features]
+        bit = 1
+        for rule in self.rules:
+            _check_label(rule.label, "rule")
+            for i, v in rule.conditions:
                 f = schema.feature(i)
-                if v not in f.domain:
+                by_value = equals[i]
+                if v in by_value:
+                    by_value[v] |= bit
+                elif v in f.domain:
+                    by_value[v] = bit
+                else:
                     raise InputError(
                         f"rule tests {f.name!r} against {v!r}, not in its domain"
                     )
+            bit <<= 1
+        # a rule testing one feature against two values never fires
+        dead = 0
+        tested = []
+        for by_value in equals:
+            seen = 0
+            for mask in by_value.values():
+                dead |= seen & mask
+                seen |= mask
+            tested.append(seen)
+        self._live = live = (bit - 1) & ~dead
+        self._masks = []
+        for f, t, by_value in zip(schema.features, tested, equals):
+            untested = live & ~t
+            passing = {v: untested | (by_value.get(v, 0) & live) for v in f.domain}
+            self._masks.append((passing, untested))
+        self._labels = [rule.label for rule in self.rules]
 
     def label(self, values: Sequence[str]) -> int:
-        vals = tuple(values)
-        for rule in self.rules:
-            if all(vals[i] == v for i, v in rule.conditions):
-                return rule.label
-        return self.default
+        if len(values) != len(self._masks):
+            raise InputError(
+                f"expected {len(self._masks)} values, got {len(values)}"
+            )
+        mask = self._live
+        for (passing, untested), v in zip(self._masks, values):
+            if not mask:
+                break
+            mask &= passing.get(v, untested)
+        return self._labels[(mask & -mask).bit_length() - 1] if mask else self.default
 
 
 # --- rule DSL ---------------------------------------------------------------

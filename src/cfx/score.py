@@ -41,6 +41,9 @@ class ZeroMassError(InputError):
     """A conditioning event or conditional slice carries no probability."""
 
 
+_NO_SLICE_MASS = "no probability mass on the slice fixing all other features"
+
+
 class ConditionError(InputError):
     """A contingency-set precondition does not hold; carries its number."""
 
@@ -190,7 +193,13 @@ class Distribution:
     def conditional(
         self, values: Sequence[str], index: int
     ) -> dict[str, Fraction]:
-        """Distribution of feature ``index`` given every other value fixed."""
+        """Distribution of feature ``index`` given every other value fixed.
+
+        Keyed in domain order. This generic form weighs every value of the
+        feature through :meth:`prob`; subclasses whose features are
+        independent override it with the closed form, with the same result
+        and the same errors.
+        """
         base = list(values)
         weights: dict[str, Fraction] = {}
         for v in self.schema.feature(index).domain:
@@ -198,16 +207,29 @@ class Distribution:
             weights[v] = self.prob(tuple(base))
         total = sum(weights.values())
         if total == 0:
-            raise ZeroMassError(
-                "no probability mass on the slice fixing all other features"
-            )
+            raise ZeroMassError(_NO_SLICE_MASS)
         return {v: w / total for v, w in weights.items()}
+
+    def _check_others(self, values: Sequence[str], index: int) -> tuple[str, ...]:
+        """Validate every value but the one at ``index``; return the domain."""
+        domain = self.schema.feature(index).domain
+        base = list(values)
+        base[index] = domain[0]
+        self.schema.check_values(base)
+        return domain
 
 
 class UniformDistribution(Distribution):
     def prob(self, values: Sequence[str]) -> Fraction:
         self.schema.check_values(values)
         return Fraction(1, self.schema.space_size())
+
+    def conditional(
+        self, values: Sequence[str], index: int
+    ) -> dict[str, Fraction]:
+        domain = self._check_others(values, index)
+        p = Fraction(1, len(domain))
+        return dict.fromkeys(domain, p)
 
 
 class ProductDistribution(Distribution):
@@ -255,6 +277,15 @@ class ProductDistribution(Distribution):
         for marg, v in zip(self.marginals, values):
             p *= marg[v]
         return p
+
+    def conditional(
+        self, values: Sequence[str], index: int
+    ) -> dict[str, Fraction]:
+        self._check_others(values, index)
+        for j, (marg, v) in enumerate(zip(self.marginals, values)):
+            if j != index and marg[v] == 0:
+                raise ZeroMassError(_NO_SLICE_MASS)
+        return dict(self.marginals[index])
 
     @classmethod
     def from_csv(cls, path: str | Path, schema: FeatureSchema) -> ProductDistribution:

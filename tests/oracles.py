@@ -170,3 +170,15 @@ def global_resp(domains, values, label, f_star, table, max_gamma=None):
         if best is not None:
             return best
     return (Fraction(0), None, None)
+
+
+# --- rule lists ---
+
+
+def first_match(rules, default, values):
+    """Label of the first (conditions, label) pair whose every (index, value)
+    test holds in values, else default."""
+    for conditions, label in rules:
+        if all(values[i] == v for i, v in conditions):
+            return label
+    return default

@@ -429,6 +429,19 @@ class TestConstants:
         out = render_constants(["a b", "a-b"])
         assert out["a b"] != out["a-b"]
 
+    def test_underscore_led_tokens_quoted(self):
+        # "_" is the anonymous variable; "_x" and "_1" are no ASP-Core-2 constants
+        assert render_constants(["_", "_x", "_1", "X_"]) == {
+            "_": '"_"', "_x": '"_x"', "_1": '"_1"', "X_": "x_",
+        }
+
+    def test_underscore_domain_emits_lintable_program(self):
+        schema = FeatureSchema((Feature("F", ("_", "b")),))
+        table = TableClassifier.from_function(schema, lambda v: int(v[0] == "_"))
+        prog = emit_cip(schema, schema.entity("e", ("_",)), table, CipOptions())
+        assert 'dom1("_"). dom1(b).' in prog.text
+        assert lint_cip(prog.text) == []
+
     def test_quoted_domain_still_emits_lintable_program(self):
         schema = FeatureSchema((
             Feature("Risk", ("high-risk", "low-risk")),
@@ -467,6 +480,12 @@ class TestLint:
     def test_duplicate_fact(self):
         text = "dom1(0). dom1(0).\n"
         assert [d.kind for d in lint_cip(text)] == ["duplicate-fact"]
+
+    def test_underscore_term_in_fact(self):
+        text = 'dom1(_). ent(e,_x,0,o). dom1("_"). p(a).\np(X) :- q(X,_).\nq(a,b).\n'
+        diags = lint_cip(text)
+        assert [d.kind for d in diags] == ["underscore-term", "underscore-term"]
+        assert "dom1(_)" in diags[0].message
 
     def test_aggregate_binds_result(self):
         text = "n(E,M) :- #count{I: expl(E,I,_)} = M, e(E).\ne(a).\nexpl(a,1,x).\n"

@@ -121,6 +121,12 @@ class TestRuleClassifier:
         clf = parse_rules(text, tennis_schema)
         assert clf.label(("overcast", "high", "weak")) == 1
 
+    def test_vector_length_checked(self, tennis_clf):
+        # a short vector must not pass the tests on its missing features
+        for values in (("sunny",), ("sunny", "normal", "weak", "x")):
+            with pytest.raises(InputError, match="expected 3 values"):
+                tennis_clf.label(values)
+
     def test_rule_value_outside_domain_rejected(self, tennis_schema):
         with pytest.raises(InputError, match="not in its domain"):
             RuleClassifier(tennis_schema, [Rule(((0, "hail"),), 1)], 0)

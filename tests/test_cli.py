@@ -58,6 +58,14 @@ def files(tmp_path):
     }))
     always_one = tmp_path / "ones.rules"
     always_one.write_text("default 1\n")
+    # zero weights: Outlook=overcast is never resampled, and a contingency
+    # set holding it leaves Wind's conditional slice without mass
+    (tmp_path / "tennis_marginals.csv").write_text(
+        "feature,value,probability\n"
+        "Outlook,sunny,1/2\nOutlook,overcast,0\nOutlook,rain,1/2\n"
+        "Humidity,high,1/3\nHumidity,normal,2/3\n"
+        "Wind,strong,1/4\nWind,weak,3/4\n"
+    )
     return tmp_path
 
 
@@ -401,6 +409,29 @@ class TestScore:
         assert rows["Outlook"]["gamma"] == {"Wind": "strong"}
         assert rows["Wind"]["gamma"] == {"Outlook": "rain"}
         assert not any(r["truncated"] for r in rows.values())
+
+    @pytest.mark.parametrize("inputs, prob, calls, scores", [
+        (("bits_schema.json", "e1.json", "--table", "table1.csv"),
+         "uniform", (22, 7), ["0/1", "1/2", "0/1"]),
+        (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
+         "product:tennis_marginals.csv", (21, 6), ["1/4", "1/3", "1/8"]),
+    ])
+    def test_prob_call_counts(self, capsys, files, inputs, prob, calls, scores):
+        # label queries and cache misses of one global_resp walk per
+        # feature; the counts a faster conditional or backend must keep
+        schema, entity, backend, model = inputs
+        prob = prob.replace("product:", f"product:{files}/")
+        code, out, err = run(capsys, [
+            "score",
+            "--schema", str(files / schema),
+            "--entity", str(files / entity),
+            backend, str(files / model),
+            "--prob", prob,
+        ])
+        assert code == cli.EXIT_OK
+        assert [r["score"] for r in json.loads(out)["scores"]] == scores
+        manifest = manifest_of(err)
+        assert (manifest["classifier_calls"], manifest["backend_calls"]) == calls
 
     @pytest.mark.parametrize("extra, message", [
         (["--budget", "2"], "--budget does not apply to --prob"),

@@ -7,7 +7,7 @@ values apiece, keeping the product space small enough to enumerate.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from cfx.classify import MemoClassifier, Rule, RuleClassifier, TableClassifier
@@ -23,6 +23,7 @@ from cfx.constrain import (
     DenialLiteral,
     OneHotGroup,
 )
+from cfx.errors import InputError
 from cfx.schema import (
     Entity,
     Explanation,
@@ -34,6 +35,7 @@ from cfx.schema import (
     leq_s,
 )
 from cfx.score import (
+    Distribution,
     ProductDistribution,
     UniformDistribution,
     global_resp,
@@ -70,6 +72,44 @@ def classified_spaces(draw):
     ones = [vec for vec, lab in table.items() if lab == 1]
     entity = Entity("e", draw(st.sampled_from(ones)))
     return schema, table, entity
+
+
+def draw_marginals(data, schema):
+    """Per-feature marginals with small integer weights, zeros included."""
+    marginals = []
+    for f in schema.features:
+        weights = data.draw(st.lists(
+            st.integers(0, 3), min_size=len(f.domain), max_size=len(f.domain)
+        ).filter(any))
+        marginals.append({
+            v: Fraction(w, sum(weights)) for v, w in zip(f.domain, weights)
+        })
+    return marginals
+
+
+@st.composite
+def rule_lists(draw):
+    """A schema, a rule list over it, a default, and vectors to label.
+
+    Rules may have no conditions or test one feature twice, against the
+    same value or against two (a rule that can never fire); vectors may
+    hold values outside a feature's domain.
+    """
+    schema = draw(schemas())
+    n = len(schema.features)
+    condition = st.integers(0, n - 1).flatmap(lambda i: st.tuples(
+        st.just(i), st.sampled_from(schema.features[i].domain)
+    ))
+    rules = draw(st.lists(
+        st.builds(Rule, st.lists(condition, max_size=4).map(tuple), st.integers(0, 1)),
+        max_size=8,
+    ))
+    default = draw(st.integers(0, 1))
+    queries = draw(st.lists(
+        st.tuples(*(st.sampled_from(f.domain + ("2", "?")) for f in schema.features)),
+        min_size=1, max_size=6,
+    ))
+    return schema, rules, default, queries
 
 
 @st.composite
@@ -259,14 +299,7 @@ class TestScoreInvariants:
             dist_table = oracles.uniform_table(domains)
         else:
             # zero weights leave some conditional slices without mass
-            marginals = []
-            for f in schema.features:
-                weights = data.draw(st.lists(
-                    st.integers(0, 3), min_size=len(f.domain), max_size=len(f.domain)
-                ).filter(any))
-                marginals.append({
-                    v: Fraction(w, sum(weights)) for v, w in zip(f.domain, weights)
-                })
+            marginals = draw_marginals(data, schema)
             dist = ProductDistribution(schema, marginals)
             dist_table = oracles.product_table(domains, marginals)
         n = len(schema.features)
@@ -280,13 +313,60 @@ class TestScoreInvariants:
                 got.score == 0 and max_gamma is not None and max_gamma < n - 1
             )
 
+    @settings(max_examples=150, deadline=None)
+    @given(schemas(), st.data())
+    def test_closed_form_conditionals_match_generic(self, schema, data):
+        if data.draw(st.booleans(), label="uniform"):
+            dist = UniformDistribution(schema)
+        else:
+            dist = ProductDistribution(schema, draw_marginals(data, schema))
+        values = [data.draw(st.sampled_from(f.domain)) for f in schema.features]
+        if data.draw(st.booleans(), label="stray value"):
+            values[data.draw(st.integers(0, len(values) - 1))] = "?"
+        index = data.draw(st.integers(0, len(values) - 1))
+
+        def outcome(conditional):
+            try:
+                cond = conditional(tuple(values), index)
+            except InputError as exc:  # ZeroMassError is one
+                return type(exc), str(exc)
+            assert all(type(p) is Fraction for p in cond.values())
+            return list(cond.items())
+
+        generic = outcome(lambda v, i: Distribution.conditional(dist, v, i))
+        assert outcome(dist.conditional) == generic
+
+
+class TestRuleListInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(rule_lists())
+    @example((
+        FeatureSchema((Feature("F1", ("0", "1")), Feature("F2", ("0", "1")))),
+        [
+            Rule(((0, "0"), (0, "1")), 1),
+            Rule(((1, "1"), (1, "1")), 0),
+            Rule((), 1),
+        ],
+        0,
+        [("0", "1"), ("1", "0"), ("?", "1"), ("0", "?")],
+    ))
+    @example((FeatureSchema((Feature("F1", ("0", "1")),)), [], 1, [("0",), ("?",)]))
+    def test_compiled_rules_match_first_match_loop(self, case):
+        schema, rules, default, queries = case
+        clf = RuleClassifier(schema, rules, default)
+        plain = [(r.conditions, r.label) for r in rules]
+        for values in queries:
+            assert clf.label(values) == oracles.first_match(plain, default, values)
+
 
 # Constants the emitter passes through, lowercases (Yes collides with yes)
-# or quotes with backslash escapes.
+# or quotes with backslash escapes; "_"-led tokens are solver variables
+# or no constants at all, so they are quoted too.
 EMITTED_VALUES = (
     "a", "0", "12", "Yes", "yes", "X", "a b", 'say "hi"', "C:\\", "50%", "x.y", "a,b",
+    "_", "_x", "_1",
 )
-EMITTED_NAMES = ("F1", "age", "Yes", "yes", "X")
+EMITTED_NAMES = ("F1", "age", "Yes", "yes", "X", "_f")
 
 
 @st.composite
