@@ -19,14 +19,16 @@ milliseconds (default 5000).
 
 from __future__ import annotations
 
+import math
 import os
 import re
+import select
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from queue import Empty, Queue
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BackendError, InputError
@@ -361,38 +363,34 @@ class ExternalClassifier:
         if timeout_ms <= 0:
             raise InputError("timeout must be positive")
         self.timeout_ms = timeout_ms
-        self._proc: subprocess.Popen[str] | None = None
-        self._queue: Queue[str | None] = Queue()
+        self._proc: subprocess.Popen[bytes] | None = None
+        self._poller = select.poll()
+        self._pending = b""  # bytes read past the last reply line
+        self._eof = False
         self._lock = threading.Lock()
 
     # lifecycle
 
     def _start(self) -> None:
         try:
-            self._proc = subprocess.Popen(
+            self._proc = proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                bufsize=0,
             )
         except OSError as exc:
             raise BackendError(f"cannot start {self.command!r}: {exc}") from None
-        thread = threading.Thread(target=self._pump, daemon=True)
-        thread.start()
+        assert proc.stdout is not None
+        self._poller = select.poll()
+        self._poller.register(proc.stdout, select.POLLIN)
+        self._pending = b""
+        self._eof = False
         self._send("#schema " + ",".join(self.schema.names))
         reply = self._recv("#schema handshake")
         if reply != "#ok":
             self.close()
             raise ProtocolError(f"handshake: expected '#ok', got {reply!r}")
-
-    def _pump(self) -> None:
-        proc = self._proc
-        assert proc is not None and proc.stdout is not None
-        with proc.stdout:
-            for line in proc.stdout:
-                self._queue.put(line.rstrip("\r\n"))
-        self._queue.put(None)
 
     def close(self) -> None:
         proc, self._proc = self._proc, None
@@ -405,6 +403,10 @@ class ExternalClassifier:
             proc.wait(timeout=2)
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
+            proc.wait()
+        finally:
+            if proc.stdout:
+                proc.stdout.close()
 
     def __enter__(self) -> ExternalClassifier:
         return self
@@ -413,34 +415,49 @@ class ExternalClassifier:
         self.close()
 
     # protocol
+    #
+    # Replies are read on the calling thread: poll the pipe until a whole
+    # line is buffered or the timeout runs out. A round trip is then one
+    # hand-off to the child and one back, with no reader thread to wake.
 
     def _send(self, line: str) -> None:
         proc = self._proc
         assert proc is not None and proc.stdin is not None
+        data = memoryview((line + "\n").encode())
         try:
-            proc.stdin.write(line + "\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError):
+            while data:
+                data = data[proc.stdin.write(data):]
+        except OSError:
             raise ProcessDiedError(
                 f"classifier process died before accepting {line!r}"
             ) from None
 
     def _recv(self, context: str) -> str:
-        try:
-            reply = self._queue.get(timeout=self.timeout_ms / 1000.0)
-        except Empty:
-            self.close()
-            raise ExternalTimeoutError(
-                f"no reply within {self.timeout_ms} ms for {context}"
-            ) from None
-        if reply is None:
-            proc = self._proc
-            code = proc.poll() if proc else None
-            self.close()
-            raise ProcessDiedError(
-                f"classifier process exited (code {code}) leaving {context} unanswered"
-            )
-        return reply
+        proc = self._proc
+        assert proc is not None and proc.stdout is not None
+        deadline = time.monotonic() + self.timeout_ms / 1000.0
+        while True:
+            line, newline, rest = self._pending.partition(b"\n")
+            if newline or (self._eof and line):
+                self._pending = rest
+                return line.rstrip(b"\r").decode("utf-8", "replace")
+            if self._eof:
+                code = proc.poll()
+                self.close()
+                raise ProcessDiedError(
+                    f"classifier process exited (code {code}) leaving {context} unanswered"
+                )
+            left_ms = (deadline - time.monotonic()) * 1000.0
+            if left_ms <= 0 or not self._poller.poll(math.ceil(left_ms)):
+                self.close()
+                raise ExternalTimeoutError(
+                    f"no reply within {self.timeout_ms} ms for {context}"
+                )
+            chunk = proc.stdout.read(65536)
+            if chunk:
+                self._pending += chunk
+            else:
+                self._eof = True
 
     def label(self, values: Sequence[str]) -> int:
         query = ",".join(values)

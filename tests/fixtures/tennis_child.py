@@ -11,6 +11,7 @@ misbehave on purpose:
     die            exit silently right after the handshake
     die-now        exit before reading anything
     slow           sleep 10 s before answering each query
+    chunked        answer in two writes per line, ending lines with CRLF
 """
 
 import sys
@@ -38,6 +39,18 @@ def main():
         return
     if mode == "bad-handshake":
         print("#nope", flush=True)
+        return
+    if mode == "chunked":
+        out = sys.stdout
+        for piece in ("#o", "k\r\n"):
+            out.write(piece)
+            out.flush()
+        for line in sys.stdin:
+            label = classify(line.rstrip("\r\n").split(","))
+            for piece in (str(label), "\r\n"):
+                out.write(piece)
+                out.flush()
+                time.sleep(0.001)
         return
     print("#ok", flush=True)
     if mode == "die":

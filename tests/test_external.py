@@ -1,6 +1,7 @@
 """External classifier backend: wire conformance and failure handling."""
 
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -34,6 +35,17 @@ class TestConformance:
             for _ in range(3):
                 for vec in tennis_schema.iter_space():
                     ext.label(vec)
+
+    def test_replies_split_across_writes_with_crlf(self, tennis_schema, tennis_clf):
+        with ExternalClassifier(child_cmd("chunked"), tennis_schema) as ext:
+            for vec in tennis_schema.iter_space():
+                assert ext.label(vec) == tennis_clf.label(vec), vec
+
+    def test_no_reader_thread(self, tennis_schema):
+        before = threading.active_count()
+        with ExternalClassifier(child_cmd(), tennis_schema) as ext:
+            ext.label(("sunny", "normal", "weak"))
+            assert threading.active_count() == before
 
     def test_command_string_is_split(self, tennis_schema):
         cmd = f"{sys.executable} {CHILD} ok"
