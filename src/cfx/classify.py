@@ -28,6 +28,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -63,6 +64,9 @@ class RuleSyntaxError(InputError):
         self.column = column
 
 
+_LABELS = {"0": 0, "1": 1}
+
+
 def _check_label(raw: object, context: str) -> int:
     if raw in (0, 1):
         return int(raw)  # type: ignore[arg-type]
@@ -71,21 +75,34 @@ def _check_label(raw: object, context: str) -> int:
     raise InputError(f"{context}: label must be 0 or 1, got {raw!r}")
 
 
+def _domain_sets(schema: FeatureSchema) -> list[set[str]]:
+    return [set(f.domain) for f in schema.features]
+
+
+def _in_domains(domains: list[set[str]], vec: tuple[str, ...]) -> bool:
+    return len(vec) == len(domains) and all(map(set.__contains__, domains, vec))
+
+
 class TableClassifier:
     """Truth table over value vectors. Tables may be partial; querying a
     missing row is an error rather than a default."""
 
     def __init__(self, schema: FeatureSchema, rows: Mapping[Sequence[str], int]):
-        self.schema = schema
+        domains = _domain_sets(schema)
         table: dict[tuple[str, ...], int] = {}
         for key, raw in rows.items():
             vec = tuple(key)
-            schema.check_values(vec)
+            if not _in_domains(domains, vec):
+                schema.check_values(vec)  # raises, naming the bad value
             if vec in table:
                 raise InputError(f"duplicate table row for {vec}")
             table[vec] = _check_label(raw, f"table row {vec}")
+        self._adopt(schema, table)
+
+    def _adopt(self, schema: FeatureSchema, table: dict[tuple[str, ...], int]) -> None:
         if not table:
             raise InputError("truth table has no rows")
+        self.schema = schema
         self.rows = table
 
     def label(self, values: Sequence[str]) -> int:
@@ -108,29 +125,56 @@ class TableClassifier:
     def from_csv(cls, path: str | Path, schema: FeatureSchema) -> TableClassifier:
         """Load from CSV whose header holds the feature names plus 'label'.
 
-        An 'id' column is tolerated and ignored.
+        Columns may come in any order; an 'id' column or any other extra
+        column is ignored. Header names and cells are stripped. Every row
+        has the header's cell count; blank rows are skipped.
         """
         import csv
 
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise InputError(f"{path}: empty CSV")
-            fields = [f.strip() for f in reader.fieldnames]
-            missing = [n for n in schema.names if n not in fields]
+            fields = [f.strip() for f in header]
+            names = schema.names
+            missing = [n for n in names if n not in fields]
             if missing:
                 raise InputError(f"{path}: missing feature columns {missing}")
             if "label" not in fields:
                 raise InputError(f"{path}: missing 'label' column")
+            twice = [n for n in (*names, "label") if fields.count(n) > 1]
+            if twice:
+                raise InputError(f"{path}: columns named more than once: {twice}")
+            # one pick per row: the feature cells in schema order, then the label
+            pick = itemgetter(*(fields.index(n) for n in names), fields.index("label"))
+            n = len(names)
+            width = len(fields)
+            domains = _domain_sets(schema)
             rows: dict[tuple[str, ...], int] = {}
-            for lineno, rec in enumerate(reader, start=2):
-                vec = tuple(str(rec[n]).strip() for n in schema.names)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    if not any(c.strip() for c in row):
+                        continue
+                    raise InputError(f"{path}:{lineno}: wrong column count")
+                cells = tuple(map(str.strip, pick(row)))
+                vec = cells[:n]
+                if not _in_domains(domains, vec):
+                    if not any(c.strip() for c in row):
+                        continue
+                    try:
+                        schema.check_values(vec)
+                    except InputError as exc:
+                        raise InputError(f"{path}:{lineno}: {exc}") from None
                 if vec in rows:
                     raise InputError(f"{path}:{lineno}: duplicate row for {vec}")
-                rows[vec] = _check_label(
-                    str(rec["label"]).strip(), f"{path}:{lineno}"
-                )
-        return cls(schema, rows)
+                label = _LABELS.get(cells[n])
+                if label is None:
+                    label = _check_label(cells[n], f"{path}:{lineno}")
+                rows[vec] = label
+        table = cls.__new__(cls)
+        table._adopt(schema, rows)
+        return table
 
     @classmethod
     def from_function(

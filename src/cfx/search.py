@@ -22,8 +22,10 @@ empty, so nothing smaller can exist.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations, product
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Sequence
 
 from . import constrain
@@ -92,10 +94,8 @@ class SearchResult:
         return not self.explanations and self.exhausted
 
     def to_json_dict(self, schema: FeatureSchema) -> dict:
-        return {
-            "entity": self.entity.id,
-            "values": list(self.entity.values),
-            "explanations": [
+        return self._payload(
+            [
                 {
                     "changed": {schema.feature(i).name: v for i, v in x.changed},
                     "counterfactual": list(x.counterfactual.values),
@@ -104,7 +104,50 @@ class SearchResult:
                     "c_minimal": c,
                 }
                 for x, s, c in zip(self.explanations, self.s_flags, self.c_flags)
-            ],
+            ]
+        )
+
+    def to_json_text(self, schema: FeatureSchema) -> str:
+        """``json.dumps(self.to_json_dict(schema), indent=2) + "\\n"``, faster.
+
+        With ``indent`` set, CPython's json runs its pure-Python encoder. Here
+        every explanation is pasted from lines quoted once per (feature,
+        value) by the escaper json.dumps itself uses, and json.dumps writes
+        only the top-level skeleton around them.
+        """
+        text = json.dumps(self._payload([]), indent=2)
+        if self.explanations:
+            # json never writes a raw newline inside a string, so the marker
+            # can only be the top-level key
+            head, _, tail = text.partition('\n  "explanations": []')
+            text = f'{head}\n  "explanations": [\n{self._json_rows(schema)}\n  ]{tail}'
+        return text + "\n"
+
+    def _json_rows(self, schema: FeatureSchema) -> str:
+        changed = []
+        values = []
+        for f in schema.features:
+            key = f"        {_quote(f.name)}: "
+            changed.append({v: key + _quote(v) for v in f.domain})
+            values.append({v: "        " + _quote(v) for v in f.domain})
+        flag = ("false", "true")
+        return ",\n".join(
+            [
+                '    {\n      "changed": {\n'
+                + ",\n".join([changed[i][v] for i, v in x.changed])
+                + '\n      },\n      "counterfactual": [\n'
+                + ",\n".join([q[v] for q, v in zip(values, x.counterfactual.values)])
+                + f'\n      ],\n      "cardinality": {x.cardinality},'
+                f'\n      "s_minimal": {flag[s]},\n      "c_minimal": {flag[c]}\n    }}'
+                for x, s, c in zip(self.explanations, self.s_flags, self.c_flags)
+            ]
+        )
+
+    def _payload(self, explanations: list) -> dict:
+        return {
+            "entity": self.entity.id,
+            "values": list(self.entity.values),
+            "explanations": explanations,
             "min_cardinality": self.min_cardinality,
             "no_counterfactual": self.no_counterfactual,
             "stats": {

@@ -64,6 +64,46 @@ class TestTableClassifier:
         with pytest.raises(InputError, match="label must be 0 or 1"):
             TableClassifier.from_csv(p, bits_schema)
 
+    def test_from_csv_padded_header_and_any_column_order(self, tmp_path, bits_schema):
+        p = tmp_path / "table.csv"
+        p.write_text(" label ,F3, id,F1 ,F2\n 1 ,1,r1, 0,1\n0,1,r2,0 ,0\n")
+        clf = TableClassifier.from_csv(p, bits_schema)
+        assert clf.rows == {("0", "1", "1"): 1, ("0", "0", "1"): 0}
+
+    @pytest.mark.parametrize("header", ["F1,F2,F3,F2,label", "F1,F2,F3,label, label"])
+    def test_from_csv_column_named_twice(self, tmp_path, bits_schema, header):
+        p = tmp_path / "table.csv"
+        p.write_text(header + "\n" + ",".join("0" * header.count(",")) + ",1\n")
+        with pytest.raises(InputError, match="named more than once"):
+            TableClassifier.from_csv(p, bits_schema)
+
+    @pytest.mark.parametrize("row", ["0,1,1", "0,1,1,1,extra"])
+    def test_from_csv_wrong_column_count(self, tmp_path, bits_schema, row):
+        p = tmp_path / "table.csv"
+        p.write_text(f"F1,F2,F3,label\n1,1,1,1\n{row}\n")
+        with pytest.raises(InputError, match=r"table\.csv:3: wrong column count"):
+            TableClassifier.from_csv(p, bits_schema)
+
+    def test_from_csv_skips_blank_rows(self, tmp_path, bits_schema):
+        p = tmp_path / "table.csv"
+        p.write_text("F1,F2,F3,label\n\n0,1,1,1\n , , , \n  \n0,0,1,0\n")
+        clf = TableClassifier.from_csv(p, bits_schema)
+        assert clf.rows == {("0", "1", "1"): 1, ("0", "0", "1"): 0}
+
+    def test_from_csv_domain_error_names_the_line(self, tmp_path, bits_schema):
+        p = tmp_path / "table.csv"
+        p.write_text("F1,F2,F3,label\n0,1,1,1\n0,2,1,0\n")
+        with pytest.raises(
+            InputError, match=r"table\.csv:3: value '2' not in domain of feature 'F2'"
+        ):
+            TableClassifier.from_csv(p, bits_schema)
+
+    def test_from_csv_without_rows(self, tmp_path, bits_schema):
+        p = tmp_path / "table.csv"
+        p.write_text("F1,F2,F3,label\n")
+        with pytest.raises(InputError, match="no rows"):
+            TableClassifier.from_csv(p, bits_schema)
+
     def test_from_function_is_total(self, bits_schema):
         clf = TableClassifier.from_function(
             bits_schema, lambda v: 1 if v.count("1") >= 2 else 0

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, payload purity, reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cfx import aspgen, cli
-from conftest import T1_ROWS, TENNIS_RULES_TEXT
+from conftest import GOLDEN, T1_ROWS, TENNIS_RULES_TEXT
 
 CHILD = str(Path(__file__).parent / "fixtures" / "tennis_child.py")
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -152,6 +153,39 @@ class TestExplain:
         assert "s-min" in out.splitlines()[0]
         assert any("F2=1" in line for line in out.splitlines())
 
+    def test_json_matches_golden_bytes(self, capsys, files):
+        # tennis covers all four combinations of the s- and c-minimal flags
+        code, out, _ = run(capsys, [
+            "explain",
+            "--schema", str(files / "tennis_schema.json"),
+            "--entity", str(files / "tennis_e.json"),
+            "--rules", str(files / "tennis.rules"),
+        ])
+        assert code == 0
+        assert out == (GOLDEN / "tennis_explain.json").read_text(encoding="utf-8")
+
+    def test_padded_table_header(self, capsys, files):
+        padded = files / "padded.csv"
+        text = (files / "table1.csv").read_text()
+        padded.write_text(text.replace("F1,F2,F3,label", "F1 ,F2, F3,label ", 1))
+        code, out, _ = run(capsys, self.argv(files)[:-1] + [str(padded)])
+        assert code == 0
+        _, expected, _ = run(capsys, self.argv(files))
+        assert out == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("F1,F2,F3,F1,label\n0,1,1,0,1\n", "named more than once: ['F1']"),
+        ("F1,F2,F3,label\n0,1,1,1\n0,0,1\n", "bad.csv:3: wrong column count"),
+        ("F1,F2,F3,label\n0,1,1,1\n0,0,1,0,1\n", "bad.csv:3: wrong column count"),
+    ])
+    def test_malformed_table_exit_2(self, capsys, files, text, message):
+        bad = files / "bad.csv"
+        bad.write_text(text)
+        code, out, err = run(capsys, self.argv(files)[:-1] + [str(bad)])
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert message in err
+
     def test_label0_entity_exit_2(self, capsys, files):
         code, out, err = run(capsys, [
             "explain",
@@ -173,6 +207,8 @@ class TestExplain:
         assert code == 3
         payload = json.loads(out)
         assert payload["no_counterfactual"] is True
+        assert payload["explanations"] == []
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_truncated_without_hits_exit_5(self, capsys, files):
         # the one granted candidate, (1,1,1), keeps label 1: nothing is proven
@@ -180,8 +216,10 @@ class TestExplain:
         assert code == cli.EXIT_INCONCLUSIVE == 5
         payload = json.loads(out)
         assert payload["explanations"] == []
+        assert payload["min_cardinality"] is None
         assert payload["no_counterfactual"] is False
         assert payload["exhausted"] is False
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("group", [
         {"features": ["F1", "F2"]},  # the README form
@@ -585,6 +623,31 @@ class TestEmitAsp:
         assert code == 0
         assert 'dom1("C:\\\\"). dom1(tmp).' in out
         assert aspgen.lint_cip(out) == []
+
+
+class TestStartup:
+    def test_cli_import_leaves_aspgen_out(self):
+        code = "import sys, cfx.cli; print('cfx.aspgen' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    def test_emit_asp_choices_are_aspgen_constants(self):
+        parser = cli.build_parser()
+        (sub,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        emit = sub.choices["emit-asp"]
+        actions = {a.dest: a for a in emit._actions}
+        assert tuple(actions["dialect"].choices) == aspgen.DIALECTS
+        tokens = actions["feature_tokens"].choices
+        assert tuple(tokens) == (aspgen.INDICES, aspgen.NAMES)
+        defaults = aspgen.CipOptions()
+        assert actions["dialect"].default == defaults.dialect
+        assert actions["feature_tokens"].default == defaults.feature_tokens
 
 
 class TestExternalBackend:

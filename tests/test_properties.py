@@ -4,7 +4,12 @@ Each property draws a schema of one to four features with two or three
 values apiece, keeping the product space small enough to enumerate.
 """
 
+import csv
+import io
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,7 +47,7 @@ from cfx.score import (
     max_resp_features,
     x_resp,
 )
-from cfx.search import enumerate_counterfactuals
+from cfx.search import SearchConfig, enumerate_counterfactuals
 from cfx import aspgen
 
 
@@ -478,3 +483,108 @@ class TestInterventionOrder:
         ]
         shuffled = data.draw(st.permutations(pairs))
         assert Intervention.of(shuffled) == Intervention.of(pairs)
+
+
+# text json.dumps escapes: quotes, backslashes, control characters, '/',
+# and non-ASCII from the Latin-1, BMP and astral ranges
+_ESCAPED = st.text(
+    st.one_of(
+        st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u2028\u2603\U0001d11e'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def results_to_render(draw):
+    """A search result over names and values that all need escaping.
+
+    The schema is built past the identifier rule FeatureSchema enforces on
+    names, so feature names reach the renderer as arbitrary text too. A
+    budget may truncate the walk, down to nothing found.
+    """
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(_ESCAPED, min_size=n, max_size=n, unique=True))
+    domains = st.lists(_ESCAPED, min_size=2, max_size=3, unique=True).map(tuple)
+    features = tuple(Feature(name, draw(domains)) for name in names)
+    schema = object.__new__(FeatureSchema)
+    object.__setattr__(schema, "features", features)
+    space = list(schema.iter_space())
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(space), max_size=len(space)))
+    at = draw(st.integers(0, len(space) - 1))
+    labels[at] = 1
+    entity = Entity(draw(_ESCAPED), space[at])
+    budget = draw(st.none() | st.integers(1, len(space)))
+    result = enumerate_counterfactuals(
+        schema,
+        TableClassifier(schema, dict(zip(space, labels))),
+        entity,
+        config=SearchConfig(budget=budget),
+    )
+    return schema, result
+
+
+class TestRendering:
+    @settings(max_examples=200, deadline=None)
+    @given(results_to_render())
+    def test_json_text_equals_indented_dumps(self, case):
+        schema, result = case
+        assert result.to_json_text(schema) == (
+            json.dumps(result.to_json_dict(schema), indent=2) + "\n"
+        )
+
+
+# cells without surrounding whitespace (the loader strips it), holding the
+# characters csv quotes
+_CELL = st.text(
+    st.one_of(
+        st.sampled_from('ab ,"\'\xe9'),
+        st.characters(blacklist_categories=("Cs", "Cc")),
+    ),
+    min_size=1,
+    max_size=3,
+).filter(lambda v: v == v.strip())
+
+
+@st.composite
+def table_csvs(draw):
+    """A schema, table rows over it, and the same rows as CSV text with
+    shuffled columns, an optional id column, and padded cells."""
+    n = draw(st.integers(1, 3))
+    domains = st.lists(_CELL, min_size=2, max_size=3, unique=True).map(tuple)
+    schema = FeatureSchema(tuple(Feature(f"F{i + 1}", draw(domains)) for i in range(n)))
+    space = list(schema.iter_space())
+    vecs = draw(st.lists(st.sampled_from(space), min_size=1, unique=True))
+    rows = {vec: draw(st.integers(0, 1)) for vec in vecs}
+    columns = [*schema.names, "label"]
+    if draw(st.booleans()):
+        columns.append("id")
+    columns = draw(st.permutations(columns))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+
+    def padded(cell):
+        return draw(pad) + cell + draw(pad)
+
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([padded(c) for c in columns])
+    for i, (vec, label) in enumerate(rows.items()):
+        cells = {**dict(zip(schema.names, vec)), "label": str(label), "id": f"r{i}"}
+        writer.writerow([padded(cells[c]) for c in columns])
+    return schema, rows, out.getvalue()
+
+
+class TestTableLoading:
+    @settings(max_examples=100, deadline=None)
+    @given(table_csvs())
+    def test_from_csv_matches_constructor(self, case):
+        schema, rows, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            loaded = TableClassifier.from_csv(path, schema)
+        # equal in file order too: emit-asp's fact section keeps it
+        built = TableClassifier(schema, rows)
+        assert list(loaded.rows.items()) == list(built.rows.items())
