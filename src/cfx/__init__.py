@@ -9,18 +9,7 @@ solver.
 __version__ = "0.1.0"
 
 from .errors import BackendError, EngineError, InputError, NothingToExplainError
-from .schema import (
-    Entity,
-    Explanation,
-    Feature,
-    FeatureSchema,
-    Intervention,
-    apply_intervention,
-    diff,
-    hamming,
-    leq_c,
-    leq_s,
-)
+from .schema import Entity, Explanation, Feature, FeatureSchema
 
 __all__ = [
     "BackendError",
@@ -30,12 +19,6 @@ __all__ = [
     "Feature",
     "FeatureSchema",
     "InputError",
-    "Intervention",
     "NothingToExplainError",
-    "apply_intervention",
-    "diff",
-    "hamming",
-    "leq_c",
-    "leq_s",
     "__version__",
 ]

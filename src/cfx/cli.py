@@ -165,6 +165,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cfx: {exc.strerror or exc}: {exc.filename or ''}".rstrip(": "), file=sys.stderr)
         return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"cfx: input file is not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except BackendError as exc:
         print(f"cfx: classifier backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND
@@ -225,6 +228,8 @@ def _load_entity(args, schema: FeatureSchema) -> Entity:
         if len(rows) == 1:
             return rows[0]
         raise InputError(f"{path} holds {len(rows)} entities; pick one with --id")
+    if args.id is not None:
+        raise InputError("--id picks a row of a CSV entity file; drop it for JSON")
     return load_entity(path, schema)
 
 

@@ -11,13 +11,12 @@ exactly one member of each group to "1".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
-from .schema import Entity, FeatureSchema
+from .schema import FeatureSchema, _load_json
 
 FIXED = "fixed"
 INCREASE_ONLY = "increase-only"
@@ -50,11 +49,6 @@ class DenialConstraint:
 
     def matches(self, values: Sequence[str]) -> bool:
         return all(lit.holds(values) for lit in self.literals)
-
-
-def satisfies(constraint: DenialConstraint, values: Sequence[str] | Entity) -> bool:
-    """True when the entity does NOT match the forbidden conjunction."""
-    return not constraint.matches(_vals(values))
 
 
 @dataclass(frozen=True)
@@ -118,33 +112,27 @@ class ConstraintSet:
     def is_empty(self) -> bool:
         return not (self.denials or self.actionability or self.onehot)
 
-    def admissible(
-        self,
-        original: Sequence[str] | Entity,
-        candidate: Sequence[str] | Entity,
-    ) -> bool:
+    def admissible(self, original: Sequence[str], candidate: Sequence[str]) -> bool:
         """May the search move from ``original`` to ``candidate``?"""
-        orig = _vals(original)
-        cand = _vals(candidate)
         for chi in self.denials:
-            if chi.matches(cand):
+            if chi.matches(candidate):
                 return False
         for rule in self.actionability:
             i = rule.feature
             if rule.mode == FREE:
                 continue
             if rule.mode == FIXED:
-                if cand[i] != orig[i]:
+                if candidate[i] != original[i]:
                     return False
                 continue
             f = self.schema.feature(i)
-            delta = f.rank(cand[i]) - f.rank(orig[i])
+            delta = f.rank(candidate[i]) - f.rank(original[i])
             if rule.mode == INCREASE_ONLY and delta < 0:
                 return False
             if rule.mode == DECREASE_ONLY and delta > 0:
                 return False
         for group in self.onehot:
-            ones = sum(1 for i in group.members if cand[i] == "1")
+            ones = sum(1 for i in group.members if candidate[i] == "1")
             if ones != 1:
                 return False
         return True
@@ -209,15 +197,4 @@ def _objects(data: dict, key: str) -> list[dict]:
 
 
 def load_constraints(path: str | Path, schema: FeatureSchema) -> ConstraintSet:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from None
-    return constraints_from_dict(data, schema)
-
-
-def _vals(x: Sequence[str] | Entity) -> Sequence[str]:
-    return x.values if isinstance(x, Entity) else x
+    return constraints_from_dict(_load_json(path), schema)

@@ -1,14 +1,12 @@
-"""Categorical feature spaces, entities, interventions, and explanations.
+"""Categorical feature spaces, entities, and explanations.
 
 Features are addressed by position; names are an I/O convenience. Domain
 values are opaque strings compared by equality only. A feature may declare
 its domain as ordered, in which case the position of a value in the domain
 list is its rank; directional actionability rules rely on that.
 
-An intervention assigns new values to a set of features. Applying it to an
-entity yields a new entity over the same schema. An explanation is the
-reverse view: the set of displaced original values together with the
-resulting entity.
+An explanation pairs the set of displaced original values with the
+counterfactual entity that results from changing them.
 """
 
 from __future__ import annotations
@@ -137,32 +135,6 @@ class Entity:
 
 
 @dataclass(frozen=True)
-class Intervention:
-    """New values for a set of features, keyed by feature index.
-
-    ``changes`` is kept sorted by index with no duplicate indices; build
-    through :meth:`of` unless the tuple is already normalized.
-    """
-
-    changes: tuple[tuple[int, str], ...]
-
-    @staticmethod
-    def of(changes: Iterable[tuple[int, str]]) -> Intervention:
-        items = sorted(changes)
-        indices = [i for i, _ in items]
-        if len(set(indices)) != len(indices):
-            raise InputError("intervention assigns the same feature twice")
-        return Intervention(tuple(items))
-
-    @property
-    def indices(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.changes)
-
-    def __len__(self) -> int:
-        return len(self.changes)
-
-
-@dataclass(frozen=True)
 class Explanation:
     """Displaced original values plus the counterfactual entity they lead to.
 
@@ -180,59 +152,6 @@ class Explanation:
     @property
     def changed_indices(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.changed)
-
-
-def apply_intervention(
-    schema: FeatureSchema, entity: Entity, intervention: Intervention
-) -> Entity:
-    """Apply an intervention, returning a new entity with the same id.
-
-    Every assigned value must lie in the feature's domain and differ from
-    the entity's current value; an empty intervention is the identity.
-    """
-    schema.check_entity(entity)
-    values = list(entity.values)
-    for i, v in intervention.changes:
-        f = schema.feature(i)
-        if v not in f.domain:
-            raise InputError(f"value {v!r} not in domain of feature {f.name!r}")
-        if entity.values[i] == v:
-            raise InputError(
-                f"intervention on {f.name!r} assigns the value it already has"
-            )
-        values[i] = v
-    return Entity(id=entity.id, values=tuple(values))
-
-
-def diff(schema: FeatureSchema, original: Entity, other: Entity) -> Explanation:
-    """Explanation turning ``original`` into ``other`` (original values kept)."""
-    schema.check_entity(original)
-    schema.check_entity(other)
-    changed = tuple(
-        (i, a)
-        for i, (a, b) in enumerate(zip(original.values, other.values))
-        if a != b
-    )
-    return Explanation(changed=changed, counterfactual=other)
-
-
-def hamming(a: Sequence[str], b: Sequence[str]) -> int:
-    if len(a) != len(b):
-        raise InputError("value vectors of different length")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
-def leq_s(a: Explanation, b: Explanation) -> bool:
-    """Subset order on changed-feature sets; values are ignored.
-
-    Two explanations are incomparable when neither direction holds.
-    """
-    return a.changed_indices <= b.changed_indices
-
-
-def leq_c(a: Explanation, b: Explanation) -> bool:
-    """Cardinality order on changed-feature sets (a total preorder)."""
-    return a.cardinality <= b.cardinality
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,6 @@ class RespReport:
     scores: list[FeatureScore]
     authoritative: bool
 
-    def score_of(self, feature: int) -> Fraction:
-        return self.scores[feature].score
-
     def to_json_dict(self, schema: FeatureSchema) -> dict:
         out = []
         for fs in self.scores:
@@ -264,8 +261,6 @@ class ProductDistribution(Distribution):
                 raise InputError(
                     f"marginal of {f.name!r} sums to {float(total)}, not 1"
                 )
-            if total == 0:
-                raise InputError(f"marginal of {f.name!r} is all zero")
             normalized.append(
                 {v: weights.get(v, Fraction(0)) / total for v in f.domain}
             )
@@ -468,7 +463,8 @@ def _local_core(
         if p == 0:
             continue
         varied[f_star] = v
-        expected += p * classifier.label(tuple(varied))
+        if classifier.label(tuple(varied)) == 1:
+            expected += p
     return (1 - expected) / (1 + gamma_size)
 
 

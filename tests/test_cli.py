@@ -301,6 +301,44 @@ class TestExplain:
         assert code == 2
         assert "--id" in err
 
+    def test_id_with_json_entity_exit_2(self, capsys, files):
+        # --id picks a CSV row; a JSON entity has none to pick
+        code, out, err = run(capsys, self.argv(files, "--id", "nosuch"))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--id" in err
+
+
+class TestNonUtf8Input:
+    TENNIS = ["--schema", "{d}/tennis_schema.json", "--entity", "{d}/tennis_e.json"]
+    RULES = ["--rules", "{d}/tennis.rules"]
+
+    @pytest.mark.parametrize("victim, argv", [
+        ("tennis_schema.json", ["explain", *TENNIS, *RULES]),
+        ("tennis_e.json", ["explain", *TENNIS, *RULES]),
+        ("tennis_e.csv", ["explain", "--schema", "{d}/tennis_schema.json",
+                          "--entity", "{d}/tennis_e.csv", *RULES]),
+        ("table1.csv", ["explain", "--schema", "{d}/bits_schema.json",
+                        "--entity", "{d}/e1.json", "--table", "{d}/table1.csv"]),
+        ("tennis.rules", ["explain", *TENNIS, *RULES]),
+        ("constraints.json", ["explain", *TENNIS, *RULES,
+                              "--constraints", "{d}/constraints.json"]),
+        ("tennis_marginals.csv", ["score", *TENNIS, *RULES,
+                                  "--prob", "product:{d}/tennis_marginals.csv"]),
+    ], ids=["schema", "entity-json", "entity-csv", "table", "rules",
+            "constraints", "marginals"])
+    def test_exit_2_without_traceback(self, capsys, files, victim, argv):
+        (files / "tennis_e.csv").write_text(
+            "id,Outlook,Humidity,Wind\ne,sunny,normal,weak\n"
+        )
+        bad = files / victim
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        code, out, err = run(capsys, [a.format(d=files) for a in argv])
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("cfx: input file is not UTF-8: ")
+        assert "Traceback" not in err
+
 
 class TestScore:
     def test_x_resp_payload(self, capsys, files):

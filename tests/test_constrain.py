@@ -11,7 +11,6 @@ from cfx.constrain import (
     constraints_from_dict,
     empty,
     load_constraints,
-    satisfies,
 )
 from cfx.errors import InputError
 from cfx.schema import Feature, FeatureSchema
@@ -40,14 +39,14 @@ class TestDenial:
         assert cs.admissible(orig, ("rain", "normal", "weak"))
         assert cs.admissible(orig, ("sunny", "high", "strong"))
 
-    def test_satisfies_denial_semantics(self, tennis_schema):
+    def test_satisfies_denial_semantics(self):
         chi = DenialConstraint((
             DenialLiteral(0, "rain"),
             DenialLiteral(2, "strong"),
         ))
-        assert not satisfies(chi, ("rain", "high", "strong"))
-        assert satisfies(chi, ("sunny", "high", "strong"))
-        assert satisfies(chi, tennis_schema.entity("e", ("rain", "high", "weak")))
+        assert chi.matches(("rain", "high", "strong"))
+        assert not chi.matches(("sunny", "high", "strong"))
+        assert not chi.matches(("rain", "high", "weak"))
 
     def test_ne_polarity(self, tennis_schema):
         # forbid: Outlook != overcast and Wind = strong
@@ -63,8 +62,7 @@ class TestDenial:
     def test_single_always_false_literal(self, tennis_schema):
         chi = DenialConstraint((DenialLiteral(0, "overcast"),))
         for vec in tennis_schema.iter_space():
-            if vec[0] != "overcast":
-                assert satisfies(chi, vec)
+            assert chi.matches(vec) == (vec[0] == "overcast")
 
     def test_validation(self, tennis_schema):
         with pytest.raises(InputError, match="no literals"):
@@ -184,12 +182,6 @@ class TestCombined:
         admitted_small = {v for v in tennis_schema.iter_space() if small.admissible(orig, v)}
         admitted_big = {v for v in tennis_schema.iter_space() if big.admissible(orig, v)}
         assert admitted_big <= admitted_small
-
-    def test_accepts_entities_too(self, tennis_schema, tennis_entity):
-        cs = empty(tennis_schema)
-        assert cs.admissible(
-            tennis_entity, tennis_schema.entity("x", ("rain", "high", "weak"))
-        )
 
 
 class TestLoading:

@@ -31,13 +31,8 @@ from cfx.constrain import (
 from cfx.errors import InputError
 from cfx.schema import (
     Entity,
-    Explanation,
     Feature,
     FeatureSchema,
-    Intervention,
-    apply_intervention,
-    diff,
-    leq_s,
 )
 from cfx.score import (
     Distribution,
@@ -115,51 +110,6 @@ def rule_lists(draw):
         min_size=1, max_size=6,
     ))
     return schema, rules, default, queries
-
-
-@st.composite
-def vectors(draw):
-    schema = draw(schemas())
-    vals = tuple(draw(st.sampled_from(f.domain)) for f in schema.features)
-    return schema, vals
-
-
-class TestSchemaAlgebra:
-    @given(vectors(), st.data())
-    def test_apply_diff_round_trip(self, pair, data):
-        schema, vals = pair
-        entity = Entity("e", vals)
-        other = Entity("e", tuple(
-            data.draw(st.sampled_from(f.domain)) for f in schema.features
-        ))
-        exp = diff(schema, entity, other)
-        assert all(entity.values[i] == v for i, v in exp.changed)
-        iv = Intervention.of(
-            (i, other.values[i]) for i in exp.changed_indices
-        )
-        assert apply_intervention(schema, entity, iv).values == other.values
-
-    @given(vectors(), st.data())
-    def test_leq_s_partial_order(self, pair, data):
-        schema, vals = pair
-        n = len(schema.features)
-        entity = Entity("d", vals)
-
-        def explanation(indices):
-            return Explanation(
-                changed=tuple((i, vals[i]) for i in sorted(indices)),
-                counterfactual=entity,
-            )
-
-        subsets = st.sets(st.integers(0, n - 1), max_size=n)
-        a = explanation(data.draw(subsets))
-        b = explanation(data.draw(subsets))
-        c = explanation(data.draw(subsets))
-        assert leq_s(a, a)
-        if leq_s(a, b) and leq_s(b, a):
-            assert a.changed_indices == b.changed_indices
-        if leq_s(a, b) and leq_s(b, c):
-            assert leq_s(a, c)
 
 
 class TestSearchInvariants:
@@ -469,20 +419,6 @@ class TestEmissionInvariants:
         program = aspgen.emit_cip(schema, entity, clf)
         once = aspgen.shift_disjunctive_rule(program)
         assert aspgen.shift_disjunctive_rule(once) is once
-
-
-class TestInterventionOrder:
-    @given(vectors(), st.data())
-    def test_of_normalizes_regardless_of_input_order(self, pair, data):
-        schema, vals = pair
-        n = len(schema.features)
-        idxs = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-        pairs = [
-            (i, data.draw(st.sampled_from(schema.features[i].domain)))
-            for i in idxs
-        ]
-        shuffled = data.draw(st.permutations(pairs))
-        assert Intervention.of(shuffled) == Intervention.of(pairs)
 
 
 # text json.dumps escapes: quotes, backslashes, control characters, '/',

@@ -7,14 +7,8 @@ from cfx.schema import (
     Entity,
     Feature,
     FeatureSchema,
-    Intervention,
-    apply_intervention,
-    diff,
     entities_from_csv,
     entity_from_dict,
-    hamming,
-    leq_c,
-    leq_s,
     load_schema,
     schema_from_dict,
     schema_to_dict,
@@ -81,99 +75,6 @@ class TestEntity:
     def test_empty_id_rejected(self):
         with pytest.raises(InputError, match="non-empty"):
             Entity("", ("a",))
-
-
-class TestIntervention:
-    def test_of_sorts_by_index(self):
-        iv = Intervention.of([(2, "x"), (0, "y")])
-        assert iv.changes == ((0, "y"), (2, "x"))
-        assert iv.indices == frozenset({0, 2})
-        assert len(iv) == 2
-
-    def test_of_rejects_duplicate_feature(self):
-        with pytest.raises(InputError, match="twice"):
-            Intervention.of([(1, "a"), (1, "b")])
-
-    def test_apply_changes_values_keeps_id(self, tennis_schema, tennis_entity):
-        iv = Intervention.of([(1, "high")])
-        out = apply_intervention(tennis_schema, tennis_entity, iv)
-        assert out.id == tennis_entity.id
-        assert out.values == ("sunny", "high", "weak")
-        # the original is untouched
-        assert tennis_entity.values == ("sunny", "normal", "weak")
-
-    def test_apply_empty_is_identity(self, tennis_schema, tennis_entity):
-        out = apply_intervention(tennis_schema, tennis_entity, Intervention.of([]))
-        assert out == tennis_entity
-
-    def test_apply_rejects_out_of_domain(self, tennis_schema, tennis_entity):
-        with pytest.raises(InputError, match="not in domain"):
-            apply_intervention(
-                tennis_schema, tennis_entity, Intervention.of([(1, "damp")])
-            )
-
-    def test_apply_rejects_no_op_assignment(self, tennis_schema, tennis_entity):
-        with pytest.raises(InputError, match="already has"):
-            apply_intervention(
-                tennis_schema, tennis_entity, Intervention.of([(1, "normal")])
-            )
-
-
-class TestDiffAndOrders:
-    def test_diff_recovers_changes(self, tennis_schema, tennis_entity):
-        iv = Intervention.of([(0, "rain"), (2, "strong")])
-        out = apply_intervention(tennis_schema, tennis_entity, iv)
-        x = diff(tennis_schema, tennis_entity, out)
-        assert x.changed == ((0, "sunny"), (2, "weak"))
-        assert x.changed_indices == iv.indices
-        assert x.counterfactual == out
-        assert x.cardinality == 2
-
-    def test_diff_of_entity_with_itself_is_empty(self, tennis_schema, tennis_entity):
-        x = diff(tennis_schema, tennis_entity, tennis_entity)
-        assert x.changed == ()
-        assert x.cardinality == 0
-
-    def test_hamming(self):
-        assert hamming(("a", "b", "c"), ("a", "x", "y")) == 2
-        with pytest.raises(InputError):
-            hamming(("a",), ("a", "b"))
-
-    def test_leq_s_is_subset_order(self, tennis_schema, tennis_entity):
-        small = diff(
-            tennis_schema,
-            tennis_entity,
-            tennis_schema.entity("e", ("sunny", "high", "weak")),
-        )
-        big = diff(
-            tennis_schema,
-            tennis_entity,
-            tennis_schema.entity("e", ("rain", "high", "weak")),
-        )
-        other = diff(
-            tennis_schema,
-            tennis_entity,
-            tennis_schema.entity("e", ("rain", "normal", "weak")),
-        )
-        assert leq_s(small, small)
-        assert leq_s(small, big) and not leq_s(big, small)
-        # {Humidity} vs {Outlook}: incomparable
-        assert not leq_s(small, other) and not leq_s(other, small)
-        # subset implies smaller-or-equal count
-        assert leq_c(small, big)
-
-    def test_leq_c_total_on_equal_cardinality(self, tennis_schema, tennis_entity):
-        a = diff(
-            tennis_schema,
-            tennis_entity,
-            tennis_schema.entity("e", ("sunny", "high", "weak")),
-        )
-        b = diff(
-            tennis_schema,
-            tennis_entity,
-            tennis_schema.entity("e", ("rain", "normal", "weak")),
-        )
-        assert leq_c(a, b) and leq_c(b, a)
 
 
 class TestSerialization:
