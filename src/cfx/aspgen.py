@@ -9,8 +9,9 @@ value; a stop rule marking label-0 entities; a constraint forbidding a
 return to the original entity; a filter dropping models that never reach a
 counterfactual; and per-feature rules projecting out the displaced original
 values. Optional extras: a rule counting the displaced values, weak
-constraints making minimum-change models optimal, and hard constraints
-rendered from an admissibility constraint set.
+constraints making minimum-change models optimal, hard constraints
+rendered from an admissibility constraint set, and the disjunctive rule
+shifted into one normal rule per feature.
 
 Two dialects are supported. "dlv-complex" opens with its #include header,
 joins disjuncts with ``v`` and ends weak constraints with a bare period;
@@ -88,13 +89,9 @@ class Section:
 
 @dataclass
 class CipProgram:
-    """Rendered program plus enough structure to transform it."""
+    """Rendered program as named sections of lines."""
 
-    dialect: str
     sections: list[Section]
-    disjuncts: tuple[str, ...]
-    intervention_body: str
-    shifted: bool = False
 
     @property
     def text(self) -> str:
@@ -246,9 +243,19 @@ def emit_cip(
     body_parts += [f"{v[i]} != {vp[i]}" for i in range(n)]
     body_parts += [f"chosen{i + 1}({vars_all},{vp[i]})" for i in range(n)]
     body = ", ".join(body_parts)
-    sections.append(
-        Section("intervention", "intervention", [disj_sep.join(disjuncts) + " :- " + body + "."])
-    )
+    if opts.shift and n > 1:
+        # head-cycle-free, so the disjunctive rule shifts into n normal rules
+        # with the same stable models: rule j keeps head atom j and negates
+        # the others in head order
+        intervention = [
+            f"{head} :- {body}, "
+            + ", ".join(f"not {other}" for other in disjuncts if other != head)
+            + "."
+            for head in disjuncts
+        ]
+    else:
+        intervention = [disj_sep.join(disjuncts) + " :- " + body + "."]
+    sections.append(Section("intervention", "intervention", intervention))
 
     choice_lines = []
     for i in range(n):
@@ -327,15 +334,7 @@ def emit_cip(
             )
         )
 
-    program = CipProgram(
-        dialect=opts.dialect,
-        sections=sections,
-        disjuncts=disjuncts,
-        intervention_body=body,
-    )
-    if opts.shift:
-        program = shift_disjunctive_rule(program)
-    return program
+    return CipProgram(sections)
 
 
 def _classifier_section(
@@ -451,34 +450,6 @@ def _hard_lines(
 def _onehot_terms(n: int, fixed: set[int], value: str) -> list[str]:
     fresh = iter(_var_names(n))
     return [value if i in fixed else next(fresh) for i in range(n)]
-
-
-def shift_disjunctive_rule(program: CipProgram) -> CipProgram:
-    """Replace the k-way disjunctive rule by k non-disjunctive rules.
-
-    Rule j keeps head atom j and appends the negated other head atoms to the
-    body, in head order. Head-cycle-free programs keep their stable models
-    under this rewrite. With a single disjunct the program returns unchanged.
-    """
-    if program.shifted or len(program.disjuncts) <= 1:
-        return program
-    rules = []
-    for j, head in enumerate(program.disjuncts):
-        negated = ", ".join(
-            f"not {other}" for k, other in enumerate(program.disjuncts) if k != j
-        )
-        rules.append(f"{head} :- {program.intervention_body}, {negated}.")
-    sections = [
-        Section(s.name, s.comment, rules if s.name == "intervention" else list(s.lines))
-        for s in program.sections
-    ]
-    return CipProgram(
-        dialect=program.dialect,
-        sections=sections,
-        disjuncts=program.disjuncts,
-        intervention_body=program.intervention_body,
-        shifted=True,
-    )
 
 
 # --- lint ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, constrain, score as score_mod, search
@@ -48,35 +47,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunManifest:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    engine_version: str = __version__
-    classifier_calls: int = 0
-    backend_calls: int = 0
-    wall_time_ms: float = 0.0
-
-    def emit(self) -> None:
-        print(
-            json.dumps(
-                {
-                    "manifest": {
-                        "command": self.command,
-                        "inputs": self.inputs,
-                        "config": self.config,
-                        "engine_version": self.engine_version,
-                        "classifier_calls": self.classifier_calls,
-                        "backend_calls": self.backend_calls,
-                        "wall_time_ms": round(self.wall_time_ms, 3),
-                    }
-                }
-            ),
-            file=sys.stderr,
-        )
 
 
 def build_parser() -> _Parser:
@@ -156,7 +126,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    manifest = RunManifest(command=args.command)
+    manifest = {
+        "command": args.command,
+        "inputs": {},
+        "config": {},
+        "engine_version": __version__,
+        "classifier_calls": 0,
+        "backend_calls": 0,
+        "wall_time_ms": 0.0,
+    }
     try:
         code = _dispatch(args, manifest)
     except InputError as exc:
@@ -172,8 +150,8 @@ def main(argv=None) -> int:
         print(f"cfx: classifier backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     finally:
-        manifest.wall_time_ms = (time.perf_counter() - started) * 1000.0
-        manifest.emit()
+        manifest["wall_time_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+        print(json.dumps({"manifest": manifest}), file=sys.stderr)
     return code
 
 
@@ -181,10 +159,10 @@ def entrypoint() -> None:  # console script
     sys.exit(main())
 
 
-def _dispatch(args, manifest: RunManifest) -> int:
+def _dispatch(args, manifest: dict) -> int:
     schema = load_schema(args.schema)
     entity = _load_entity(args, schema)
-    manifest.inputs = {
+    manifest["inputs"] = {
         "schema": args.schema,
         "entity": args.entity,
         "table": getattr(args, "table", None),
@@ -209,8 +187,8 @@ def _dispatch(args, manifest: RunManifest) -> int:
         else:
             code = _cmd_score(args, schema, classifier, entity, constraints, manifest)
     finally:
-        manifest.classifier_calls = classifier.queries
-        manifest.backend_calls = classifier.backend_calls
+        manifest["classifier_calls"] = classifier.queries
+        manifest["backend_calls"] = classifier.backend_calls
         if isinstance(backend, ExternalClassifier):
             backend.close()
     return code
@@ -263,7 +241,7 @@ def _cmd_classify(classifier: MemoClassifier, entity: Entity) -> int:
 
 def _cmd_explain(args, schema, classifier, entity, constraints, manifest) -> int:
     cfg = _search_config(args)
-    manifest.config = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
+    manifest["config"] = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
     result = search.enumerate_counterfactuals(
         schema, classifier, entity, constraints, cfg
     )
@@ -281,7 +259,7 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
         if args.condition:
             raise InputError("--condition needs --prob")
         cfg = _search_config(args)
-        manifest.config = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
+        manifest["config"] = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
         report = score_mod.x_resp(schema, classifier, entity, constraints, cfg)
         payload = report.to_json_dict(schema)
         empty = all(fs.score == 0 for fs in report.scores)
@@ -303,7 +281,7 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
         raise InputError("max_cardinality must be >= 1")
     # a counterfactual changes the contingency set plus the scrutinized feature
     max_gamma = None if args.max_card is None else args.max_card - 1
-    manifest.config = {
+    manifest["config"] = {
         "max_cardinality": args.max_card,
         "prob": args.prob,
         "condition": args.condition,
@@ -393,7 +371,7 @@ def _cmd_emit_asp(args, schema, entity, constraints, manifest) -> int:
         feature_tokens=args.feature_tokens,
         hard_constraints=constraints,
     )
-    manifest.config = {
+    manifest["config"] = {
         "dialect": args.dialect,
         "classifier_embedding": embedding,
         "weak": args.weak,

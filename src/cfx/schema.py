@@ -250,8 +250,14 @@ def _coerce_value(v: object) -> str:
 def _load_json(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+    # a \uXXXX escape can spell a lone surrogate, which no output encodes
+    try:
+        json.dumps(data, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError(f"{path}: a string holds a lone surrogate escape") from None
+    return data

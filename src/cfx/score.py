@@ -378,14 +378,15 @@ def _as_fraction(w: Fraction | str | float | int, context: str) -> Fraction:
         return w
     if isinstance(w, int):
         return Fraction(w)
+    if isinstance(w, float):
+        # exact decimal semantics, not the binary float's exact value; nan
+        # and inf fail to parse below
+        w = str(w)
     if isinstance(w, str):
         try:
             return Fraction(w)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"{context}: cannot parse probability {w!r}") from None
-    if isinstance(w, float):
-        # exact decimal semantics, not the binary float's exact value
-        return Fraction(str(w))
     raise InputError(f"{context}: cannot parse probability {w!r}")
 
 
@@ -445,11 +446,10 @@ def local_resp(
         raise ConditionError(
             4, "the contingency intervention alone must keep label 1"
         )
-    return _local_core(schema, classifier, tuple(primed), f_star, len(gamma), dist)
+    return _local_core(classifier, tuple(primed), f_star, len(gamma), dist)
 
 
 def _local_core(
-    schema: FeatureSchema,
     classifier,
     primed: tuple[str, ...],
     f_star: int,
@@ -505,7 +505,7 @@ def global_resp(
             if classifier.label(primed) != 1:
                 continue
             try:
-                score = _local_core(schema, classifier, primed, f_star, size, dist)
+                score = _local_core(classifier, primed, f_star, size, dist)
             except ZeroMassError:
                 continue
             if score > 0 and (best is None or score > best[0]):

@@ -23,6 +23,7 @@ empty, so nothing smaller can exist.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _quote
@@ -158,25 +159,6 @@ class SearchResult:
         }
 
 
-class _Budget:
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-        self.hit = False
-
-    def take(self, want: int) -> int:
-        """Grant up to ``want`` calls; mark truncation when short."""
-        if self.limit is None:
-            self.used += want
-            return want
-        left = self.limit - self.used
-        if want > left:
-            self.hit = True
-        granted = max(0, min(want, left))
-        self.used += granted
-        return granted
-
-
 def level_candidates(
     alternatives: Sequence[Sequence[str]], values: tuple[str, ...], k: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
@@ -216,12 +198,9 @@ def enumerate_counterfactuals(
     n = len(schema)
     bound = n if cfg.max_cardinality is None else min(cfg.max_cardinality, n)
 
-    budget = _Budget(cfg.budget)
-    stats = SearchStats()
-
-    if budget.take(1) < 1:
-        raise InputError("budget too small for the initial classification")
-    stats.classifier_calls += 1
+    # SearchConfig guarantees a budget of at least 1 for the initial call
+    calls_left = math.inf if cfg.budget is None else cfg.budget - 1
+    stats = SearchStats(classifier_calls=1)
     if classifier.label(entity.values) != 1:
         raise NothingToExplainError(
             f"entity {entity.id!r} already has label 0; nothing to explain"
@@ -240,7 +219,7 @@ def enumerate_counterfactuals(
     # level are never strict subsets of each other.
     seen: dict[tuple[int, ...], tuple[tuple[tuple[int, str], ...], bool]] = {}
     minimal_masks: list[int] = []
-    stopped_early = False
+    truncated = stopped_early = False
 
     for k in range(1, bound + 1):
         stats.levels_explored = k
@@ -249,7 +228,9 @@ def enumerate_counterfactuals(
             for idxs, cand in level_candidates(alternatives, values, k)
             if cs.admissible(values, cand)
         ]
-        granted = budget.take(len(admissible))
+        granted = min(len(admissible), calls_left)
+        truncated = granted < len(admissible)
+        calls_left -= granted
         stats.classifier_calls += granted
         for idxs, cand in admissible[:granted]:
             if classifier.label(cand) != 0:
@@ -265,13 +246,13 @@ def enumerate_counterfactuals(
                 Explanation(changed, Entity(id=entity.id, values=cand))
             )
             s_flags.append(minimal)
-        if budget.hit:
+        if truncated:
             break
         if stop_at_first_hit and explanations:
             stopped_early = True
             break
 
-    if budget.hit:
+    if truncated:
         exhausted = False
     elif stopped_early:
         # Levels below the hit level were explored empty, so both minimality

@@ -25,7 +25,6 @@ from cfx.aspgen import (
     CipOptions,
     emit_cip,
     lint_cip,
-    shift_disjunctive_rule,
 )
 from cfx.classify import (
     ExternalClassifier,
@@ -274,8 +273,10 @@ def test_criterion_6(bits_schema, t1_table, e1, tennis_schema, tennis_clf,
         assert normalized(prog.text) == normalized(golden), name
         assert lint_cip(prog.text) == [], name
 
-    base = emissions["table1_weak_count.lp"]
-    shifted = shift_disjunctive_rule(base)
+    shifted = emit_cip(
+        bits_schema, e1, t1_table,
+        CipOptions(include_weak=True, include_count=True, shift=True),
+    )
     rules = [
         ln for ln in shifted.section("intervention").lines
         if ln.startswith("ent(") and ":-" in ln

@@ -13,7 +13,6 @@ from cfx.aspgen import (
     emit_cip,
     lint_cip,
     render_constants,
-    shift_disjunctive_rule,
 )
 from cfx.classify import TableClassifier, parse_rules
 from cfx.constrain import (
@@ -281,8 +280,7 @@ class TestDialects:
 
 class TestShift:
     def test_three_features_three_rules(self, bits_schema, t1_table, e1):
-        prog = emit_cip(bits_schema, e1, t1_table, CipOptions())
-        shifted = shift_disjunctive_rule(prog)
+        shifted = emit_cip(bits_schema, e1, t1_table, CipOptions(shift=True))
         rules = shifted.section("intervention").lines
         assert len(rules) == 3
         assert all(" v " not in r and " | " not in r for r in rules)
@@ -299,10 +297,11 @@ class TestShift:
 
     def test_other_sections_untouched(self, bits_schema, t1_table, e1):
         prog = emit_cip(bits_schema, e1, t1_table, CipOptions())
-        shifted = shift_disjunctive_rule(prog)
+        shifted = emit_cip(bits_schema, e1, t1_table, CipOptions(shift=True))
+        assert [s.name for s in prog.sections] == [s.name for s in shifted.sections]
         for a, b in zip(prog.sections, shifted.sections):
             if a.name != "intervention":
-                assert a.lines == b.lines
+                assert (a.comment, a.lines) == (b.comment, b.lines)
 
     def test_two_features_two_rules(self):
         schema = FeatureSchema((Feature("F1", ("0", "1")), Feature("F2", ("0", "1"))))
@@ -310,7 +309,7 @@ class TestShift:
             schema, lambda v: 0 if v == ("0", "0") else 1
         )
         e = schema.entity("e", ("1", "1"))
-        shifted = shift_disjunctive_rule(emit_cip(schema, e, table, CipOptions()))
+        shifted = emit_cip(schema, e, table, CipOptions(shift=True))
         rules = shifted.section("intervention").lines
         assert len(rules) == 2
         assert rules[0].count("not ent(") == 1
@@ -321,23 +320,10 @@ class TestShift:
         table = TableClassifier.from_function(schema, lambda v: 1 if v[0] == "a" else 0)
         e = schema.entity("e", ("a",))
         prog = emit_cip(schema, e, table, CipOptions())
-        assert len(prog.disjuncts) == 1
-        shifted = shift_disjunctive_rule(prog)
-        assert shifted is prog
+        shifted = emit_cip(schema, e, table, CipOptions(shift=True))
+        assert len(prog.section("intervention").lines) == 1
+        assert shifted.text == prog.text
         assert lint_cip(prog.text) == []
-
-    def test_shift_is_idempotent(self, bits_schema, t1_table, e1):
-        prog = emit_cip(bits_schema, e1, t1_table, CipOptions())
-        once = shift_disjunctive_rule(prog)
-        twice = shift_disjunctive_rule(once)
-        assert twice is once
-
-    def test_shift_option_on_emit(self, bits_schema, t1_table, e1):
-        via_option = emit_cip(bits_schema, e1, t1_table, CipOptions(shift=True))
-        via_call = shift_disjunctive_rule(
-            emit_cip(bits_schema, e1, t1_table, CipOptions())
-        )
-        assert via_option.text == via_call.text
 
 
 class TestHardConstraints:

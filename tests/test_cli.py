@@ -340,6 +340,59 @@ class TestNonUtf8Input:
         assert "Traceback" not in err
 
 
+class TestLoneSurrogate:
+    """A \\uXXXX escape can spell half a surrogate pair, which no output
+    encoding accepts; the loader refuses it before any command runs."""
+
+    TENNIS = ["--schema", "{d}/tennis_schema.json", "--entity", "{d}/tennis_e.json"]
+
+    @pytest.mark.parametrize("victim, data, argv", [
+        ("tennis_schema.json",
+         {"features": [
+             {"name": "Outlook", "domain": ["sunny", "overcast", "\ud800"]},
+             {"name": "Humidity", "domain": ["high", "normal"]},
+             {"name": "Wind", "domain": ["strong", "weak"]},
+         ]},
+         ["explain", *TENNIS, "--rules", "{d}/tennis.rules", "--format", "table"]),
+        ("tennis_schema.json",
+         {"features": [
+             {"name": "Outlook", "domain": ["sunny", "overcast", "\ud800"]},
+             {"name": "Humidity", "domain": ["high", "normal"]},
+             {"name": "Wind", "domain": ["strong", "weak"]},
+         ]},
+         ["emit-asp", *TENNIS, "--rules", "{d}/tennis.rules"]),
+        ("tennis_e.json",
+         {"id": "\udc80", "values": ["sunny", "normal", "weak"]},
+         ["emit-asp", *TENNIS, "--rules", "{d}/tennis.rules"]),
+        ("constraints.json",
+         {"denials": [{"literals": [{"feature": "Wind", "value": "\udfff"}]}]},
+         ["explain", *TENNIS, "--rules", "{d}/tennis.rules",
+          "--constraints", "{d}/constraints.json"]),
+    ], ids=["schema-explain-table", "schema-emit-asp", "entity-id-emit-asp",
+            "constraints"])
+    def test_exit_2_with_one_line(self, capsys, files, victim, data, argv):
+        path = files / victim
+        path.write_text(json.dumps(data))  # ensure_ascii keeps the escape
+        code, out, err = run(capsys, [a.format(d=files) for a in argv])
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        message, manifest = err.splitlines()
+        assert message == f"cfx: {path}: a string holds a lone surrogate escape"
+        assert json.loads(manifest)["manifest"]["command"] == argv[0]
+
+    def test_surrogate_pair_is_one_character(self, capsys, files):
+        (files / "tennis_e.json").write_text(
+            '{"id": "\\ud83d\\ude00", "values": ["sunny", "normal", "weak"]}'
+        )
+        code, out, _ = run(capsys, [
+            "explain", "--schema", str(files / "tennis_schema.json"),
+            "--entity", str(files / "tennis_e.json"),
+            "--rules", str(files / "tennis.rules"),
+        ])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["entity"] == "\U0001f600"
+
+
 class TestScore:
     def test_x_resp_payload(self, capsys, files):
         code, out, _ = run(capsys, [

@@ -85,6 +85,25 @@ class TestProduct:
                 ],
             )
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_weight_rejected(self, bits_schema, weight):
+        with pytest.raises(InputError, match="cannot parse probability"):
+            ProductDistribution(
+                bits_schema,
+                [
+                    {"0": weight, "1": 0.5},
+                    {"0": "0.5", "1": "0.5"},
+                    {"0": "0.5", "1": "0.5"},
+                ],
+            )
+
+    def test_float_weights_read_as_decimals(self, bits_schema):
+        dist = ProductDistribution(
+            bits_schema,
+            [{"0": 0.1, "1": 0.9}, {"0": 0.5, "1": 0.5}, {"0": 0.25, "1": 0.75}],
+        )
+        assert dist.marginals[0] == {"0": Fraction(1, 10), "1": Fraction(9, 10)}
+
     def test_unknown_value_rejected(self, bits_schema):
         with pytest.raises(InputError, match="not in its domain"):
             ProductDistribution(

@@ -5,6 +5,7 @@ values apiece, keeping the product space small enough to enumerate.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -199,6 +200,43 @@ class TestSearchInvariants:
         all_free = {tuple(vec) for vec, _ in cfs}
         assert {x.counterfactual.values for x in held.explanations} <= all_free
         assert free.exhausted and held.exhausted
+
+    @settings(max_examples=60, deadline=None)
+    @given(classified_spaces(), st.data())
+    def test_budget_truncates_to_a_prefix(self, case, data):
+        schema, table, entity = case
+        n = len(schema)
+        clf = TableClassifier(schema, table)
+        denials = tuple(
+            DenialConstraint((DenialLiteral(i, data.draw(
+                st.sampled_from(schema.features[i].domain)
+            )),))
+            for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+        )
+        actionability = tuple(
+            ActionabilityRule(i, FIXED)
+            for i in sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=1)))
+        )
+        cs = ConstraintSet(schema, denials, actionability)
+        max_card = data.draw(st.none() | st.integers(1, n))
+        stop = data.draw(st.booleans())
+
+        def run(budget):
+            return enumerate_counterfactuals(
+                schema, clf, entity, cs, SearchConfig(max_card, budget),
+                stop_at_first_hit=stop,
+            )
+
+        full = run(None)
+        calls = full.stats.classifier_calls
+        for b in range(1, calls + 2):
+            cut = run(b)
+            k = len(cut.explanations)
+            assert cut.explanations == full.explanations[:k]
+            assert cut.s_flags == full.s_flags[:k]
+            assert cut.c_flags == full.c_flags[:k]
+            assert cut.stats.classifier_calls == min(b, calls)
+            assert cut.exhausted == (full.exhausted and b >= calls)
 
 
 class TestScoreInvariants:
@@ -411,14 +449,38 @@ class TestEmissionInvariants:
         program = aspgen.emit_cip(schema, entity, classifier, options)
         assert aspgen.lint_cip(program.text) == []
 
-    @settings(max_examples=25, deadline=None)
-    @given(classified_spaces())
-    def test_shift_is_idempotent(self, case):
-        schema, table, entity = case
-        clf = TableClassifier(schema, table)
-        program = aspgen.emit_cip(schema, entity, clf)
-        once = aspgen.shift_disjunctive_rule(program)
-        assert aspgen.shift_disjunctive_rule(once) is once
+    @settings(max_examples=200, deadline=None)
+    @given(emission_cases())
+    def test_shift_rewrites_only_the_intervention_rule(self, case):
+        schema, entity, classifier, options = case
+        plain = aspgen.emit_cip(
+            schema, entity, classifier, dataclasses.replace(options, shift=False)
+        )
+        shifted = aspgen.emit_cip(
+            schema, entity, classifier, dataclasses.replace(options, shift=True)
+        )
+        if len(schema) == 1:
+            assert shifted.text == plain.text
+            return
+        outside = [
+            (s.name, s.comment, s.lines)
+            for s in plain.sections if s.name != "intervention"
+        ]
+        assert outside == [
+            (s.name, s.comment, s.lines)
+            for s in shifted.sections if s.name != "intervention"
+        ]
+        [rule] = plain.section("intervention").lines
+        head, body = rule[: -len(".")].split(" :- ")
+        sep = " v " if options.dialect == aspgen.DLV_COMPLEX else " | "
+        disjuncts = head.split(sep)
+        assert len(disjuncts) == len(schema)
+        assert shifted.section("intervention").lines == [
+            f"{d} :- {body}, "
+            + ", ".join(f"not {o}" for k, o in enumerate(disjuncts) if k != j)
+            + "."
+            for j, d in enumerate(disjuncts)
+        ]
 
 
 # text json.dumps escapes: quotes, backslashes, control characters, '/',
