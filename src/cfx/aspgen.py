@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import constrain
@@ -55,6 +56,7 @@ INDICES = "indices"
 NAMES = "names"
 
 _PACK_WIDTH = 79
+_DENIAL_OPS = {constrain.EQ: "=", constrain.NE: "!="}
 
 
 @dataclass(frozen=True)
@@ -159,13 +161,13 @@ def _var_names(n: int) -> list[str]:
     return [f"X{i}" for i in range(1, n + 1)]
 
 
-def _pack(facts: Iterable[str], width: int = _PACK_WIDTH) -> list[str]:
+def _pack(facts: Iterable[str]) -> list[str]:
     lines: list[str] = []
     current = ""
     for fact in facts:
         if not current:
             current = fact
-        elif len(current) + 1 + len(fact) <= width:
+        elif len(current) + 1 + len(fact) <= _PACK_WIDTH:
             current += " " + fact
         else:
             lines.append(current)
@@ -404,21 +406,19 @@ def _hard_lines(
     n = len(schema)
     lines: list[str] = []
     for chi in cs.denials:
-        eq = {lit.feature: lit.value for lit in chi.literals if lit.polarity == constrain.EQ}
-        ne = [(lit.feature, lit.value) for lit in chi.literals if lit.polarity == constrain.NE]
-        terms: list[str] = []
-        fresh = iter(_var_names(n))
-        var_at: dict[int, str] = {}
-        for i in range(n):
-            if i in eq:
-                terms.append(consts[i][eq[i]])
-            else:
-                name = next(fresh)
-                var_at[i] = name
-                terms.append(name)
-        comparisons = [f"{var_at[i]} != {consts[i][value]}" for i, value in ne]
-        tail = (", " + ", ".join(comparisons)) if comparisons else ""
-        lines.append(f":- ent(E,{','.join(terms)},tr){tail}.")
+        # the first '=' literal on a feature fixes that feature's term; every
+        # other literal compares its feature's term with its value
+        first: dict[int, constrain.DenialLiteral] = {}
+        for lit in chi.literals:
+            if lit.polarity == constrain.EQ:
+                first.setdefault(lit.feature, lit)
+        terms = _terms(n, {i: consts[i][lit.value] for i, lit in first.items()})
+        body = [f"ent(E,{','.join(terms)},tr)"]
+        for lit in chi.literals:
+            if first.get(lit.feature) is not lit:
+                i = lit.feature
+                body.append(f"{terms[i]} {_DENIAL_OPS[lit.polarity]} {consts[i][lit.value]}")
+        lines.append(":- " + ", ".join(body) + ".")
     for rule in cs.actionability:
         i = rule.feature
         if rule.mode == constrain.FREE:
@@ -433,23 +433,17 @@ def _hard_lines(
             f"{vp[i]} {op} {v[i]}."
         )
     for group in cs.onehot:
-        members = sorted(group.members)
-        for a_idx in range(len(members)):
-            for b_idx in range(a_idx + 1, len(members)):
-                lines.append(
-                    ":- ent(E,"
-                    + ",".join(_onehot_terms(n, {members[a_idx], members[b_idx]}, "1"))
-                    + ",tr)."
-                )
-        lines.append(
-            ":- ent(E," + ",".join(_onehot_terms(n, set(members), "0")) + ",tr)."
-        )
+        # no two members set, and not all of them clear
+        fixings = [dict.fromkeys(p, "1") for p in combinations(sorted(group.members), 2)]
+        fixings.append(dict.fromkeys(group.members, "0"))
+        lines += [f":- ent(E,{','.join(_terms(n, fixed))},tr)." for fixed in fixings]
     return lines
 
 
-def _onehot_terms(n: int, fixed: set[int], value: str) -> list[str]:
+def _terms(n: int, fixed: dict[int, str]) -> list[str]:
+    """One term per feature: its constant in ``fixed``, else a fresh variable."""
     fresh = iter(_var_names(n))
-    return [value if i in fixed else next(fresh) for i in range(n)]
+    return [fixed[i] if i in fixed else next(fresh) for i in range(n)]
 
 
 # --- lint ----------------------------------------------------------------------

@@ -263,29 +263,8 @@ class RuleClassifier:
 #
 # '#' starts a comment running to end of line.
 
-_WORD = re.compile(r"[^\s=#]+")
-
-
-def _lex_line(line: str) -> list[tuple[str, int]]:
-    """Tokens of one line as (text, 1-based column); '=' is its own token."""
-    out: list[tuple[str, int]] = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "=":
-            out.append(("=", i + 1))
-            i += 1
-            continue
-        m = _WORD.match(line, i)
-        assert m is not None
-        out.append((m.group(0), i + 1))
-        i = m.end()
-    return out
+# '=' is a token of its own; any other token runs to whitespace, '=' or '#'
+_TOKEN = re.compile(r"=|[^\s=#]+")
 
 
 def parse_rules(text: str, schema: FeatureSchema) -> RuleClassifier:
@@ -293,7 +272,9 @@ def parse_rules(text: str, schema: FeatureSchema) -> RuleClassifier:
     rules: list[Rule] = []
     default: int | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _lex_line(line)
+        # (token, 1-based column) pairs from the text before any comment
+        code = line.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
         if not tokens:
             continue
         head, col = tokens[0]
@@ -408,9 +389,6 @@ class ExternalClassifier:
             raise InputError("timeout must be positive")
         self.timeout_ms = timeout_ms
         self._proc: subprocess.Popen[bytes] | None = None
-        self._poller = select.poll()
-        self._pending = b""  # bytes read past the last reply line
-        self._eof = False
         self._lock = threading.Lock()
 
     # lifecycle
@@ -428,7 +406,7 @@ class ExternalClassifier:
         assert proc.stdout is not None
         self._poller = select.poll()
         self._poller.register(proc.stdout, select.POLLIN)
-        self._pending = b""
+        self._pending = b""  # bytes read past the last reply line
         self._eof = False
         self._send("#schema " + ",".join(self.schema.names))
         reply = self._recv("#schema handshake")

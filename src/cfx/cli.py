@@ -199,13 +199,15 @@ def _load_entity(args, schema: FeatureSchema) -> Entity:
     if path.suffix.lower() == ".csv":
         rows = entities_from_csv(path, schema)
         if args.id is not None:
-            for e in rows:
-                if e.id == args.id:
-                    return e
-            raise InputError(f"no entity with id {args.id!r} in {path}")
-        if len(rows) == 1:
-            return rows[0]
-        raise InputError(f"{path} holds {len(rows)} entities; pick one with --id")
+            rows = [e for e in rows if e.id == args.id]
+            if len(rows) != 1:
+                raise InputError(
+                    f"--id {args.id!r} must match exactly one row of {path}, "
+                    f"matches {len(rows)}"
+                )
+        elif len(rows) != 1:
+            raise InputError(f"{path} holds {len(rows)} entities; pick one with --id")
+        return rows[0]
     if args.id is not None:
         raise InputError("--id picks a row of a CSV entity file; drop it for JSON")
     return load_entity(path, schema)
@@ -266,7 +268,9 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
         if args.format == "json":
             sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         else:
-            sys.stdout.write(_score_table(payload))
+            scores = payload["scores"]
+            witnesses = [s["witness"] and s["witness"]["changed"] for s in scores]
+            sys.stdout.write(_score_table(scores, "witness (changed)", witnesses))
         if not empty:
             return EXIT_OK
         return EXIT_NO_COUNTERFACTUAL if report.authoritative else EXIT_INCONCLUSIVE
@@ -320,7 +324,7 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        sys.stdout.write(_global_table(payload))
+        sys.stdout.write(_score_table(rows, "contingency", [r["gamma"] for r in rows]))
     if any_positive:
         return EXIT_OK
     return EXIT_INCONCLUSIVE if any_truncated else EXIT_NO_COUNTERFACTUAL
@@ -423,21 +427,10 @@ def _explain_table(payload: dict) -> str:
     )
 
 
-def _score_table(payload: dict) -> str:
+def _score_table(scores: list[dict], title: str, changes: list[dict | None]) -> str:
+    """One row per score; the last column joins that row's feature=value pairs."""
     rows = []
-    for s in payload["scores"]:
-        witness = ""
-        if s["witness"]:
-            witness = ", ".join(f"{k}={v}" for k, v in s["witness"]["changed"].items())
-        rows.append([s["feature"], s["value"], s["score"], witness])
-    return _render_table(["feature", "value", "score", "witness (changed)"], rows)
-
-
-def _global_table(payload: dict) -> str:
-    rows = []
-    for s in payload["scores"]:
-        gamma = ""
-        if s["gamma"]:
-            gamma = ", ".join(f"{k}={v}" for k, v in s["gamma"].items())
-        rows.append([s["feature"], s["value"], s["score"], gamma])
-    return _render_table(["feature", "value", "score", "contingency"], rows)
+    for s, changed in zip(scores, changes):
+        pairs = ", ".join(f"{k}={v}" for k, v in (changed or {}).items())
+        rows.append([s["feature"], s["value"], s["score"], pairs])
+    return _render_table(["feature", "value", "score", title], rows)

@@ -178,7 +178,7 @@ def schema_from_dict(data: dict) -> FeatureSchema:
         feats.append(
             Feature(
                 name=str(item["name"]),
-                domain=tuple(_coerce_value(v) for v in item["domain"]),
+                domain=tuple(_coerce_value(v, "domain") for v in item["domain"]),
                 ordered=ordered,
             )
         )
@@ -203,7 +203,8 @@ def entity_from_dict(data: dict, schema: FeatureSchema) -> Entity:
         raise InputError("entity JSON needs 'id' and 'values'")
     if not isinstance(data["values"], list):
         raise InputError("entity 'values' must be a list")
-    return schema.entity(str(data["id"]), [_coerce_value(v) for v in data["values"]])
+    values = [_coerce_value(v, "entity") for v in data["values"]]
+    return schema.entity(str(data["id"]), values)
 
 
 def load_entity(path: str | Path, schema: FeatureSchema) -> Entity:
@@ -229,22 +230,25 @@ def entities_from_csv(path: str | Path, schema: FeatureSchema) -> list[Entity]:
                 continue
             if len(row) != len(expected):
                 raise InputError(f"{path}:{lineno}: wrong column count")
-            out.append(schema.entity(row[0].strip(), [c.strip() for c in row[1:]]))
+            try:
+                out.append(schema.entity(row[0].strip(), [c.strip() for c in row[1:]]))
+            except InputError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
     if not out:
         raise InputError(f"{path}: no entity rows")
     return out
 
 
-def _coerce_value(v: object) -> str:
+def _coerce_value(v: object, kind: str) -> str:
     # JSON files may spell categorical codes as bare numbers; treat them as
-    # the equivalent string token.
+    # the equivalent string token. ``kind`` names the values in errors.
     if isinstance(v, str):
         return v
     if isinstance(v, bool):
-        raise InputError("boolean domain values are not supported; use strings")
+        raise InputError(f"boolean {kind} values are not supported; use strings")
     if isinstance(v, int):
         return str(v)
-    raise InputError(f"domain values must be strings, got {v!r}")
+    raise InputError(f"{kind} values must be strings, got {v!r}")
 
 
 def _load_json(path: str | Path) -> dict:

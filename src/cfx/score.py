@@ -118,14 +118,10 @@ def _report_from_result(
     s_set = result.s_set
     scores = []
     for i in range(len(schema)):
-        containing = [x for x in s_set if i in x.changed_indices]
-        if containing:
-            best = min(containing, key=lambda x: x.cardinality)
-            scores.append(
-                FeatureScore(i, Fraction(1, best.cardinality), best)
-            )
-        else:
-            scores.append(FeatureScore(i, Fraction(0), None))
+        # the s-set runs smallest first, so the first hit is a smallest one
+        best = next((x for x in s_set if i in x.changed_indices), None)
+        score = Fraction(0) if best is None else Fraction(1, best.cardinality)
+        scores.append(FeatureScore(i, score, best))
     return RespReport(result.entity, scores, authoritative=result.exhausted)
 
 
@@ -298,13 +294,21 @@ class ProductDistribution(Distribution):
             for lineno, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
                     continue
+                where = f"{path}:{lineno}"
                 if len(row) != 3:
-                    raise InputError(f"{path}:{lineno}: wrong column count")
+                    raise InputError(f"{where}: wrong column count")
                 name, value, raw = (c.strip() for c in row)
+                if name not in schema.names:
+                    raise InputError(f"{where}: unknown feature {name!r}")
                 idx = schema.index_of(name)
+                if value not in schema.feature(idx).domain:
+                    raise InputError(
+                        f"{where}: marginal of {name!r} mentions {value!r}, "
+                        "not in its domain"
+                    )
                 if value in per_feature[idx]:
-                    raise InputError(f"{path}:{lineno}: duplicate entry for {value!r}")
-                per_feature[idx][value] = _as_fraction(raw, f"{path}:{lineno}")
+                    raise InputError(f"{where}: duplicate entry for {value!r}")
+                per_feature[idx][value] = _as_fraction(raw, where)
         return cls(schema, per_feature)
 
 

@@ -72,10 +72,6 @@ class SearchResult:
         assert all(s or not c for s, c in zip(self.s_flags, self.c_flags))
 
     @property
-    def counterfactuals(self) -> list[Entity]:
-        return [x.counterfactual for x in self.explanations]
-
-    @property
     def s_set(self) -> list[Explanation]:
         return [x for x, keep in zip(self.explanations, self.s_flags) if keep]
 

@@ -362,6 +362,28 @@ class TestHardConstraints:
         assert ":- ent(E,X,high,Y,tr), X != overcast." in prog.text
         assert lint_cip(prog.text) == []
 
+    @pytest.mark.parametrize("literals, line", [
+        # the first '=' on a feature fixes its term; later tests compare to it
+        (((1, "normal"), (1, "high", "ne")), ":- ent(E,X,normal,Y,tr), normal != high."),
+        (((1, "normal"), (1, "high")), ":- ent(E,X,normal,Y,tr), normal = high."),
+        (((0, "rain", "ne"), (0, "sunny", "ne")), ":- ent(E,X,Y,Z,tr), X != rain, X != sunny."),
+    ])
+    def test_denial_testing_one_feature_twice(
+        self, tennis_schema, tennis_clf, tennis_entity, literals, line
+    ):
+        chi = DenialConstraint(tuple(DenialLiteral(*lit) for lit in literals))
+        prog = emit_cip(
+            tennis_schema,
+            tennis_entity,
+            tennis_clf,
+            CipOptions(
+                classifier_embedding=RULES,
+                hard_constraints=ConstraintSet(tennis_schema, denials=(chi,)),
+            ),
+        )
+        assert prog.section("hard").lines == [line]
+        assert lint_cip(prog.text) == []
+
     def test_actionability_and_onehot(self):
         schema = FeatureSchema((
             Feature("Age", ("20", "28", "35"), ordered=True),

@@ -9,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from cfx import aspgen, cli
+from cfx.classify import parse_rules
+from cfx.schema import load_schema
+from cfx.score import fraction_str
 from conftest import GOLDEN, T1_ROWS, TENNIS_RULES_TEXT
 
 CHILD = str(Path(__file__).parent / "fixtures" / "tennis_child.py")
@@ -309,6 +313,54 @@ class TestExplain:
         assert "--id" in err
 
 
+class TestEntityCsv:
+    """``--entity`` with a CSV file: ``--id`` must pick exactly one row."""
+
+    def run_csv(self, capsys, files, text, *extra):
+        ents = files / "ents.csv"
+        ents.write_text(text)
+        return run(capsys, [
+            "classify",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(ents),
+            "--table", str(files / "table1.csv"),
+            *extra,
+        ])
+
+    def test_one_row_needs_no_id(self, capsys, files):
+        code, out, _ = self.run_csv(capsys, files, "id,F1,F2,F3\ne7,0,0,1\n")
+        assert (code, out) == (cli.EXIT_OK, "0\n")
+
+    @pytest.mark.parametrize("text, count", [
+        ("id,F1,F2,F3\nk,0,1,1\ne7,0,0,1\nk,0,0,1\n", 2),
+        ("id,F1,F2,F3\ne9,1,1,1\ne7,0,0,1\n", 0),
+    ])
+    def test_id_must_match_one_row(self, capsys, files, text, count):
+        code, out, err = self.run_csv(capsys, files, text, "--id", "k")
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert f"--id 'k' must match exactly one row of {files / 'ents.csv'}" in err
+        assert f"matches {count}" in err
+
+    def test_bad_value_names_file_and_line(self, capsys, files):
+        code, out, err = self.run_csv(
+            capsys, files, "id,F1,F2,F3\ne7,0,0,1\nk,0,q,1\n", "--id", "k"
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert f"cfx: {files / 'ents.csv'}:3: value 'q' not in domain of feature 'F2'" in err
+
+    def test_json_entity_value_named_as_entity_value(self, capsys, files):
+        bad = files / "bad_e.json"
+        bad.write_text(json.dumps({"id": "e", "values": ["0", 1.0, "1"]}))
+        code, _, err = run(capsys, [
+            "classify",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(bad),
+            "--table", str(files / "table1.csv"),
+        ])
+        assert code == cli.EXIT_INPUT
+        assert "cfx: entity values must be strings, got 1.0" in err
+
+
 class TestNonUtf8Input:
     TENNIS = ["--schema", "{d}/tennis_schema.json", "--entity", "{d}/tennis_e.json"]
     RULES = ["--rules", "{d}/tennis.rules"]
@@ -599,6 +651,90 @@ class TestScore:
         ])
         assert code == 0
         assert out.splitlines()[0].startswith("feature")
+
+    def tennis_argv(self, files, *extra):
+        extra = [
+            x.replace(":", f":{files}/", 1) if x.startswith(("product:", "empirical:")) else x
+            for x in extra
+        ]
+        return [
+            "score",
+            "--schema", str(files / "tennis_schema.json"),
+            "--entity", str(files / "tennis_e.json"),
+            "--rules", str(files / "tennis.rules"),
+            *extra,
+        ]
+
+    @pytest.mark.parametrize("extra, golden", [
+        ((), "tennis_score_table.txt"),
+        (("--max-card", "1"), "tennis_score_table_card1.txt"),
+        (("--prob", "product:tennis_marginals.csv"), "tennis_prob_table.txt"),
+        (("--prob", "uniform", "--max-card", "1"), "tennis_prob_table_card1.txt"),
+    ])
+    def test_table_format_matches_golden_bytes(self, capsys, files, extra, golden):
+        code, out, _ = run(capsys, self.tennis_argv(files, "--format", "table", *extra))
+        assert code == cli.EXIT_OK
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_prob_empirical_matches_oracle(self, capsys, files):
+        sample = [
+            ("sunny", "normal", "weak"), ("sunny", "high", "weak"),
+            ("rain", "normal", "strong"), ("rain", "high", "weak"),
+            ("overcast", "high", "strong"), ("sunny", "normal", "weak"),
+        ]
+        (files / "sample.csv").write_text("id,Outlook,Humidity,Wind\n" + "".join(
+            f"s{k},{','.join(vec)}\n" for k, vec in enumerate(sample)
+        ))
+        code, out, _ = run(capsys, self.tennis_argv(files, "--prob", "empirical:sample.csv"))
+        assert code == cli.EXIT_OK
+        schema = load_schema(files / "tennis_schema.json")
+        label = parse_rules(TENNIS_RULES_TEXT, schema).label
+        domains = [f.domain for f in schema.features]
+        entity = ("sunny", "normal", "weak")
+        table = oracles.empirical_table(sample)
+        rows = json.loads(out)["scores"]
+        assert [r["value"] for r in rows] == list(entity)
+        for i, row in enumerate(rows):
+            score, gamma, values = oracles.global_resp(domains, entity, label, i, table)
+            assert row["score"] == fraction_str(score)
+            assert row["gamma"] == (
+                None if gamma is None else dict(zip((schema.names[j] for j in gamma), values))
+            )
+
+    @pytest.mark.parametrize("condition, message", [
+        ({"denials": [{"literals": [{"feature": "Wind", "value": "weak"}]}],
+          "actionability": [{"feature": "Wind", "mode": "fixed"}]},
+         "only denial constraints can condition a distribution"),
+        ({"onehot": []}, "holds no denial constraints"),
+    ])
+    def test_condition_errors_exit_2(self, capsys, files, condition, message):
+        (files / "cond.json").write_text(json.dumps(condition))
+        argv = self.tennis_argv(files, "--prob", "uniform", "--condition", str(files / "cond.json"))
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert message in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("Wind,calm,1/4", "marginal of 'Wind' mentions 'calm', not in its domain"),
+        ("Temp,hot,1", "unknown feature 'Temp'"),
+    ])
+    def test_marginals_error_names_file_and_line(self, capsys, files, row, message):
+        text = (files / "tennis_marginals.csv").read_text().replace("Wind,strong,1/4", row)
+        (files / "marginals.csv").write_text(text)
+        code, out, err = run(capsys, self.tennis_argv(files, "--prob", "product:marginals.csv"))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert f"cfx: {files / 'marginals.csv'}:7: {message}" in err
+
+    def test_sample_error_names_file_and_line(self, capsys, files):
+        (files / "sample.csv").write_text(
+            "id,Outlook,Humidity,Wind\ns0,sunny,high,weak\n\ns1,rain,q,weak\n"
+        )
+        code, out, err = run(capsys, self.tennis_argv(files, "--prob", "empirical:sample.csv"))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert (
+            f"cfx: {files / 'sample.csv'}:4: value 'q' not in domain of feature 'Humidity'"
+            in err
+        )
 
 
 class TestEmitAsp:

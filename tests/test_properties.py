@@ -408,10 +408,11 @@ def emission_cases(draw):
         value = draw(st.sampled_from(schema.features[i].domain))
         return DenialLiteral(i, value, draw(st.sampled_from((EQ, NE))))
 
+    # a list, not a set: a denial may test one feature twice
     denials = tuple(
-        DenialConstraint(tuple(literal(i) for i in sorted(indices)))
+        DenialConstraint(tuple(literal(i) for i in indices))
         for indices in draw(st.lists(
-            st.sets(st.integers(0, n - 1), min_size=1, max_size=2), max_size=2
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3), max_size=2
         ))
     )
     actionability = tuple(
@@ -481,6 +482,64 @@ class TestEmissionInvariants:
             + "."
             for j, d in enumerate(disjuncts)
         ]
+
+
+def denial_line_forbids(line, rendered):
+    """Does the emitted denial ``line`` fire on the entity whose values
+    render as ``rendered``? Terms unify with the values, then every
+    comparison is checked on the bound constants."""
+    kind, _, body = aspgen._split_statement(line)
+    assert kind == "constraint"
+    atom, *comparisons = aspgen._split_top(body, (", ",))
+    name, args = aspgen._parse_atom(atom)
+    assert (name, args[0], args[-1]) == ("ent", "E", "tr")
+    bound = {}
+    for term, value in zip(args[1:-1], rendered, strict=True):
+        if aspgen._VAR.match(term):
+            bound[term] = value
+        elif term != value:
+            return False
+    for text in comparisons:
+        op, lhs, rhs = aspgen._parse_comparison(text)
+        assert op in ("=", "!=")
+        if (bound.get(lhs, lhs) == bound.get(rhs, rhs)) != (op == "="):
+            return False
+    return True
+
+
+def stub_case(*denials):
+    """An emission case over A in {x, y, z} and B in {0, 1} with ``denials``
+    given as (feature, value, polarity) triples."""
+    schema = FeatureSchema((Feature("A", ("x", "y", "z")), Feature("B", ("0", "1"))))
+    cs = ConstraintSet(schema, denials=tuple(
+        DenialConstraint(tuple(DenialLiteral(*lit) for lit in chi)) for chi in denials
+    ))
+    options = aspgen.CipOptions(
+        dialect=aspgen.ASP_CORE_2,
+        classifier_embedding=aspgen.EXTERNAL_STUB,
+        hard_constraints=cs,
+    )
+    return schema, Entity("e", ("x", "0")), None, options
+
+
+class TestDenialEmission:
+    @settings(max_examples=200, deadline=None)
+    @given(emission_cases())
+    # A = y and A = z never holds; A = x and A != y tests A twice
+    @example(stub_case([(0, "y", EQ), (0, "z", EQ)]))
+    @example(stub_case([(0, "x", EQ), (0, "y", NE)], [(1, "1", NE), (1, "0", NE)]))
+    def test_denial_lines_forbid_what_matches(self, case):
+        schema, entity, classifier, options = case
+        cs = options.hard_constraints
+        if not cs.denials:
+            return
+        program = aspgen.emit_cip(schema, entity, classifier, options)
+        lines = program.section("hard").lines[: len(cs.denials)]
+        consts = [aspgen.render_constants(f.domain) for f in schema.features]
+        for chi, line in zip(cs.denials, lines, strict=True):
+            for vec in schema.iter_space():
+                rendered = [c[v] for c, v in zip(consts, vec)]
+                assert denial_line_forbids(line, rendered) == chi.matches(vec), (line, vec)
 
 
 # text json.dumps escapes: quotes, backslashes, control characters, '/',
