@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import constrain
 from .classify import RuleClassifier, TableClassifier
@@ -458,11 +459,23 @@ class Diagnostic:
 
 _VAR = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 _CMP_OPS = ("!=", "<=", ">=", "=", "<", ">")
+# a quoted constant; a backslash escapes the next character, and an
+# unterminated constant runs to the end of the text
+_QUOTED = r'"(?:[^"\\]|\\.?)*"?'
+_QUOTED_OR_COMMENT = re.compile(f"({_QUOTED})|%.*")
+# a statement's final '.', with a weak constraint's weight on the same line
+_STOP = r"\.(?:\s*(\[[^\]\n]*\]))?"
+_ATOM = re.compile(r"\s*([a-z][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*\Z", re.DOTALL)
+_EXTERNAL = re.compile(r"&[a-z][A-Za-z0-9_]*\((.*)\)\Z", re.DOTALL)
+_AGGREGATE = re.compile(r"#[a-z]+\{(.*)\}\s*=\s*([A-Za-z0-9_]+)\Z", re.DOTALL)
+_OPENER = {")": "(", "]": "[", "}": "{"}
 
 
 def lint_cip(text: str) -> list[Diagnostic]:
     """Well-formedness scan: predicate arities, safety, duplicate facts,
     and ``_``-led terms in facts (an anonymous variable or a non-constant).
+    Text that does not split into statements, heads, literals and atom
+    arguments is a parse error.
 
     Self-emitted programs must come back clean; the scan is deliberately
     solver-agnostic and checks nothing about semantics.
@@ -471,245 +484,164 @@ def lint_cip(text: str) -> list[Diagnostic]:
     arities: dict[str, int] = {}
     facts_seen: set[str] = set()
 
-    def record_atom(name: str, argc: int) -> None:
-        if name in arities and arities[name] != argc:
-            diagnostics.append(
-                Diagnostic(
-                    "arity-clash",
-                    f"predicate {name} used with arity {argc} and {arities[name]}",
-                )
+    def report(kind: str, message: str) -> None:
+        diagnostics.append(Diagnostic(kind, message))
+
+    def record(name: str, argc: int) -> None:
+        if arities.setdefault(name, argc) != argc:
+            report(
+                "arity-clash",
+                f"predicate {name} used with arity {argc} and {arities[name]}",
             )
-        arities.setdefault(name, argc)
 
-    for statement in _statements(text):
-        kind, head_text, body_text = _split_statement(statement)
-        head_atoms = []
-        if head_text:
-            for part in _split_top(head_text, (" v ", " | ")):
-                atom = _parse_atom(part)
-                if atom is None:
-                    diagnostics.append(
-                        Diagnostic("parse-error", f"cannot parse head {part!r}")
-                    )
-                    continue
-                head_atoms.append(atom)
-                record_atom(atom[0], len(atom[1]))
-        if kind == "fact":
-            for atom in head_atoms:
-                rendered = f"{atom[0]}({','.join(atom[1])})"
-                if rendered in facts_seen:
-                    diagnostics.append(
-                        Diagnostic("duplicate-fact", f"fact {rendered} repeated")
-                    )
-                facts_seen.add(rendered)
-                if any(arg.startswith("_") for arg in atom[1]):
-                    diagnostics.append(
-                        Diagnostic(
-                            "underscore-term",
-                            f"fact {rendered} has a term starting with '_'",
-                        )
-                    )
-            continue
-
-        bound: set[str] = set()
-        required: set[str] = set()
-        for atom in head_atoms:
-            required.update(_vars_of(atom[1]))
-        for literal in _split_top(body_text, (",",)):
-            literal = literal.strip()
-            if not literal:
-                continue
-            negated = literal.startswith("not ")
-            if negated:
-                literal = literal[4:].strip()
-            if literal.startswith("&"):
-                ins, outs, argc = _parse_external(literal)
-                record_atom("&" + literal[1:].split("(", 1)[0], argc)
-                required.update(ins)
-                if not negated:
-                    bound.update(outs)
-                continue
-            if literal.startswith("#") and "{" in literal:
-                local, inner_vars, result = _parse_aggregate(literal)
-                required.update(x for x in inner_vars if x not in local)
-                if result:
-                    bound.add(result)
-                continue
-            if literal.startswith("#"):
-                atom = _parse_atom(literal[1:])
-                if atom is not None:
-                    if not negated:
-                        bound.update(_vars_of(atom[1]))
-                continue
-            cmp = _parse_comparison(literal)
-            if cmp is not None:
-                op, lhs, rhs = cmp
-                lv, rv = _VAR.match(lhs), _VAR.match(rhs)
-                if op == "=" and lv and not rv:
-                    bound.add(lhs)
-                elif op == "=" and rv and not lv:
-                    bound.add(rhs)
-                else:
-                    required.update(x for x in (lhs, rhs) if _VAR.match(x))
-                continue
-            atom = _parse_atom(literal)
-            if atom is None:
-                diagnostics.append(
-                    Diagnostic("parse-error", f"cannot parse literal {literal!r}")
-                )
-                continue
-            record_atom(atom[0], len(atom[1]))
-            if negated:
-                required.update(_vars_of(atom[1]))
-            else:
-                bound.update(_vars_of(atom[1]))
-        for var in sorted(required - bound):
-            diagnostics.append(
-                Diagnostic(
-                    "unsafe-variable",
-                    f"variable {var} is not bound by a positive body atom "
-                    f"in {statement!r}",
-                )
-            )
-    return diagnostics
-
-
-# a quoted constant; a backslash escapes the next character, and an
-# unterminated constant runs to the end of the text
-_QUOTED = re.compile(r'"(?:[^"\\]|\\.?)*"?', re.DOTALL)
-_QUOTED_OR_COMMENT = re.compile(f"({_QUOTED.pattern})|%.*")
-
-
-def _statements(text: str):
-    """Statement strings, comments and directives stripped."""
     stream = "\n".join(
-        _QUOTED_OR_COMMENT.sub(lambda m: m.group(1) or "", line)
+        _QUOTED_OR_COMMENT.sub(lambda m: m[1] or "", line)
         for line in text.splitlines()
         if not line.lstrip().startswith("#include")
     )
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(stream):
-        ch = stream[i]
-        if ch == '"':
-            i = _QUOTED.match(stream, i).end()
-            continue
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        elif ch == "." and depth == 0:
-            statement = stream[start : i + 1]
-            # absorb a weak-constraint weight suffix
-            j = i + 1
-            while j < len(stream) and stream[j].isspace():
-                j += 1
-            if j < len(stream) and stream[j] == "[":
-                close = stream.find("]", j)
-                i = len(stream) - 1 if close == -1 else close
-                statement += stream[j : i + 1]
-            statement = statement.strip()
-            if statement:
-                yield statement
-            start = i + 1
-        i += 1
+    # (text before the '.', whole statement) pairs
+    statements: list[tuple[str, str]] = []
+    start, problem = 0, "no final '.' outside brackets"
+    try:
+        for stop in _cuts(stream, _STOP):
+            before = stream[start : stop.start()]
+            statements.append((before.lstrip(), f"{before}.{stop[1] or ''}".strip()))
+            start = stop.end()
+    except ValueError as error:
+        problem = str(error)
+
+    for text, statement in statements:
+        if statement.endswith("]") and not text.startswith(":~"):
+            report("parse-error", f"weight outside a weak constraint: {statement!r}")
+        if text.startswith((":~", ":-")):
+            head, body = "", text[2:]
+        else:
+            parts = _split(text, " :- ")
+            head, body = parts if len(parts) == 2 else (text, None)
+        atoms = []
+        for part in _split(head, r" v | \| "):
+            try:
+                name, args = _atom(part)
+            except ValueError:
+                report("parse-error", f"cannot parse head {part!r}")
+                continue
+            record(name, len(args))
+            atoms.append((name, args))
+        if body is None:  # a fact
+            for name, args in atoms:
+                rendered = f"{name}({','.join(args)})"
+                if rendered in facts_seen:
+                    report("duplicate-fact", f"fact {rendered} repeated")
+                facts_seen.add(rendered)
+                if any(arg.startswith("_") for arg in args):
+                    report(
+                        "underscore-term",
+                        f"fact {rendered} has a term starting with '_'",
+                    )
+        required = {var for _, args in atoms for var in _vars(args)}
+        bound: set[str] = set()
+        for literal in _split(body or "", ","):
+            negated = literal.startswith("not ")
+            if negated:
+                literal = literal[4:].strip()
+            try:
+                atom, needs, binds = _literal(literal, negated)
+            except ValueError:
+                report("parse-error", f"cannot parse literal {literal!r}")
+                continue
+            if atom:
+                record(*atom)
+            required |= needs
+            bound |= binds
+        for var in sorted(required - bound):
+            report(
+                "unsafe-variable",
+                f"variable {var} is not bound by a positive body atom "
+                f"in {statement!r}",
+            )
+    rest = stream[start:].strip()
+    if rest:
+        report("parse-error", f"cannot parse {rest!r}: {problem}")
+    return diagnostics
 
 
-def _split_statement(statement: str) -> tuple[str, str, str]:
-    """(kind, head, body); kind in fact|rule|constraint|weak."""
-    if statement.endswith("."):
-        statement = statement[:-1]
-    else:
-        bracket = statement.rfind(".[")
-        if bracket != -1:
-            statement = statement[:bracket]
-    if statement.startswith(":~"):
-        return "weak", "", statement[2:].strip()
-    if statement.startswith(":-"):
-        return "constraint", "", statement[2:].strip()
-    parts = _split_top(statement, (" :- ",))
-    if len(parts) == 2:
-        return "rule", parts[0].strip(), parts[1].strip()
-    return "fact", statement.strip(), ""
-
-
-def _split_top(text: str, separators: tuple[str, ...]) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            i = _QUOTED.match(text, i).end()
-            continue
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        elif depth == 0:
-            for sep in separators:
-                if text.startswith(sep, i):
-                    parts.append(text[start:i])
-                    i += len(sep)
-                    start = i
-                    break
-            else:
-                i += 1
-            continue
-        i += 1
-    parts.append(text[start:])
-    return [p for p in (part.strip() for part in parts) if p]
-
-
-def _parse_atom(text: str) -> tuple[str, list[str]] | None:
-    text = text.strip()
-    m = re.match(r"([a-z][A-Za-z0-9_]*)\s*(\((.*)\))?\Z", text, re.DOTALL)
-    if m is None:
-        return None
-    name = m.group(1)
-    args = _split_top(m.group(3), (",",)) if m.group(3) is not None else []
-    return name, args
-
-
-def _vars_of(args: Iterable[str]) -> set[str]:
-    return {a for a in args if _VAR.match(a)}
-
-
-def _parse_comparison(text: str) -> tuple[str, str, str] | None:
+def _literal(text: str, negated: bool) -> tuple[tuple[str, int] | None, set, set]:
+    """(predicate and arity, variables it needs bound, variables it binds)
+    of a body literal stripped of its ``not``; ValueError if it does not
+    parse."""
+    if text.startswith("&"):
+        m = _EXTERNAL.match(text)
+        ins, outs = (m[1].split(";") + [""])[:2] if m else ("", "")
+        ins, outs = _split(ins, ","), _split(outs, ",")
+        atom = ("&" + text[1:].split("(", 1)[0], len(ins) + len(outs))
+        return atom, _vars(ins), set() if negated else _vars(outs)
+    if text.startswith("#") and "{" in text:
+        # '#count{L: a(..)} = M' binds M and needs the atom's non-local variables
+        m = _AGGREGATE.match(text)
+        if m is None:
+            return None, set(), set()
+        local, _, inner = m[1].partition(":")
+        inner_vars = _vars(_atom(inner)[1]) if _ATOM.match(inner) else set()
+        return None, inner_vars - _vars(_split(local, ",")), _vars([m[2]])
+    if text.startswith("#"):
+        if negated or not _ATOM.match(text[1:]):
+            return None, set(), set()
+        return None, set(), _vars(_atom(text[1:])[1])
     for op in _CMP_OPS:
-        parts = _split_top(text, (f" {op} ",))
-        if len(parts) == 2:
-            return op, parts[0], parts[1]
-    return None
+        sides = _split(text, f" {op} ")
+        if len(sides) == 2:
+            # 'V = t' binds V when t is no variable; otherwise both sides need binding
+            lhs, rhs = (_VAR.match(side) for side in sides)
+            if op == "=" and bool(lhs) != bool(rhs):
+                return None, set(), _vars(sides)
+            return None, _vars(sides), set()
+    name, args = _atom(text)
+    needs, binds = (_vars(args), set()) if negated else (set(), _vars(args))
+    return (name, len(args)), needs, binds
 
 
-def _parse_external(text: str) -> tuple[set[str], set[str], int]:
-    m = re.match(r"&[a-z][A-Za-z0-9_]*\((.*)\)\Z", text.strip(), re.DOTALL)
+def _atom(text: str) -> tuple[str, list[str]]:
+    """(name, arguments); ValueError if ``text`` is no atom."""
+    m = _ATOM.match(text)
     if m is None:
-        return set(), set(), 0
-    inner = m.group(1)
-    halves = inner.split(";")
-    ins = _split_top(halves[0], (",",)) if halves[0] else []
-    outs = _split_top(halves[1], (",",)) if len(halves) > 1 and halves[1] else []
-    return _vars_of(ins), _vars_of(outs), len(ins) + len(outs)
+        raise ValueError(text)
+    return m[1], _split(m[2] or "", ",")
 
 
-def _parse_aggregate(text: str) -> tuple[set[str], set[str], str | None]:
-    """(local vars, vars inside, result var) of '#count{..} = M'-style literals."""
-    m = re.match(r"#[a-z]+\{(.*)\}\s*(=)\s*([A-Za-z0-9_]+)\Z", text.strip(), re.DOTALL)
-    if m is None:
-        return set(), set(), None
-    inner = m.group(1)
-    result = m.group(3) if _VAR.match(m.group(3)) else None
-    if ":" in inner:
-        locals_text, atom_text = inner.split(":", 1)
-    else:
-        locals_text, atom_text = inner, ""
-    local = _vars_of(_split_top(locals_text, (",",)))
-    inner_vars: set[str] = set()
-    atom = _parse_atom(atom_text)
-    if atom is not None:
-        inner_vars = _vars_of(atom[1])
-    return local, inner_vars, result
+def _vars(terms: Iterable[str]) -> set[str]:
+    return {term for term in terms if _VAR.match(term)}
+
+
+def _split(text: str, sep: str) -> list[str]:
+    """The stripped, non-empty parts of ``text`` between top-level ``sep``s."""
+    parts, start = [], 0
+    for m in _cuts(text, sep):
+        parts.append(text[start : m.start()])
+        start = m.end()
+    parts.append(text[start:])
+    return [part for part in map(str.strip, parts) if part]
+
+
+def _cuts(text: str, sep: str) -> Iterator[re.Match[str]]:
+    """Matches of the regex ``sep`` outside quoted constants and brackets;
+    ValueError at a closing bracket that closes no opening one of its kind."""
+    scan = _scanner(sep)
+    opened: list[str] = []
+    pos = 0
+    while m := scan.search(text, pos):
+        token, pos = m[0], m.end()
+        if token in "([{":
+            opened.append(token)
+        elif token in _OPENER:
+            if not opened or opened.pop() != _OPENER[token]:
+                raise ValueError(f"unmatched {token!r}")
+        elif token[0] != '"':
+            if opened:
+                pos = m.start() + 1  # plain text inside brackets: rescan what it spans
+            else:
+                yield m
+
+
+@lru_cache
+def _scanner(sep: str) -> re.Pattern[str]:
+    return re.compile(f"{_QUOTED}|[][(){{}}]|{sep}", re.DOTALL)

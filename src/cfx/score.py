@@ -309,7 +309,10 @@ class ProductDistribution(Distribution):
                 if value in per_feature[idx]:
                     raise InputError(f"{where}: duplicate entry for {value!r}")
                 per_feature[idx][value] = _as_fraction(raw, where)
-        return cls(schema, per_feature)
+        try:
+            return cls(schema, per_feature)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 class EmpiricalDistribution(Distribution):

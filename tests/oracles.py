@@ -182,3 +182,37 @@ def first_match(rules, default, values):
         if all(values[i] == v for i, v in conditions):
             return label
     return default
+
+
+# --- rule safety ---
+
+
+def unsafe_variables(head, body):
+    """Variables of a rule with head terms ``head`` that no body literal
+    binds. Body literals are ("atom", negated, terms), ("cmp", op, lhs, rhs),
+    ("count", local, result) for ``#count{local: q(local)} = result``, and
+    ("external", negated, ins, outs) for ``&f(ins;outs)``. Positive atoms,
+    ``V = const`` in either order, aggregate results and the outputs of a
+    positive external bind a variable; every other variable of the head, a
+    negated atom, a comparison or an external's inputs needs binding."""
+
+    def variables(terms):
+        return {t for t in terms if t[:1].isupper()}
+
+    needed, bound = variables(head), set()
+    for kind, *rest in body:
+        if kind == "atom":
+            negated, terms = rest
+            (needed if negated else bound).update(variables(terms))
+        elif kind == "cmp":
+            op, lhs, rhs = rest
+            binds = op == "=" and lhs[:1].isupper() != rhs[:1].isupper()
+            (bound if binds else needed).update(variables((lhs, rhs)))
+        elif kind == "count":
+            bound.add(rest[1])
+        else:
+            negated, ins, outs = rest
+            needed |= variables(ins)
+            if not negated:
+                bound |= variables(outs)
+    return needed - bound

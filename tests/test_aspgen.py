@@ -519,3 +519,53 @@ class TestLint:
         assert lint_cip(text) == []
         # the scan resumes after the constant and still sees what follows
         assert [d.kind for d in lint_cip(text + "dom1(tmp).\n")] == ["duplicate-fact"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("p(a) q :- r(a).", [("parse-error", "cannot parse head 'p(a) q'")]),
+        ("p(X) :- X(a).", [
+            ("parse-error", "cannot parse literal 'X(a)'"),
+            ("unsafe-variable",
+             "variable X is not bound by a positive body atom in 'p(X) :- X(a).'"),
+        ]),
+        # a constant on the left of '=' binds too
+        ("p(X) :- a = X.", []),
+        # an external with no arguments, an aggregate without an atom, and a
+        # '<' aggregate (neither binds nor needs anything)
+        ("p(X) :- &g, q(X).", []),
+        ("p(M) :- #count{X} = M.", []),
+        ("p(M) :- q(M), #count{X: r(X)} < M.", []),
+        ("p(X) :- q(X), not X = a.", []),
+        ("p(X) :- &g(X), &g(X;Y), q(X).",
+         [("arity-clash", "predicate &g used with arity 2 and 1")]),
+    ])
+    def test_literal_forms(self, text, expected):
+        assert [(d.kind, d.message) for d in lint_cip(text + "\n")] == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ("p(X) :- q(Y)",
+         [("parse-error", "cannot parse 'p(X) :- q(Y)': no final '.' outside brackets")]),
+        ("p(a)). q(X) :- r(Y).",
+         [("parse-error", "cannot parse 'p(a)). q(X) :- r(Y).': unmatched ')'")]),
+        ("p((a). q(X) :- r(Y).", [(
+            "parse-error",
+            "cannot parse 'p((a). q(X) :- r(Y).': no final '.' outside brackets",
+        )]),
+        ("p(a]. q(a).", [("parse-error", "cannot parse 'p(a]. q(a).': unmatched ']'")]),
+        # a '[' after a '.' opens a bracket unless a weight closes on its line
+        ("p(a). [w@1\nq(X) :- r(Y).", [(
+            "parse-error",
+            "cannot parse '[w@1\\nq(X) :- r(Y).': no final '.' outside brackets",
+        )]),
+        ("p(a).[w@1]", [("parse-error", "weight outside a weak constraint: 'p(a).[w@1]'")]),
+        ("p(X).", [(
+            "unsafe-variable", "variable X is not bound by a positive body atom in 'p(X).'",
+        )]),
+        ("p(a) q(b).", [("parse-error", "cannot parse head 'p(a) q(b)'")]),
+        ("p :- q(a) r(b).", [("parse-error", "cannot parse literal 'q(a) r(b)'")]),
+    ], ids=[
+        "no-final-period", "stray-closer", "unclosed-opener", "mismatched-closer",
+        "unclosed-weight", "weight-on-fact", "non-ground-fact", "atoms-run-together",
+        "literals-run-together",
+    ])
+    def test_text_that_does_not_split_is_reported(self, text, expected):
+        assert [(d.kind, d.message) for d in lint_cip(text + "\n")] == expected

@@ -725,6 +725,17 @@ class TestScore:
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert f"cfx: {files / 'marginals.csv'}:7: {message}" in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("Wind,strong,1/4\nWind,weak,3/4\n", "", "marginal of 'Wind' sums to 0.0, not 1"),
+        ("Wind,weak,3/4", "Wind,weak,-1", "negative weight in marginal of 'Wind'"),
+    ], ids=["no-rows", "negative-weight"])
+    def test_marginal_sum_error_names_file(self, capsys, files, old, new, message):
+        text = (files / "tennis_marginals.csv").read_text()
+        (files / "marginals.csv").write_text(text.replace(old, new))
+        code, out, err = run(capsys, self.tennis_argv(files, "--prob", "product:marginals.csv"))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert f"cfx: {files / 'marginals.csv'}: {message}\n" in err
+
     def test_sample_error_names_file_and_line(self, capsys, files):
         (files / "sample.csv").write_text(
             "id,Outlook,Humidity,Wind\ns0,sunny,high,weak\n\ns1,rain,q,weak\n"

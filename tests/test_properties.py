@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -484,25 +485,31 @@ class TestEmissionInvariants:
         ]
 
 
+# a term of an emitted argument list: a quoted constant, which may hold a
+# comma, or a comma-free run
+_TERM = re.compile(r'"(?:[^"\\]|\\.)*"|[^,]+')
+
+
 def denial_line_forbids(line, rendered):
     """Does the emitted denial ``line`` fire on the entity whose values
-    render as ``rendered``? Terms unify with the values, then every
-    comparison is checked on the bound constants."""
-    kind, _, body = aspgen._split_statement(line)
-    assert kind == "constraint"
-    atom, *comparisons = aspgen._split_top(body, (", ",))
-    name, args = aspgen._parse_atom(atom)
-    assert (name, args[0], args[-1]) == ("ent", "E", "tr")
+    render as ``rendered``? The line reads ``:- ent(E,t1,...,tn,tr), a op b,
+    ...`` and no constant holds ", ". Terms unify with the values, then
+    every comparison is checked on the bound constants."""
+    assert line.startswith(":- ") and line.endswith(".")
+    atom, *comparisons = line[len(":- ") : -len(".")].split(", ")
+    assert atom.startswith("ent(E,") and atom.endswith(",tr)")
     bound = {}
-    for term, value in zip(args[1:-1], rendered, strict=True):
-        if aspgen._VAR.match(term):
+    terms = _TERM.findall(atom[len("ent(E,") : -len(",tr)")])
+    for term, value in zip(terms, rendered, strict=True):
+        if term[0].isupper():
             bound[term] = value
         elif term != value:
             return False
     for text in comparisons:
-        op, lhs, rhs = aspgen._parse_comparison(text)
-        assert op in ("=", "!=")
-        if (bound.get(lhs, lhs) == bound.get(rhs, rhs)) != (op == "="):
+        op = " != " if " != " in text else " = "
+        lhs, _, rhs = text.partition(op)
+        assert rhs, text
+        if (bound.get(lhs, lhs) == bound.get(rhs, rhs)) != (op == " = "):
             return False
     return True
 
@@ -520,6 +527,53 @@ def stub_case(*denials):
         hard_constraints=cs,
     )
     return schema, Entity("e", ("x", "0")), None, options
+
+
+_RULE_VARS = ("X", "Y", "Z")
+_RULE_TERMS = st.sampled_from(_RULE_VARS + ("a", "0"))
+
+
+@st.composite
+def rules_to_lint(draw):
+    """One rule as (text, head terms, body) in the form ``oracles.unsafe_variables``
+    reads; predicate names carry their arity, so no two uses clash."""
+    terms = st.lists(_RULE_TERMS, max_size=3)
+    head = draw(terms)
+    body = draw(st.lists(st.one_of(
+        st.tuples(st.just("atom"), st.booleans(), terms),
+        st.tuples(st.just("cmp"), st.sampled_from(("=", "!=")), _RULE_TERMS, _RULE_TERMS),
+    ), max_size=4))
+    if draw(st.booleans()):
+        body.append(("count", draw(st.sampled_from(_RULE_VARS)),
+                     draw(st.sampled_from(_RULE_VARS))))
+    if draw(st.booleans()):
+        body.append(("external", draw(st.booleans()), draw(terms), draw(terms)))
+    body = draw(st.permutations(body))
+
+    def render(kind, *rest):
+        if kind == "atom":
+            return ("not " if rest[0] else "") + f"p{len(rest[1])}({','.join(rest[1])})"
+        if kind == "cmp":
+            return f"{rest[1]} {rest[0]} {rest[2]}"
+        if kind == "count":
+            return f"#count{{{rest[0]}: q({rest[0]})}} = {rest[1]}"
+        return ("not " if rest[0] else "") + f"&f({','.join(rest[1])};{','.join(rest[2])})"
+
+    text = f"h{len(head)}({','.join(head)})"
+    if body:
+        text += " :- " + ", ".join(render(*literal) for literal in body)
+    return text + ".\n", head, body
+
+
+class TestLintSafety:
+    @settings(max_examples=300, deadline=None)
+    @given(rules_to_lint())
+    def test_unsafe_variables_match_oracle(self, rule):
+        text, head, body = rule
+        diagnostics = aspgen.lint_cip(text)
+        assert {d.kind for d in diagnostics} <= {"unsafe-variable"}, diagnostics
+        unsafe = {d.message.split()[1] for d in diagnostics}
+        assert unsafe == oracles.unsafe_variables(head, body), text
 
 
 class TestDenialEmission:
