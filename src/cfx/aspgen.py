@@ -463,6 +463,7 @@ _CMP_OPS = ("!=", "<=", ">=", "=", "<", ">")
 # unterminated constant runs to the end of the text
 _QUOTED = r'"(?:[^"\\]|\\.?)*"?'
 _QUOTED_OR_COMMENT = re.compile(f"({_QUOTED})|%.*")
+_VAR_TOKEN = re.compile(f"{_QUOTED}|(?<![A-Za-z0-9_])([A-Z][A-Za-z0-9_]*)")
 # a statement's final '.', with a weak constraint's weight on the same line
 _STOP = r"\.(?:\s*(\[[^\]\n]*\]))?"
 _ATOM = re.compile(r"\s*([a-z][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*\Z", re.DOTALL)
@@ -518,7 +519,7 @@ def lint_cip(text: str) -> list[Diagnostic]:
         else:
             parts = _split(text, " :- ")
             head, body = parts if len(parts) == 2 else (text, None)
-        atoms = []
+        atoms, required = [], set()
         for part in _split(head, r" v | \| "):
             try:
                 name, args = _atom(part)
@@ -527,6 +528,7 @@ def lint_cip(text: str) -> list[Diagnostic]:
                 continue
             record(name, len(args))
             atoms.append((name, args))
+            required |= _vars(part)
         if body is None:  # a fact
             for name, args in atoms:
                 rendered = f"{name}({','.join(args)})"
@@ -538,19 +540,19 @@ def lint_cip(text: str) -> list[Diagnostic]:
                         "underscore-term",
                         f"fact {rendered} has a term starting with '_'",
                     )
-        required = {var for _, args in atoms for var in _vars(args)}
         bound: set[str] = set()
         for literal in _split(body or "", ","):
             negated = literal.startswith("not ")
-            if negated:
-                literal = literal[4:].strip()
+            literal = literal.removeprefix("not ").strip()
             try:
-                atom, needs, binds = _literal(literal, negated)
+                atom, needs, binds = _literal(literal)
             except ValueError:
                 report("parse-error", f"cannot parse literal {literal!r}")
                 continue
             if atom:
                 record(*atom)
+            if negated:  # binds nothing, so needs every variable it holds
+                needs, binds = needs | binds, set()
             required |= needs
             bound |= binds
         for var in sorted(required - bound):
@@ -565,39 +567,35 @@ def lint_cip(text: str) -> list[Diagnostic]:
     return diagnostics
 
 
-def _literal(text: str, negated: bool) -> tuple[tuple[str, int] | None, set, set]:
+def _literal(text: str) -> tuple[tuple[str, int] | None, set, set]:
     """(predicate and arity, variables it needs bound, variables it binds)
-    of a body literal stripped of its ``not``; ValueError if it does not
-    parse."""
+    of a positive body literal; ValueError if it does not parse."""
     if text.startswith("&"):
         m = _EXTERNAL.match(text)
         ins, outs = (m[1].split(";") + [""])[:2] if m else ("", "")
-        ins, outs = _split(ins, ","), _split(outs, ",")
-        atom = ("&" + text[1:].split("(", 1)[0], len(ins) + len(outs))
-        return atom, _vars(ins), set() if negated else _vars(outs)
+        arity = len(_split(ins, ",")) + len(_split(outs, ","))
+        return ("&" + text[1:].split("(", 1)[0], arity), _vars(ins), _vars(outs)
     if text.startswith("#") and "{" in text:
-        # '#count{L: a(..)} = M' binds M and needs the atom's non-local variables
+        # '#count{L: a(..)} = M' binds M and needs the element's non-local variables
         m = _AGGREGATE.match(text)
         if m is None:
             return None, set(), set()
         local, _, inner = m[1].partition(":")
-        inner_vars = _vars(_atom(inner)[1]) if _ATOM.match(inner) else set()
-        return None, inner_vars - _vars(_split(local, ",")), _vars([m[2]])
+        return None, _vars(inner) - _vars(local), _vars(m[2])
     if text.startswith("#"):
-        if negated or not _ATOM.match(text[1:]):
-            return None, set(), set()
-        return None, set(), _vars(_atom(text[1:])[1])
+        return None, set(), _vars(text) if _ATOM.match(text[1:]) else set()
     for op in _CMP_OPS:
         sides = _split(text, f" {op} ")
         if len(sides) == 2:
-            # 'V = t' binds V when t is no variable; otherwise both sides need binding
-            lhs, rhs = (_VAR.match(side) for side in sides)
-            if op == "=" and bool(lhs) != bool(rhs):
-                return None, set(), _vars(sides)
-            return None, _vars(sides), set()
+            # 'V = t' binds V and needs the variables of t, unless t is a bare
+            # variable too: then both sides need binding
+            lhs, rhs = sides
+            if op == "=" and bool(_VAR.match(lhs)) != bool(_VAR.match(rhs)):
+                var, term = (lhs, rhs) if _VAR.match(lhs) else (rhs, lhs)
+                return None, _vars(term), {var}
+            return None, _vars(text), set()
     name, args = _atom(text)
-    needs, binds = (_vars(args), set()) if negated else (set(), _vars(args))
-    return (name, len(args)), needs, binds
+    return (name, len(args)), set(), _vars(text)
 
 
 def _atom(text: str) -> tuple[str, list[str]]:
@@ -608,8 +606,9 @@ def _atom(text: str) -> tuple[str, list[str]]:
     return m[1], _split(m[2] or "", ",")
 
 
-def _vars(terms: Iterable[str]) -> set[str]:
-    return {term for term in terms if _VAR.match(term)}
+def _vars(text: str) -> set[str]:
+    """The variables of ``text``, nested terms included, quoted constants not."""
+    return {m[1] for m in _VAR_TOKEN.finditer(text) if m[1]}
 
 
 def _split(text: str, sep: str) -> list[str]:

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BackendError, InputError
-from .schema import Entity, FeatureSchema
+from .schema import Entity, FeatureSchema, read_csv, read_text, reject_row
 
 TIMEOUT_ENV = "CFX_EXTERNAL_TIMEOUT_MS"
 DEFAULT_TIMEOUT_MS = 5000
@@ -79,10 +79,6 @@ def _domain_sets(schema: FeatureSchema) -> list[set[str]]:
     return [set(f.domain) for f in schema.features]
 
 
-def _in_domains(domains: list[set[str]], vec: tuple[str, ...]) -> bool:
-    return len(vec) == len(domains) and all(map(set.__contains__, domains, vec))
-
-
 class TableClassifier:
     """Truth table over value vectors. Tables may be partial; querying a
     missing row is an error rather than a default."""
@@ -92,14 +88,11 @@ class TableClassifier:
         table: dict[tuple[str, ...], int] = {}
         for key, raw in rows.items():
             vec = tuple(key)
-            if not _in_domains(domains, vec):
+            if len(vec) != len(domains) or not all(map(set.__contains__, domains, vec)):
                 schema.check_values(vec)  # raises, naming the bad value
             if vec in table:
                 raise InputError(f"duplicate table row for {vec}")
             table[vec] = _check_label(raw, f"table row {vec}")
-        self._adopt(schema, table)
-
-    def _adopt(self, schema: FeatureSchema, table: dict[tuple[str, ...], int]) -> None:
         if not table:
             raise InputError("truth table has no rows")
         self.schema = schema
@@ -129,51 +122,40 @@ class TableClassifier:
         column is ignored. Header names and cells are stripped. Every row
         has the header's cell count; blank rows are skipped.
         """
-        import csv
-
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path}: empty CSV")
-            fields = [f.strip() for f in header]
-            names = schema.names
-            missing = [n for n in names if n not in fields]
-            if missing:
-                raise InputError(f"{path}: missing feature columns {missing}")
-            if "label" not in fields:
-                raise InputError(f"{path}: missing 'label' column")
-            twice = [n for n in (*names, "label") if fields.count(n) > 1]
-            if twice:
-                raise InputError(f"{path}: columns named more than once: {twice}")
-            # one pick per row: the feature cells in schema order, then the label
-            pick = itemgetter(*(fields.index(n) for n in names), fields.index("label"))
-            n = len(names)
-            width = len(fields)
-            domains = _domain_sets(schema)
-            rows: dict[tuple[str, ...], int] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    if not any(c.strip() for c in row):
-                        continue
-                    raise InputError(f"{path}:{lineno}: wrong column count")
-                cells = tuple(map(str.strip, pick(row)))
-                vec = cells[:n]
-                if not _in_domains(domains, vec):
-                    if not any(c.strip() for c in row):
-                        continue
-                    try:
-                        schema.check_values(vec)
-                    except InputError as exc:
-                        raise InputError(f"{path}:{lineno}: {exc}") from None
-                if vec in rows:
-                    raise InputError(f"{path}:{lineno}: duplicate row for {vec}")
-                label = _LABELS.get(cells[n])
-                if label is None:
-                    label = _check_label(cells[n], f"{path}:{lineno}")
-                rows[vec] = label
+        fields, lines = read_csv(path)
+        names = schema.names
+        missing = [n for n in names if n not in fields]
+        if missing:
+            raise InputError(f"{path}: missing feature columns {missing}")
+        if "label" not in fields:
+            raise InputError(f"{path}: missing 'label' column")
+        twice = [n for n in (*names, "label") if fields.count(n) > 1]
+        if twice:
+            raise InputError(f"{path}: columns named more than once: {twice}")
+        # one pick per row: the feature cells in schema order, then the label
+        pick = itemgetter(*(fields.index(n) for n in names), fields.index("label"))
+        n = len(names)
+        domains = _domain_sets(schema)
+        rows: dict[tuple[str, ...], int] = {}
+        for lineno, row in lines:
+            cells = tuple(map(str.strip, pick(row)))
+            vec = cells[:n]
+            if not all(map(set.__contains__, domains, vec)):
+                try:
+                    schema.check_values(vec)
+                except InputError as exc:
+                    reject_row(path, lineno, row, exc)
+                    continue
+            if vec in rows:
+                raise InputError(f"{path}:{lineno}: duplicate row for {vec}")
+            label = _LABELS.get(cells[n])
+            if label is None:
+                label = _check_label(cells[n], f"{path}:{lineno}")
+            rows[vec] = label
+        if not rows:
+            raise InputError(f"{path}: truth table has no rows")
         table = cls.__new__(cls)
-        table._adopt(schema, rows)
+        table.schema, table.rows = schema, rows
         return table
 
     @classmethod
@@ -340,11 +322,7 @@ def parse_rules(text: str, schema: FeatureSchema) -> RuleClassifier:
 
 
 def load_rules(path: str | Path, schema: FeatureSchema) -> RuleClassifier:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    return parse_rules(text, schema)
+    return parse_rules(read_text(path), schema)
 
 
 def _end_col(line: str) -> int:

@@ -143,9 +143,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cfx: {exc.strerror or exc}: {exc.filename or ''}".rstrip(": "), file=sys.stderr)
         return EXIT_INPUT
-    except UnicodeDecodeError as exc:
-        print(f"cfx: input file is not UTF-8: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BackendError as exc:
         print(f"cfx: classifier backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND

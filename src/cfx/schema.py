@@ -12,6 +12,7 @@ counterfactual entity that results from changing them.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -213,27 +214,16 @@ def load_entity(path: str | Path, schema: FeatureSchema) -> Entity:
 
 def entities_from_csv(path: str | Path, schema: FeatureSchema) -> list[Entity]:
     """Entities from CSV: header is 'id' followed by the feature names."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, rows = read_csv(path)
+    expected = ["id", *schema.names]
+    if header != expected:
+        raise InputError(f"{path}: header must be {','.join(expected)}")
+    out = []
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty CSV") from None
-        expected = ["id", *schema.names]
-        if [h.strip() for h in header] != expected:
-            raise InputError(
-                f"{path}: header must be {','.join(expected)}"
-            )
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected):
-                raise InputError(f"{path}:{lineno}: wrong column count")
-            try:
-                out.append(schema.entity(row[0].strip(), [c.strip() for c in row[1:]]))
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+            out.append(schema.entity(row[0].strip(), [c.strip() for c in row[1:]]))
+        except InputError as exc:
+            reject_row(path, lineno, row, exc)
     if not out:
         raise InputError(f"{path}: no entity rows")
     return out
@@ -253,10 +243,7 @@ def _coerce_value(v: object, kind: str) -> str:
 
 def _load_json(path: str | Path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     # a \uXXXX escape can spell a lone surrogate, which no output encodes
@@ -265,3 +252,48 @@ def _load_json(path: str | Path) -> dict:
     except UnicodeEncodeError:
         raise InputError(f"{path}: a string holds a lone surrogate escape") from None
     return data
+
+
+def read_text(path: str | Path) -> str:
+    """The contents of the input file ``path``, decoded as UTF-8. Every
+    input file is read here or through ``read_csv``."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode("utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(
+            f"input file is not UTF-8: {path}:{line}: {exc.reason}"
+        ) from None
+
+
+def read_csv(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header of the CSV file ``path`` and its rows as (line
+    number, unstripped cells) pairs. Rows not as wide as the header go to
+    ``reject_row``. Testing every row for blankness would slow large tables,
+    so a blank row of the right width reaches the loader: it fails the
+    loader's cell checks, and the loader hands it to ``reject_row``."""
+    # not str.splitlines, which also ends lines at U+2028 and form feeds
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}: empty CSV")
+    width = len(header)
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for item in enumerate(reader, start=2):
+            if len(item[1]) == width:
+                yield item
+            else:
+                reject_row(path, *item, "wrong column count")
+
+    return [h.strip() for h in header], rows()
+
+
+def reject_row(path: str | Path, lineno: int, row: list[str], reason: object) -> None:
+    """Skip row ``lineno`` of the CSV file ``path`` if it is blank; otherwise
+    raise ``reason`` as its error, naming FILE:LINE."""
+    if any(map(str.strip, row)):
+        raise InputError(f"{path}:{lineno}: {reason}") from None

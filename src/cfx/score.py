@@ -20,7 +20,6 @@ event).
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import constrain, search
 from .errors import InputError, NothingToExplainError
-from .schema import Entity, Explanation, FeatureSchema
+from .schema import Entity, Explanation, FeatureSchema, read_csv, reject_row
 from .search import SearchConfig, SearchResult, enumerate_counterfactuals
 
 # refuse to sweep product spaces beyond this when a distribution needs
@@ -282,33 +281,25 @@ class ProductDistribution(Distribution):
     def from_csv(cls, path: str | Path, schema: FeatureSchema) -> ProductDistribution:
         """Load marginals from CSV rows ``feature,value,probability``."""
         per_feature: list[dict[str, Fraction]] = [dict() for _ in schema.features]
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != [
-                "feature",
-                "value",
-                "probability",
-            ]:
-                raise InputError(f"{path}: header must be feature,value,probability")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                where = f"{path}:{lineno}"
-                if len(row) != 3:
-                    raise InputError(f"{where}: wrong column count")
-                name, value, raw = (c.strip() for c in row)
-                if name not in schema.names:
-                    raise InputError(f"{where}: unknown feature {name!r}")
+        header, rows = read_csv(path)
+        if header != ["feature", "value", "probability"]:
+            raise InputError(f"{path}: header must be feature,value,probability")
+        for lineno, row in rows:
+            name, value, raw = (c.strip() for c in row)
+            try:
                 idx = schema.index_of(name)
-                if value not in schema.feature(idx).domain:
-                    raise InputError(
-                        f"{where}: marginal of {name!r} mentions {value!r}, "
-                        "not in its domain"
-                    )
-                if value in per_feature[idx]:
-                    raise InputError(f"{where}: duplicate entry for {value!r}")
-                per_feature[idx][value] = _as_fraction(raw, where)
+            except InputError as exc:
+                reject_row(path, lineno, row, exc)
+                continue
+            where = f"{path}:{lineno}"
+            if value not in schema.feature(idx).domain:
+                raise InputError(
+                    f"{where}: marginal of {name!r} mentions {value!r}, "
+                    "not in its domain"
+                )
+            if value in per_feature[idx]:
+                raise InputError(f"{where}: duplicate entry for {value!r}")
+            per_feature[idx][value] = _as_fraction(raw, where)
         try:
             return cls(schema, per_feature)
         except InputError as exc:

@@ -189,30 +189,31 @@ def first_match(rules, default, values):
 
 def unsafe_variables(head, body):
     """Variables of a rule with head terms ``head`` that no body literal
-    binds. Body literals are ("atom", negated, terms), ("cmp", op, lhs, rhs),
-    ("count", local, result) for ``#count{local: q(local)} = result``, and
-    ("external", negated, ins, outs) for ``&f(ins;outs)``. Positive atoms,
-    ``V = const`` in either order, aggregate results and the outputs of a
-    positive external bind a variable; every other variable of the head, a
-    negated atom, a comparison or an external's inputs needs binding."""
+    binds. Body literals are ("atom", negated, terms), ("cmp", negated, op,
+    lhs, rhs), ("count", negated, local, result) for ``#count{local:
+    q(local)} = result``, and ("external", negated, ins, outs) for
+    ``&f(ins;outs)``. Positive atoms, ``V = const`` in either order,
+    aggregate results and the outputs of an external bind a variable; every
+    other variable of the head, of a comparison or of an external's inputs
+    needs binding. A negated literal binds nothing: every variable it holds
+    needs binding."""
 
     def variables(terms):
         return {t for t in terms if t[:1].isupper()}
 
     needed, bound = variables(head), set()
-    for kind, *rest in body:
+    for kind, negated, *rest in body:
         if kind == "atom":
-            negated, terms = rest
-            (needed if negated else bound).update(variables(terms))
+            holds, binds = variables(rest[0]), True
         elif kind == "cmp":
             op, lhs, rhs = rest
+            holds = variables((lhs, rhs))
             binds = op == "=" and lhs[:1].isupper() != rhs[:1].isupper()
-            (bound if binds else needed).update(variables((lhs, rhs)))
         elif kind == "count":
-            bound.add(rest[1])
+            holds, binds = {rest[1]}, True
         else:
-            negated, ins, outs = rest
+            ins, outs = rest
             needed |= variables(ins)
-            if not negated:
-                bound |= variables(outs)
+            holds, binds = variables(outs), True
+        (bound if binds and not negated else needed).update(holds)
     return needed - bound

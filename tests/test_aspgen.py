@@ -537,6 +537,38 @@ class TestLint:
         ("p(X) :- q(X), not X = a.", []),
         ("p(X) :- &g(X), &g(X;Y), q(X).",
          [("arity-clash", "predicate &g used with arity 2 and 1")]),
+        # a negated literal binds nothing, whatever its form
+        ("p(X) :- not X = a.", [
+            ("unsafe-variable",
+             "variable X is not bound by a positive body atom in 'p(X) :- not X = a.'"),
+        ]),
+        ("p(M) :- not #count{X: r(X)} = M.", [
+            ("unsafe-variable", "variable M is not bound by a positive body atom "
+             "in 'p(M) :- not #count{X: r(X)} = M.'"),
+        ]),
+        ("p :- not &g(;Y).", [
+            ("unsafe-variable",
+             "variable Y is not bound by a positive body atom in 'p :- not &g(;Y).'"),
+        ]),
+        # variables inside nested terms count; quoted constants hold none
+        ("p(f(X)) :- q(a).", [
+            ("unsafe-variable",
+             "variable X is not bound by a positive body atom in 'p(f(X)) :- q(a).'"),
+        ]),
+        ("p(X) :- q(f(X)).", []),
+        ('p("X", Y) :- q(g("Z", Y)).', []),
+        # 'V = t' binds V and needs t's variables; 'X = Y' binds neither
+        ("p(X) :- X = f(Y), q(Y).", []),
+        ("p(X) :- X = f(Y).", [
+            ("unsafe-variable",
+             "variable Y is not bound by a positive body atom in 'p(X) :- X = f(Y).'"),
+        ]),
+        ("p(X) :- X = Y.", [
+            ("unsafe-variable",
+             "variable X is not bound by a positive body atom in 'p(X) :- X = Y.'"),
+            ("unsafe-variable",
+             "variable Y is not bound by a positive body atom in 'p(X) :- X = Y.'"),
+        ]),
     ])
     def test_literal_forms(self, text, expected):
         assert [(d.kind, d.message) for d in lint_cip(text + "\n")] == expected

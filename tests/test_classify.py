@@ -101,8 +101,20 @@ class TestTableClassifier:
     def test_from_csv_without_rows(self, tmp_path, bits_schema):
         p = tmp_path / "table.csv"
         p.write_text("F1,F2,F3,label\n")
-        with pytest.raises(InputError, match="no rows"):
+        with pytest.raises(InputError) as info:
             TableClassifier.from_csv(p, bits_schema)
+        assert str(info.value) == f"{p}: truth table has no rows"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("F1,F2,F3\n0,1,1\n", "missing 'label' column"),
+    ])
+    def test_from_csv_file_errors(self, tmp_path, bits_schema, text, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(InputError) as info:
+            TableClassifier.from_csv(p, bits_schema)
+        assert str(info.value) == f"{p}: {message}"
 
     def test_from_function_is_total(self, bits_schema):
         clf = TableClassifier.from_function(

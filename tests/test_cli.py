@@ -362,10 +362,12 @@ class TestEntityCsv:
 
 
 class TestNonUtf8Input:
+    """Each of the seven input files, undecodable or missing, exits 2 with
+    one line that names it."""
+
     TENNIS = ["--schema", "{d}/tennis_schema.json", "--entity", "{d}/tennis_e.json"]
     RULES = ["--rules", "{d}/tennis.rules"]
-
-    @pytest.mark.parametrize("victim, argv", [
+    VICTIMS = pytest.mark.parametrize("victim, argv", [
         ("tennis_schema.json", ["explain", *TENNIS, *RULES]),
         ("tennis_e.json", ["explain", *TENNIS, *RULES]),
         ("tennis_e.csv", ["explain", "--schema", "{d}/tennis_schema.json",
@@ -379,17 +381,37 @@ class TestNonUtf8Input:
                                   "--prob", "product:{d}/tennis_marginals.csv"]),
     ], ids=["schema", "entity-json", "entity-csv", "table", "rules",
             "constraints", "marginals"])
+
+    @VICTIMS
     def test_exit_2_without_traceback(self, capsys, files, victim, argv):
         (files / "tennis_e.csv").write_text(
             "id,Outlook,Humidity,Wind\ne,sunny,normal,weak\n"
         )
         bad = files / victim
-        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        text = bad.read_bytes()
+        bad.write_bytes(text + b"\xff\n")
         code, out, err = run(capsys, [a.format(d=files) for a in argv])
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert err.startswith("cfx: input file is not UTF-8: ")
+        # the file and the line of the bad byte, counted from the file's start
+        line = text.count(b"\n") + 1
+        assert err.startswith(
+            f"cfx: input file is not UTF-8: {bad}:{line}: invalid start byte\n"
+        )
         assert "Traceback" not in err
+
+    @VICTIMS
+    def test_missing_file_exit_2(self, capsys, files, victim, argv):
+        (files / "tennis_e.csv").write_text(
+            "id,Outlook,Humidity,Wind\ne,sunny,normal,weak\n"
+        )
+        (files / victim).unlink()
+        code, out, err = run(capsys, [a.format(d=files) for a in argv])
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith(
+            f"cfx: cannot read {files / victim}: No such file or directory\n"
+        )
 
 
 class TestLoneSurrogate:
@@ -677,6 +699,16 @@ class TestScore:
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_prob_empirical_matches_oracle(self, capsys, files):
+        self.check_empirical(capsys, files)
+
+    def test_prob_empirical_conditioned_matches_oracle(self, capsys, files):
+        # constraints.json forbids Outlook=rain with Wind=strong
+        self.check_empirical(
+            capsys, files, "--condition", str(files / "constraints.json"),
+            keep=lambda vec: (vec[0], vec[2]) != ("rain", "strong"),
+        )
+
+    def check_empirical(self, capsys, files, *extra, keep=lambda vec: True):
         sample = [
             ("sunny", "normal", "weak"), ("sunny", "high", "weak"),
             ("rain", "normal", "strong"), ("rain", "high", "weak"),
@@ -685,13 +717,14 @@ class TestScore:
         (files / "sample.csv").write_text("id,Outlook,Humidity,Wind\n" + "".join(
             f"s{k},{','.join(vec)}\n" for k, vec in enumerate(sample)
         ))
-        code, out, _ = run(capsys, self.tennis_argv(files, "--prob", "empirical:sample.csv"))
+        argv = self.tennis_argv(files, "--prob", "empirical:sample.csv", *extra)
+        code, out, _ = run(capsys, argv)
         assert code == cli.EXIT_OK
         schema = load_schema(files / "tennis_schema.json")
         label = parse_rules(TENNIS_RULES_TEXT, schema).label
         domains = [f.domain for f in schema.features]
         entity = ("sunny", "normal", "weak")
-        table = oracles.empirical_table(sample)
+        table = oracles.condition_table(oracles.empirical_table(sample), keep)
         rows = json.loads(out)["scores"]
         assert [r["value"] for r in rows] == list(entity)
         for i, row in enumerate(rows):

@@ -144,6 +144,26 @@ class TestProduct:
         with pytest.raises(InputError, match="header"):
             ProductDistribution.from_csv(p, bits_schema)
 
+    def test_from_csv_skips_blank_rows(self, tmp_path, bits_schema):
+        p = tmp_path / "m.csv"
+        p.write_text(
+            "feature,value,probability\n\nF1,0,1/4\n , , \nF1,1,3/4\n"
+            "F2,0,1/2\nF2,1,1/2\nF3,0,1\n"
+        )
+        dist = ProductDistribution.from_csv(p, bits_schema)
+        assert dist.prob(("0", "0", "0")) == Fraction(1, 8)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("Outlook,sunny\n", "m.csv:2: wrong column count"),
+        ("Outlook,sunny,1/2\nOutlook,sunny,1/2\n", "m.csv:3: duplicate entry for 'sunny'"),
+    ])
+    def test_from_csv_row_errors(self, tmp_path, tennis_schema, rows, message):
+        p = tmp_path / "m.csv"
+        p.write_text("feature,value,probability\n" + rows)
+        with pytest.raises(InputError) as info:
+            ProductDistribution.from_csv(p, tennis_schema)
+        assert str(info.value) == f"{tmp_path}/{message}"
+
 
 class TestEmpirical:
     def test_frequencies(self, bits_schema):

@@ -541,23 +541,26 @@ def rules_to_lint(draw):
     head = draw(terms)
     body = draw(st.lists(st.one_of(
         st.tuples(st.just("atom"), st.booleans(), terms),
-        st.tuples(st.just("cmp"), st.sampled_from(("=", "!=")), _RULE_TERMS, _RULE_TERMS),
+        st.tuples(st.just("cmp"), st.booleans(), st.sampled_from(("=", "!=")),
+                  _RULE_TERMS, _RULE_TERMS),
     ), max_size=4))
     if draw(st.booleans()):
-        body.append(("count", draw(st.sampled_from(_RULE_VARS)),
+        body.append(("count", draw(st.booleans()), draw(st.sampled_from(_RULE_VARS)),
                      draw(st.sampled_from(_RULE_VARS))))
     if draw(st.booleans()):
         body.append(("external", draw(st.booleans()), draw(terms), draw(terms)))
     body = draw(st.permutations(body))
 
-    def render(kind, *rest):
+    def render(kind, negated, *rest):
         if kind == "atom":
-            return ("not " if rest[0] else "") + f"p{len(rest[1])}({','.join(rest[1])})"
-        if kind == "cmp":
-            return f"{rest[1]} {rest[0]} {rest[2]}"
-        if kind == "count":
-            return f"#count{{{rest[0]}: q({rest[0]})}} = {rest[1]}"
-        return ("not " if rest[0] else "") + f"&f({','.join(rest[1])};{','.join(rest[2])})"
+            text = f"p{len(rest[0])}({','.join(rest[0])})"
+        elif kind == "cmp":
+            text = f"{rest[1]} {rest[0]} {rest[2]}"
+        elif kind == "count":
+            text = f"#count{{{rest[0]}: q({rest[0]})}} = {rest[1]}"
+        else:
+            text = f"&f({','.join(rest[0])};{','.join(rest[1])})"
+        return ("not " if negated else "") + text
 
     text = f"h{len(head)}({','.join(head)})"
     if body:

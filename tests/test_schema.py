@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import cfx
 from cfx.errors import InputError
 from cfx.schema import (
     Entity,
@@ -146,3 +149,44 @@ class TestSerialization:
         p.write_text("Outlook,Humidity,Wind\nsunny,normal,weak\n")
         with pytest.raises(InputError, match="header"):
             entities_from_csv(p, tennis_schema)
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("", "", "empty CSV"),
+        ("id,Outlook,Humidity,Wind\ne1,sunny,normal\n", ":2", "wrong column count"),
+        ("id,Outlook,Humidity,Wind\n\n , , , \n", "", "no entity rows"),
+    ])
+    def test_entities_from_csv_errors(self, tmp_path, tennis_schema, text, where, message):
+        p = tmp_path / "e.csv"
+        p.write_text(text)
+        with pytest.raises(InputError) as info:
+            entities_from_csv(p, tennis_schema)
+        assert str(info.value) == f"{p}{where}: {message}"
+
+
+class TestOneReader:
+    """Input files are opened, decoded and split into CSV rows in schema.py
+    alone, so every loader reports a missing or undecodable file the same
+    way."""
+
+    PACKAGE = Path(cfx.__file__).parent
+
+    @pytest.mark.parametrize(
+        "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "schema.py")
+    )
+    def test_no_file_reading_outside_schema(self, module):
+        tree = ast.parse((self.PACKAGE / module).read_text(encoding="utf-8"))
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "open":
+                    found.append(f"open() at line {node.lineno}")
+                elif isinstance(func, ast.Attribute) and (
+                    func.attr in ("read_text", "read_bytes", "open")
+                    or (func.attr == "reader" and ast.unparse(func.value) == "csv")
+                ):
+                    found.append(f"{ast.unparse(func)}() at line {node.lineno}")
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "UnicodeDecodeError" in ast.unparse(node.type):
+                    found.append(f"except UnicodeDecodeError at line {node.lineno}")
+        assert found == []
