@@ -247,13 +247,17 @@ class RuleClassifier:
 
 # '=' is a token of its own; any other token runs to whitespace, '=' or '#'
 _TOKEN = re.compile(r"=|[^\s=#]+")
+# the line ends read_csv honours; str.splitlines would also end lines at
+# form feeds and U+2028, which _TOKEN reads as whitespace
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 def parse_rules(text: str, schema: FeatureSchema) -> RuleClassifier:
     """Parse rule text into a classifier, reporting line/column on errors."""
     rules: list[Rule] = []
     default: int | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = _LINE_END.split(text)
+    for lineno, line in enumerate(lines, start=1):
         # (token, 1-based column) pairs from the text before any comment
         code = line.split("#", 1)[0]
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
@@ -317,7 +321,7 @@ def parse_rules(text: str, schema: FeatureSchema) -> RuleClassifier:
                 break
             raise RuleSyntaxError("expected 'and' or 'then'", lineno, wcol)
     if default is None:
-        raise RuleSyntaxError("missing default line", max(1, text.count("\n") + 1), 1)
+        raise RuleSyntaxError("missing default line", len(lines), 1)
     return RuleClassifier(schema, rules, default)
 
 

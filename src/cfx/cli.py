@@ -24,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, constrain, score as score_mod, search
+from . import __version__, constrain, search
 from .classify import (
     ExternalClassifier,
     MemoClassifier,
@@ -254,6 +254,8 @@ def _cmd_explain(args, schema, classifier, entity, constraints, manifest) -> int
 
 
 def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
+    from . import score as score_mod
+
     if args.prob is None:
         if args.condition:
             raise InputError("--condition needs --prob")
@@ -328,6 +330,8 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
 
 
 def _build_distribution(args, schema: FeatureSchema):
+    from . import score as score_mod
+
     spec = args.prob
     if spec == "uniform":
         dist = score_mod.UniformDistribution(schema)
@@ -431,3 +435,7 @@ def _score_table(scores: list[dict], title: str, changes: list[dict | None]) -> 
         pairs = ", ".join(f"{k}={v}" for k, v in (changed or {}).items())
         rows.append([s["feature"], s["value"], s["score"], pairs])
     return _render_table(["feature", "value", "score", title], rows)
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -283,11 +283,15 @@ def read_csv(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]
     width = len(header)
 
     def rows() -> Iterator[tuple[int, list[str]]]:
-        for item in enumerate(reader, start=2):
-            if len(item[1]) == width:
-                yield item
+        # a quoted cell may span lines, so a row is numbered by the line it
+        # starts on: one past the last line the reader consumed before it
+        start = reader.line_num + 1
+        for row in reader:
+            if len(row) == width:
+                yield start, row
             else:
-                reject_row(path, *item, "wrong column count")
+                reject_row(path, start, row, "wrong column count")
+            start = reader.line_num + 1
 
     return [h.strip() for h in header], rows()
 

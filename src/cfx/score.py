@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -166,13 +167,21 @@ def max_resp_features(
 
 
 class Distribution:
-    """Probability over the product space; values are exact rationals."""
+    """Probability over the product space: an integer ``weight`` per value
+    vector over a positive integer ``total``, so results stay exact."""
+
+    total: int
 
     def __init__(self, schema: FeatureSchema):
         self.schema = schema
 
-    def prob(self, values: Sequence[str]) -> Fraction:
+    def weight(self, values: Sequence[str]) -> int:
+        """Weight of a vector whose values are known to be in their domains."""
         raise NotImplementedError
+
+    def prob(self, values: Sequence[str]) -> Fraction:
+        self.schema.check_values(values)
+        return Fraction(self.weight(values), self.total)
 
     def support(self) -> Iterator[tuple[str, ...]]:
         """Vectors that may carry mass (a superset is fine)."""
@@ -182,46 +191,30 @@ class Distribution:
             )
         return self.schema.iter_space()
 
-    def conditional(
-        self, values: Sequence[str], index: int
-    ) -> dict[str, Fraction]:
-        """Distribution of feature ``index`` given every other value fixed.
-
-        Keyed in domain order. This generic form weighs every value of the
-        feature through :meth:`prob`; subclasses whose features are
-        independent override it with the closed form, with the same result
-        and the same errors.
-        """
-        base = list(values)
-        weights: dict[str, Fraction] = {}
-        for v in self.schema.feature(index).domain:
-            base[index] = v
-            weights[v] = self.prob(tuple(base))
-        total = sum(weights.values())
-        if total == 0:
-            raise ZeroMassError(_NO_SLICE_MASS)
-        return {v: w / total for v, w in weights.items()}
-
-    def _check_others(self, values: Sequence[str], index: int) -> tuple[str, ...]:
-        """Validate every value but the one at ``index``; return the domain."""
+    def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
+        """Weights of the vectors that differ from ``values`` only at feature
+        ``index``, keyed by that feature's value in domain order. Divided by
+        their sum, they are the feature's distribution given the others."""
         domain = self.schema.feature(index).domain
-        base = list(values)
-        base[index] = domain[0]
-        self.schema.check_values(base)
-        return domain
+        varied = list(values)
+        varied[index] = domain[0]
+        self.schema.check_values(varied)
+        weights = {}
+        for v in domain:
+            varied[index] = v
+            weights[v] = self.weight(varied)
+        if not any(weights.values()):
+            raise ZeroMassError(_NO_SLICE_MASS)
+        return weights
 
 
 class UniformDistribution(Distribution):
-    def prob(self, values: Sequence[str]) -> Fraction:
-        self.schema.check_values(values)
-        return Fraction(1, self.schema.space_size())
+    def __init__(self, schema: FeatureSchema):
+        super().__init__(schema)
+        self.total = schema.space_size()
 
-    def conditional(
-        self, values: Sequence[str], index: int
-    ) -> dict[str, Fraction]:
-        domain = self._check_others(values, index)
-        p = Fraction(1, len(domain))
-        return dict.fromkeys(domain, p)
+    def weight(self, values: Sequence[str]) -> int:
+        return 1
 
 
 class ProductDistribution(Distribution):
@@ -229,7 +222,8 @@ class ProductDistribution(Distribution):
 
     Marginal weights are validated to sum to 1 within 1e-9 per feature and
     then renormalized exactly, so the full product space carries mass
-    exactly 1.
+    exactly 1. Each marginal is kept as integers over the lcm of its
+    denominators, and ``total`` is the product of those lcms.
     """
 
     def __init__(
@@ -260,22 +254,15 @@ class ProductDistribution(Distribution):
                 {v: weights.get(v, Fraction(0)) / total for v in f.domain}
             )
         self.marginals = normalized
+        self._scaled: list[dict[str, int]] = []
+        self.total = 1
+        for marg in normalized:
+            denom = lcm(*(p.denominator for p in marg.values()))
+            self._scaled.append({v: int(p * denom) for v, p in marg.items()})
+            self.total *= denom
 
-    def prob(self, values: Sequence[str]) -> Fraction:
-        self.schema.check_values(values)
-        p = Fraction(1)
-        for marg, v in zip(self.marginals, values):
-            p *= marg[v]
-        return p
-
-    def conditional(
-        self, values: Sequence[str], index: int
-    ) -> dict[str, Fraction]:
-        self._check_others(values, index)
-        for j, (marg, v) in enumerate(zip(self.marginals, values)):
-            if j != index and marg[v] == 0:
-                raise ZeroMassError(_NO_SLICE_MASS)
-        return dict(self.marginals[index])
+    def weight(self, values: Sequence[str]) -> int:
+        return prod(map(dict.__getitem__, self._scaled, values))
 
     @classmethod
     def from_csv(cls, path: str | Path, schema: FeatureSchema) -> ProductDistribution:
@@ -325,9 +312,8 @@ class EmpiricalDistribution(Distribution):
         self.counts = counts
         self.total = sum(counts.values())
 
-    def prob(self, values: Sequence[str]) -> Fraction:
-        self.schema.check_values(values)
-        return Fraction(self.counts.get(tuple(values), 0), self.total)
+    def weight(self, values: Sequence[str]) -> int:
+        return self.counts.get(tuple(values), 0)
 
     def support(self) -> Iterator[tuple[str, ...]]:
         return iter(sorted(self.counts))
@@ -350,25 +336,17 @@ class ConditionedDistribution(Distribution):
         super().__init__(base.schema)
         self.base = base
         self.denials = tuple(denials)
-        mass = Fraction(0)
-        for vec in base.support():
-            if self._satisfies(vec):
-                mass += base.prob(vec)
-        if mass == 0:
+        self.total = sum(map(self.weight, base.support()))
+        if self.total == 0:
             raise ZeroMassError("conditioning event has zero mass")
-        self.mass = mass
 
-    def _satisfies(self, values: Sequence[str]) -> bool:
-        return all(not chi.matches(values) for chi in self.denials)
-
-    def prob(self, values: Sequence[str]) -> Fraction:
-        self.schema.check_values(values)
-        if not self._satisfies(values):
-            return Fraction(0)
-        return self.base.prob(values) / self.mass
+    def weight(self, values: Sequence[str]) -> int:
+        if any(chi.matches(values) for chi in self.denials):
+            return 0
+        return self.base.weight(values)
 
     def support(self) -> Iterator[tuple[str, ...]]:
-        return (vec for vec in self.base.support() if self._satisfies(vec))
+        return self.base.support()
 
 
 def _as_fraction(w: Fraction | str | float | int, context: str) -> Fraction:
@@ -454,16 +432,17 @@ def _local_core(
     gamma_size: int,
     dist: Distribution,
 ) -> Fraction:
-    cond = dist.conditional(primed, f_star)
+    weights = dist.conditional(primed, f_star)
     varied = list(primed)
-    expected = Fraction(0)
-    for v, p in cond.items():
-        if p == 0:
+    total = kept = 0
+    for v, w in weights.items():
+        if w == 0:
             continue
+        total += w
         varied[f_star] = v
         if classifier.label(tuple(varied)) == 1:
-            expected += p
-    return (1 - expected) / (1 + gamma_size)
+            kept += w
+    return Fraction(total - kept, total * (1 + gamma_size))
 
 
 def global_resp(

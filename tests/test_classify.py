@@ -11,7 +11,10 @@ from cfx.classify import (
     parse_rules,
 )
 from cfx.errors import InputError
+from cfx.schema import Feature, FeatureSchema
 from conftest import T1_ROWS, TENNIS_RULES_TEXT
+
+A_SCHEMA = FeatureSchema((Feature("A", ("0", "1")),))
 
 
 class TestTableClassifier:
@@ -97,6 +100,14 @@ class TestTableClassifier:
             InputError, match=r"table\.csv:3: value '2' not in domain of feature 'F2'"
         ):
             TableClassifier.from_csv(p, bits_schema)
+
+    def test_from_csv_numbers_rows_by_their_first_line(self, tmp_path):
+        # the quoted cell of line 2 runs on to line 3
+        p = tmp_path / "q.csv"
+        p.write_text('A,label\n"0\n",0\n2,1\n')
+        with pytest.raises(InputError) as info:
+            TableClassifier.from_csv(p, A_SCHEMA)
+        assert str(info.value) == f"{p}:4: value '2' not in domain of feature 'A'"
 
     def test_from_csv_without_rows(self, tmp_path, bits_schema):
         p = tmp_path / "table.csv"
@@ -245,6 +256,30 @@ class TestRuleSyntaxErrors:
     def test_line_numbers_skip_comments(self, tennis_schema):
         e = self.err("# comment\n\nif Rain=yes then 1\ndefault 0\n", tennis_schema)
         assert e.line == 3
+
+    @pytest.mark.parametrize("text, line", [
+        ("default 0\x0c\nif A = 1 then 1\n", 2),
+        ("default 0\u2028\nif A = 1 then 1\n", 2),
+        ("default 0\r\nif A = 1 then 1\r\n", 2),
+        ("default 0\rif A = 1 then 1\r", 2),
+    ])
+    def test_lines_end_only_at_newlines(self, text, line):
+        # a form feed or U+2028 is whitespace inside a line, not a line end
+        e = self.err(text, A_SCHEMA)
+        assert (str(e), e.line) == (f"line {line}, column 1: content after the default line", line)
+
+    @pytest.mark.parametrize("text, line", [
+        ("if A = 1 then 1\n", 2),
+        ("if A = 1 then 1\r", 2),
+        ("if A = 1 then 1\x0c", 1),
+    ])
+    def test_missing_default_names_the_last_line(self, text, line):
+        e = self.err(text, A_SCHEMA)
+        assert (str(e), e.line) == (f"line {line}, column 1: missing default line", line)
+
+    def test_separator_inside_a_rule_is_whitespace(self):
+        clf = parse_rules("if A = 1\u2028 then 1\ndefault 0\n", A_SCHEMA)
+        assert [clf.label((v,)) for v in ("0", "1")] == [0, 1]
 
 
 class TestMemoClassifier:

@@ -18,6 +18,11 @@ from conftest import GOLDEN, T1_ROWS, TENNIS_RULES_TEXT
 
 CHILD = str(Path(__file__).parent / "fixtures" / "tennis_child.py")
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+TENNIS_SAMPLE = [
+    ("sunny", "normal", "weak"), ("sunny", "high", "weak"),
+    ("rain", "normal", "strong"), ("rain", "high", "weak"),
+    ("overcast", "high", "strong"), ("sunny", "normal", "weak"),
+]
 
 
 @pytest.fixture
@@ -71,6 +76,9 @@ def files(tmp_path):
         "Humidity,high,1/3\nHumidity,normal,2/3\n"
         "Wind,strong,1/4\nWind,weak,3/4\n"
     )
+    (tmp_path / "tennis_sample.csv").write_text("id,Outlook,Humidity,Wind\n" + "".join(
+        f"s{k},{','.join(vec)}\n" for k, vec in enumerate(TENNIS_SAMPLE)
+    ))
     return tmp_path
 
 
@@ -618,18 +626,24 @@ class TestScore:
          "uniform", (22, 7), ["0/1", "1/2", "0/1"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
          "product:tennis_marginals.csv", (21, 6), ["1/4", "1/3", "1/8"]),
+        (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
+         "empirical:tennis_sample.csv", (17, 6), ["1/2", "1/3", "1/2"]),
+        (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules",
+          "--condition", "constraints.json"),
+         "empirical:tennis_sample.csv", (20, 9), ["0/1", "1/3", "0/1"]),
     ])
     def test_prob_call_counts(self, capsys, files, inputs, prob, calls, scores):
         # label queries and cache misses of one global_resp walk per
         # feature; the counts a faster conditional or backend must keep
-        schema, entity, backend, model = inputs
-        prob = prob.replace("product:", f"product:{files}/")
+        schema, entity, backend, model, *condition = inputs
+        prob = prob.replace(":", f":{files}/", 1)
         code, out, err = run(capsys, [
             "score",
             "--schema", str(files / schema),
             "--entity", str(files / entity),
             backend, str(files / model),
             "--prob", prob,
+            *(x if x.startswith("--") else str(files / x) for x in condition),
         ])
         assert code == cli.EXIT_OK
         assert [r["score"] for r in json.loads(out)["scores"]] == scores
@@ -709,22 +723,14 @@ class TestScore:
         )
 
     def check_empirical(self, capsys, files, *extra, keep=lambda vec: True):
-        sample = [
-            ("sunny", "normal", "weak"), ("sunny", "high", "weak"),
-            ("rain", "normal", "strong"), ("rain", "high", "weak"),
-            ("overcast", "high", "strong"), ("sunny", "normal", "weak"),
-        ]
-        (files / "sample.csv").write_text("id,Outlook,Humidity,Wind\n" + "".join(
-            f"s{k},{','.join(vec)}\n" for k, vec in enumerate(sample)
-        ))
-        argv = self.tennis_argv(files, "--prob", "empirical:sample.csv", *extra)
+        argv = self.tennis_argv(files, "--prob", "empirical:tennis_sample.csv", *extra)
         code, out, _ = run(capsys, argv)
         assert code == cli.EXIT_OK
         schema = load_schema(files / "tennis_schema.json")
         label = parse_rules(TENNIS_RULES_TEXT, schema).label
         domains = [f.domain for f in schema.features]
         entity = ("sunny", "normal", "weak")
-        table = oracles.condition_table(oracles.empirical_table(sample), keep)
+        table = oracles.condition_table(oracles.empirical_table(TENNIS_SAMPLE), keep)
         rows = json.loads(out)["scores"]
         assert [r["value"] for r in rows] == list(entity)
         for i, row in enumerate(rows):
@@ -898,13 +904,15 @@ class TestEmitAsp:
 
 class TestStartup:
     def test_cli_import_leaves_aspgen_out(self):
-        code = "import sys, cfx.cli; print('cfx.aspgen' in sys.modules)"
+        # only the subcommands that run them import these
+        lazy = ("cfx.aspgen", "cfx.score", "fractions")
+        code = f"import sys, cfx.cli; print([m for m in {lazy!r} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
+        assert result.stdout == "[]\n"
 
     def test_emit_asp_choices_are_aspgen_constants(self):
         parser = cli.build_parser()
@@ -979,6 +987,19 @@ class TestConsoleScript:
             cwd=cwd,
             env=env,
         )
+
+    def test_python_m_runs_the_cli(self, files):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [
+            sys.executable, "-m", "cfx.cli", "classify",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(files / "e1.json"),
+            "--table", str(files / "table1.csv"),
+        ]
+        result = subprocess.run(argv, capture_output=True, text=True, cwd=files, env=env)
+        assert (result.returncode, result.stdout) == (cli.EXIT_OK, "1\n")
+        result = subprocess.run(argv[:3], capture_output=True, text=True, cwd=files, env=env)
+        assert (result.returncode, result.stdout) == (cli.EXIT_USAGE, "")
 
     def test_installed_entrypoint(self, files):
         target = self.script_target("cfx")

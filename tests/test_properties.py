@@ -30,16 +30,17 @@ from cfx.constrain import (
     DenialLiteral,
     OneHotGroup,
 )
-from cfx.errors import InputError
 from cfx.schema import (
     Entity,
     Feature,
     FeatureSchema,
 )
 from cfx.score import (
-    Distribution,
+    ConditionedDistribution,
+    EmpiricalDistribution,
     ProductDistribution,
     UniformDistribution,
+    ZeroMassError,
     global_resp,
     max_resp_features,
     x_resp,
@@ -307,28 +308,58 @@ class TestScoreInvariants:
                 got.score == 0 and max_gamma is not None and max_gamma < n - 1
             )
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(schemas(), st.data())
-    def test_closed_form_conditionals_match_generic(self, schema, data):
-        if data.draw(st.booleans(), label="uniform"):
-            dist = UniformDistribution(schema)
+    def test_distributions_match_oracle(self, schema, data):
+        # every distribution, plain or conditioned on denials, against the
+        # probability tables of tests/oracles.py
+        domains = [f.domain for f in schema.features]
+        kind = data.draw(st.sampled_from(("uniform", "product", "empirical")))
+        if kind == "uniform":
+            dist, table = UniformDistribution(schema), oracles.uniform_table(domains)
+        elif kind == "product":
+            # zero weights leave some conditional slices without mass
+            marginals = draw_marginals(data, schema)
+            dist = ProductDistribution(schema, marginals)
+            table = oracles.product_table(domains, marginals)
         else:
-            dist = ProductDistribution(schema, draw_marginals(data, schema))
-        values = [data.draw(st.sampled_from(f.domain)) for f in schema.features]
-        if data.draw(st.booleans(), label="stray value"):
-            values[data.draw(st.integers(0, len(values) - 1))] = "?"
-        index = data.draw(st.integers(0, len(values) - 1))
-
-        def outcome(conditional):
-            try:
-                cond = conditional(tuple(values), index)
-            except InputError as exc:  # ZeroMassError is one
-                return type(exc), str(exc)
-            assert all(type(p) is Fraction for p in cond.values())
-            return list(cond.items())
-
-        generic = outcome(lambda v, i: Distribution.conditional(dist, v, i))
-        assert outcome(dist.conditional) == generic
+            vectors = st.tuples(*map(st.sampled_from, domains))
+            sample = data.draw(st.lists(vectors, min_size=1, max_size=6))
+            dist = EmpiricalDistribution(schema, sample)
+            table = oracles.empirical_table(sample)
+        if data.draw(st.booleans(), label="conditioned"):
+            literal = st.integers(0, len(domains) - 1).flatmap(lambda i: st.tuples(
+                st.just(i), st.sampled_from(domains[i]), st.sampled_from((EQ, NE))
+            ))
+            denials = data.draw(st.lists(
+                st.lists(literal, min_size=1, max_size=2), min_size=1, max_size=2
+            ))
+            table = oracles.condition_table(table, lambda vec: not any(
+                all((vec[i] == v) == (polarity == EQ) for i, v, polarity in chi)
+                for chi in denials
+            ))
+            chis = [DenialConstraint(tuple(DenialLiteral(*lit) for lit in chi)) for chi in denials]
+            if table is None:
+                with pytest.raises(ZeroMassError, match="conditioning event has zero mass"):
+                    ConditionedDistribution(dist, chis)
+                return
+            dist = ConditionedDistribution(dist, chis)
+        for vec in schema.iter_space():
+            assert dist.prob(vec) == oracles.prob_of(table, vec)
+        values = data.draw(st.tuples(*map(st.sampled_from, domains)))
+        for index, domain in enumerate(domains):
+            want = oracles.conditional(table, values, index)
+            if want is None:
+                with pytest.raises(ZeroMassError):
+                    dist.conditional(values, index)
+                continue
+            weights = dist.conditional(values, index)
+            assert list(weights) == list(domain)
+            assert all(type(w) is int for w in weights.values())
+            total = sum(weights.values())
+            assert {v: Fraction(w, total) for v, w in weights.items() if w} == {
+                v: p for v, p in want.items() if p
+            }
 
 
 class TestRuleListInvariants:
