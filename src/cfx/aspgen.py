@@ -26,9 +26,8 @@ become solver constants: lowercase identifier-like or plain integer tokens
 pass through, other letter-led identifier-like tokens are lowercased, and
 anything else, ``_``-led tokens included, is double-quoted with backslash
 escaping (reversible); if lowercasing would collide inside one group, later
-colliders are quoted instead. Directional actionability constraints compare
-value variables with ``<``/``>``, which solvers apply to integer constants;
-use them with numeric domains.
+colliders are quoted instead. An actionability rule becomes one constraint
+per value it forbids, so no solver compares constants.
 """
 
 from __future__ import annotations
@@ -333,7 +332,7 @@ def emit_cip(
             Section(
                 "hard",
                 "hard constraints",
-                _hard_lines(schema, opts.hard_constraints, v, vp, consts),
+                _hard_lines(schema, opts.hard_constraints, entity.values, consts),
             )
         )
 
@@ -400,8 +399,7 @@ def _classifier_section(
 def _hard_lines(
     schema: FeatureSchema,
     cs: constrain.ConstraintSet,
-    v: list[str],
-    vp: list[str],
+    original: Sequence[str],
     consts: list[dict[str, str]],
 ) -> list[str]:
     n = len(schema)
@@ -420,19 +418,13 @@ def _hard_lines(
                 i = lit.feature
                 body.append(f"{terms[i]} {_DENIAL_OPS[lit.polarity]} {consts[i][lit.value]}")
         lines.append(":- " + ", ".join(body) + ".")
-    for rule in cs.actionability:
-        i = rule.feature
-        if rule.mode == constrain.FREE:
-            continue
-        op = {
-            constrain.FIXED: "!=",
-            constrain.INCREASE_ONLY: "<",
-            constrain.DECREASE_ONLY: ">",
-        }[rule.mode]
-        lines.append(
-            f":- ent(E,{','.join(v)},o), ent(E,{','.join(vp)},tr), "
-            f"{vp[i]} {op} {v[i]}."
-        )
+    # every value that is neither the original nor one of its alternatives
+    for i, (f, allowed) in enumerate(zip(schema, cs.alternatives(original))):
+        lines += [
+            f":- ent(E,{','.join(_terms(n, {i: consts[i][value]}))},tr)."
+            for value in f.domain
+            if value != original[i] and value not in allowed
+        ]
     for group in cs.onehot:
         # no two members set, and not all of them clear
         fixings = [dict.fromkeys(p, "1") for p in combinations(sorted(group.members), 2)]

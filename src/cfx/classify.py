@@ -22,9 +22,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import select
-import shlex
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -58,8 +55,10 @@ class ProcessDiedError(BackendError):
 class RuleSyntaxError(InputError):
     """Rule text that does not follow the grammar; carries line and column."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int, column: int, path: object = None):
+        where = f"{path}:{line}:{column}" if path else f"line {line}, column {column}"
+        super().__init__(f"{where}: {message}")
+        self.reason = message
         self.line = line
         self.column = column
 
@@ -326,7 +325,11 @@ def parse_rules(text: str, schema: FeatureSchema) -> RuleClassifier:
 
 
 def load_rules(path: str | Path, schema: FeatureSchema) -> RuleClassifier:
-    return parse_rules(read_text(path), schema)
+    text = read_text(path)
+    try:
+        return parse_rules(text, schema)
+    except RuleSyntaxError as exc:
+        raise RuleSyntaxError(exc.reason, exc.line, exc.column, path) from None
 
 
 def _end_col(line: str) -> int:
@@ -350,6 +353,8 @@ class ExternalClassifier:
         schema: FeatureSchema,
         timeout_ms: int | None = None,
     ):
+        import shlex
+
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         if not self.command:
             raise InputError("external classifier command is empty")
@@ -376,6 +381,10 @@ class ExternalClassifier:
     # lifecycle
 
     def _start(self) -> None:
+        # the process modules load here, so runs with no child never pay them
+        import select
+        import subprocess
+
         try:
             self._proc = proc = subprocess.Popen(
                 self.command,
@@ -400,6 +409,8 @@ class ExternalClassifier:
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        import subprocess
+
         try:
             if proc.stdin:
                 proc.stdin.close()

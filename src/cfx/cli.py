@@ -347,7 +347,7 @@ def _build_distribution(args, schema: FeatureSchema):
         cs = constrain.load_constraints(args.condition, schema)
         if cs.actionability or cs.onehot:
             raise InputError(
-                "only denial constraints can condition a distribution"
+                f"{args.condition}: only denial constraints can condition a distribution"
             )
         if not cs.denials:
             raise InputError(f"{args.condition} holds no denial constraints")

@@ -2,11 +2,11 @@
 
 Three kinds are supported. Denial constraints forbid value combinations: a
 candidate matching every literal of a denial is inadmissible. Actionability
-rules restrict how individual features may move relative to the original
-entity (fixed, increase-only, decrease-only, free); the directional modes
-need an ordered domain and compare positions in the declared order. One-hot
-groups tie a set of binary indicator features together: a candidate must set
-exactly one member of each group to "1".
+rules (fixed, increase-only, decrease-only, free; the directional modes need
+an ordered domain) say which values each feature may take instead of the
+original one; ``alternatives`` lists them. One-hot groups tie a set of binary
+indicator features together: a candidate must set exactly one member of each
+group to "1". ``admissible`` checks denials and one-hot groups.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
-from .schema import FeatureSchema, _load_json
+from .schema import FeatureSchema, _load_json, in_file
 
 FIXED = "fixed"
 INCREASE_ONLY = "increase-only"
@@ -112,24 +112,24 @@ class ConstraintSet:
     def is_empty(self) -> bool:
         return not (self.denials or self.actionability or self.onehot)
 
-    def admissible(self, original: Sequence[str], candidate: Sequence[str]) -> bool:
-        """May the search move from ``original`` to ``candidate``?"""
+    def alternatives(self, original: Sequence[str]) -> list[tuple[str, ...]]:
+        """Per feature, in domain order, the values it may take instead of
+        ``original``'s: all others when free or unruled, none when fixed,
+        those after it (increase-only) or before it (decrease-only)."""
+        modes = {rule.feature: rule.mode for rule in self.actionability}
+        out = []
+        for i, f in enumerate(self.schema):
+            mode = modes.get(i, FREE)
+            at = f.domain.index(original[i])
+            before = () if mode in (FIXED, INCREASE_ONLY) else f.domain[:at]
+            after = () if mode in (FIXED, DECREASE_ONLY) else f.domain[at + 1 :]
+            out.append(before + after)
+        return out
+
+    def admissible(self, candidate: Sequence[str]) -> bool:
+        """Does ``candidate`` escape every denial and one-hot violation?"""
         for chi in self.denials:
             if chi.matches(candidate):
-                return False
-        for rule in self.actionability:
-            i = rule.feature
-            if rule.mode == FREE:
-                continue
-            if rule.mode == FIXED:
-                if candidate[i] != original[i]:
-                    return False
-                continue
-            f = self.schema.feature(i)
-            delta = f.rank(candidate[i]) - f.rank(original[i])
-            if rule.mode == INCREASE_ONLY and delta < 0:
-                return False
-            if rule.mode == DECREASE_ONLY and delta > 0:
                 return False
         for group in self.onehot:
             ones = sum(1 for i in group.members if candidate[i] == "1")
@@ -197,4 +197,4 @@ def _objects(data: dict, key: str) -> list[dict]:
 
 
 def load_constraints(path: str | Path, schema: FeatureSchema) -> ConstraintSet:
-    return constraints_from_dict(_load_json(path), schema)
+    return in_file(path, constraints_from_dict, _load_json(path), schema)

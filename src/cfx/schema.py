@@ -2,8 +2,8 @@
 
 Features are addressed by position; names are an I/O convenience. Domain
 values are opaque strings compared by equality only. A feature may declare
-its domain as ordered, in which case the position of a value in the domain
-list is its rank; directional actionability rules rely on that.
+its domain as ordered: the domain list is then its order, and directional
+actionability rules allow the values before or after the original one.
 
 An explanation pairs the set of displaced original values with the
 counterfactual entity that results from changing them.
@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -32,15 +32,6 @@ class Feature:
     name: str
     domain: tuple[str, ...]
     ordered: bool = False
-
-    def rank(self, value: str) -> int:
-        """Position of ``value`` in the declared domain order."""
-        try:
-            return self.domain.index(value)
-        except ValueError:
-            raise InputError(
-                f"value {value!r} not in domain of feature {self.name!r}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -196,7 +187,7 @@ def schema_to_dict(schema: FeatureSchema) -> dict:
 
 
 def load_schema(path: str | Path) -> FeatureSchema:
-    return schema_from_dict(_load_json(path))
+    return in_file(path, schema_from_dict, _load_json(path))
 
 
 def entity_from_dict(data: dict, schema: FeatureSchema) -> Entity:
@@ -209,7 +200,7 @@ def entity_from_dict(data: dict, schema: FeatureSchema) -> Entity:
 
 
 def load_entity(path: str | Path, schema: FeatureSchema) -> Entity:
-    return entity_from_dict(_load_json(path), schema)
+    return in_file(path, entity_from_dict, _load_json(path), schema)
 
 
 def entities_from_csv(path: str | Path, schema: FeatureSchema) -> list[Entity]:
@@ -252,6 +243,14 @@ def _load_json(path: str | Path) -> dict:
     except UnicodeEncodeError:
         raise InputError(f"{path}: a string holds a lone surrogate escape") from None
     return data
+
+
+def in_file(path: str | Path, build: Callable[..., Any], *args: object) -> Any:
+    """``build(*args)``, with ``PATH: `` before any input error it raises."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def read_text(path: str | Path) -> str:

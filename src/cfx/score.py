@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import constrain, search
 from .errors import InputError, NothingToExplainError
-from .schema import Entity, Explanation, FeatureSchema, read_csv, reject_row
+from .schema import Entity, Explanation, FeatureSchema, in_file, read_csv, reject_row
 from .search import SearchConfig, SearchResult, enumerate_counterfactuals
 
 # refuse to sweep product spaces beyond this when a distribution needs
@@ -287,10 +287,7 @@ class ProductDistribution(Distribution):
             if value in per_feature[idx]:
                 raise InputError(f"{where}: duplicate entry for {value!r}")
             per_feature[idx][value] = _as_fraction(raw, where)
-        try:
-            return cls(schema, per_feature)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        return in_file(path, cls, schema, per_feature)
 
 
 class EmpiricalDistribution(Distribution):

@@ -1,10 +1,10 @@
 """Enumeration of counterfactual explanations.
 
-Given a label-1 entity, the search walks candidate entities and keeps those
-the admissibility filter lets through and the classifier maps to 0. The walk
-is levelwise: Hamming distance k = 1, 2, ... . When only minimum-distance
-answers are wanted it stops at the first level with hits, so it issues at
-most sum(level sizes up to d*) queries.
+Given a label-1 entity, the search walks the candidates the actionability
+rules allow and keeps those the admissibility filter lets through and the
+classifier maps to 0. The walk is levelwise: Hamming distance k = 1, 2, ... .
+When only minimum-distance answers are wanted it stops at the first level
+with hits, so it issues at most sum(level sizes up to d*) queries.
 
 Candidate order is deterministic: index sets lexicographically, then value
 combinations in domain order. Results come back in that same canonical
@@ -203,9 +203,7 @@ def enumerate_counterfactuals(
         )
 
     values = entity.values
-    alternatives = [
-        [v for v in f.domain if v != values[i]] for i, f in enumerate(schema)
-    ]
+    alternatives = cs.alternatives(values)
     explanations: list[Explanation] = []
     s_flags: list[bool] = []
     # (changed pairs, s-verdict) per changed-index set, and the bitmasks of
@@ -222,7 +220,7 @@ def enumerate_counterfactuals(
         admissible = [
             (idxs, cand)
             for idxs, cand in level_candidates(alternatives, values, k)
-            if cs.admissible(values, cand)
+            if cs.admissible(cand)
         ]
         granted = min(len(admissible), calls_left)
         truncated = granted < len(admissible)

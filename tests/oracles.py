@@ -30,6 +30,26 @@ def counterfactuals(domains, values, label, admissible=None):
     return out
 
 
+def actionable(domains, values, modes):
+    """Admissibility under actionability ``modes`` (feature index -> "fixed",
+    "increase-only", "decrease-only" or "free"), read from declared domain
+    positions: a fixed feature keeps its value, an increase-only one may not
+    move to an earlier position, a decrease-only one not to a later one."""
+
+    def admissible(cand):
+        for i, mode in modes.items():
+            delta = domains[i].index(cand[i]) - domains[i].index(values[i])
+            if delta and mode == "fixed":
+                return False
+            if delta < 0 and mode == "increase-only":
+                return False
+            if delta > 0 and mode == "decrease-only":
+                return False
+        return True
+
+    return admissible
+
+
 def canonical_order(domains, values, cands):
     """Candidates sorted by cardinality, changed index set, then the domain
     positions of their new values."""

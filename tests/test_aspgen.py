@@ -402,14 +402,29 @@ class TestHardConstraints:
             onehot=(OneHotGroup((1, 2)),),
         )
         prog = emit_cip(schema, e, table, CipOptions(hard_constraints=cs))
-        text = prog.text
-        assert ":- ent(E,X,Y,Z,o), ent(E,Xp,Yp,Zp,tr), Xp < X." in text
-        assert ":- ent(E,X,Y,Z,o), ent(E,Xp,Yp,Zp,tr), Yp != Y." in text
-        assert ":- ent(E,X,1,1,tr)." in text
-        assert ":- ent(E,X,0,0,tr)." in text
-        # free mode emits nothing
-        assert text.count("ent(E,X,Y,Z,o), ent(E,Xp,Yp,Zp,tr)") == 2
-        assert lint_cip(text) == []
+        # increase-only from 28 forbids 20, fixed forbids b1 = 0, free
+        # forbids nothing; then the two one-hot lines
+        assert prog.section("hard").lines == [
+            ":- ent(E,20,X,Y,tr).",
+            ":- ent(E,X,0,Y,tr).",
+            ":- ent(E,X,1,1,tr).",
+            ":- ent(E,X,0,0,tr).",
+        ]
+        assert lint_cip(prog.text) == []
+
+    def test_actionability_follows_declared_order(self):
+        # alphabetically high < mid, so a program comparing constants would
+        # forbid high; the declared order forbids only low
+        schema = FeatureSchema((
+            Feature("Size", ("low", "mid", "high"), ordered=True),
+            Feature("b", ("0", "1")),
+        ))
+        table = TableClassifier.from_function(schema, lambda v: 1 if v[1] == "1" else 0)
+        e = schema.entity("e", ("mid", "1"))
+        cs = ConstraintSet(schema, actionability=(ActionabilityRule(0, "increase-only"),))
+        prog = emit_cip(schema, e, table, CipOptions(hard_constraints=cs))
+        assert prog.section("hard").lines == [":- ent(E,low,X,tr)."]
+        assert lint_cip(prog.text) == []
 
 
 class TestConstants:

@@ -366,7 +366,7 @@ class TestEntityCsv:
             "--table", str(files / "table1.csv"),
         ])
         assert code == cli.EXIT_INPUT
-        assert "cfx: entity values must be strings, got 1.0" in err
+        assert f"cfx: {bad}: entity values must be strings, got 1.0" in err
 
 
 class TestNonUtf8Input:
@@ -473,6 +473,39 @@ class TestLoneSurrogate:
         ])
         assert code == cli.EXIT_OK
         assert json.loads(out)["entity"] == "\U0001f600"
+
+
+class TestErrorsNameTheirFile:
+    TENNIS = ["--schema", "{d}/tennis_schema.json", "--entity", "{d}/tennis_e.json"]
+    RULES = ["--rules", "{d}/tennis.rules"]
+
+    @pytest.mark.parametrize("victim, data, argv, message", [
+        ("tennis_schema.json", {"features": [{"name": "a", "domain": ["x"]}]},
+         ["classify", *TENNIS, *RULES], "feature 'a' needs at least two domain values"),
+        ("tennis_e.json", {"id": "e", "values": ["sunny"]},
+         ["classify", *TENNIS, *RULES], "expected 3 values, got 1"),
+        ("constraints.json", {"actionability": [{"feature": "f99", "mode": "fixed"}]},
+         ["explain", *TENNIS, *RULES, "--constraints", "{d}/constraints.json"],
+         "unknown feature 'f99'"),
+        ("constraints.json", {"denials": [{"literals": [{"feature": "f99", "value": "1"}]}]},
+         ["score", *TENNIS, *RULES, "--prob", "uniform",
+          "--condition", "{d}/constraints.json"],
+         "unknown feature 'f99'"),
+    ], ids=["schema", "entity", "constraints", "condition"])
+    def test_json_errors(self, capsys, files, victim, data, argv, message):
+        (files / victim).write_text(json.dumps(data))
+        code, out, err = run(capsys, [a.format(d=files) for a in argv])
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.splitlines()[0] == f"cfx: {files / victim}: {message}"
+
+    def test_rule_syntax_error(self, capsys, files):
+        bad = files / "bad.rules"
+        bad.write_text("if Outlook = sunny then 1\n")
+        code, out, err = run(capsys, [
+            "classify", *(a.format(d=files) for a in self.TENNIS), "--rules", str(bad),
+        ])
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.splitlines()[0] == f"cfx: {bad}:2:1: missing default line"
 
 
 class TestScore:
@@ -751,6 +784,7 @@ class TestScore:
         argv = self.tennis_argv(files, "--prob", "uniform", "--condition", str(files / "cond.json"))
         code, out, err = run(capsys, argv)
         assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith(f"cfx: {files / 'cond.json'}")
         assert message in err
 
     @pytest.mark.parametrize("row, message", [
@@ -905,7 +939,7 @@ class TestEmitAsp:
 class TestStartup:
     def test_cli_import_leaves_aspgen_out(self):
         # only the subcommands that run them import these
-        lazy = ("cfx.aspgen", "cfx.score", "fractions")
+        lazy = ("cfx.aspgen", "cfx.score", "fractions", "subprocess", "select", "shlex")
         code = f"import sys, cfx.cli; print([m for m in {lazy!r} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         result = subprocess.run(

@@ -34,10 +34,9 @@ class TestDenial:
             DenialLiteral(2, "strong"),
         ))
         cs = ConstraintSet(tennis_schema, denials=(chi,))
-        orig = ("sunny", "normal", "weak")
-        assert not cs.admissible(orig, ("rain", "normal", "strong"))
-        assert cs.admissible(orig, ("rain", "normal", "weak"))
-        assert cs.admissible(orig, ("sunny", "high", "strong"))
+        assert not cs.admissible(("rain", "normal", "strong"))
+        assert cs.admissible(("rain", "normal", "weak"))
+        assert cs.admissible(("sunny", "high", "strong"))
 
     def test_satisfies_denial_semantics(self):
         chi = DenialConstraint((
@@ -55,9 +54,8 @@ class TestDenial:
             DenialLiteral(2, "strong"),
         ))
         cs = ConstraintSet(tennis_schema, denials=(chi,))
-        orig = ("sunny", "normal", "weak")
-        assert not cs.admissible(orig, ("rain", "normal", "strong"))
-        assert cs.admissible(orig, ("overcast", "normal", "strong"))
+        assert not cs.admissible(("rain", "normal", "strong"))
+        assert cs.admissible(("overcast", "normal", "strong"))
 
     def test_single_always_false_literal(self, tennis_schema):
         chi = DenialConstraint((DenialLiteral(0, "overcast"),))
@@ -85,33 +83,33 @@ class TestDenial:
 
 
 class TestActionability:
+    ORIG = ("28", "low", "1", "0")
+
     def test_increase_only(self, loan_schema):
         cs = ConstraintSet(
             loan_schema, actionability=(ActionabilityRule(0, "increase-only"),)
         )
-        orig = ("28", "low", "1", "0")
-        assert not cs.admissible(orig, ("25", "low", "1", "0"))
-        assert cs.admissible(orig, ("30", "low", "1", "0"))
-        assert cs.admissible(orig, ("28", "high", "1", "0"))
+        assert cs.alternatives(self.ORIG) == [
+            ("30", "35"), ("high",), ("0",), ("1",)
+        ]
 
     def test_decrease_only(self, loan_schema):
         cs = ConstraintSet(
             loan_schema, actionability=(ActionabilityRule(0, "decrease-only"),)
         )
-        orig = ("28", "low", "1", "0")
-        assert cs.admissible(orig, ("20", "low", "1", "0"))
-        assert not cs.admissible(orig, ("35", "low", "1", "0"))
+        assert cs.alternatives(self.ORIG)[0] == ("20", "25")
 
     def test_fixed(self, loan_schema):
         cs = ConstraintSet(loan_schema, actionability=(ActionabilityRule(1, "fixed"),))
-        orig = ("28", "low", "1", "0")
-        assert not cs.admissible(orig, ("28", "high", "1", "0"))
-        assert cs.admissible(orig, ("35", "low", "1", "0"))
+        assert cs.alternatives(self.ORIG) == [
+            ("20", "25", "30", "35"), (), ("0",), ("1",)
+        ]
+        # the walk never builds such a candidate; admissible reads no rule
+        assert cs.admissible(("28", "high", "1", "0"))
 
     def test_free_is_noop(self, loan_schema):
         cs = ConstraintSet(loan_schema, actionability=(ActionabilityRule(1, "free"),))
-        orig = ("28", "low", "1", "0")
-        assert cs.admissible(orig, ("28", "high", "1", "0"))
+        assert cs.alternatives(self.ORIG) == empty(loan_schema).alternatives(self.ORIG)
 
     def test_directional_needs_ordered_domain(self, loan_schema):
         with pytest.raises(InputError, match="ordered"):
@@ -139,10 +137,9 @@ class TestActionability:
 class TestOneHot:
     def test_exactly_one(self, loan_schema):
         cs = ConstraintSet(loan_schema, onehot=(OneHotGroup((2, 3)),))
-        orig = ("28", "low", "1", "0")
-        assert cs.admissible(orig, ("28", "low", "0", "1"))
-        assert not cs.admissible(orig, ("28", "low", "1", "1"))
-        assert not cs.admissible(orig, ("28", "low", "0", "0"))
+        assert cs.admissible(("28", "low", "0", "1"))
+        assert not cs.admissible(("28", "low", "1", "1"))
+        assert not cs.admissible(("28", "low", "0", "0"))
 
     def test_members_must_be_binary(self, loan_schema):
         with pytest.raises(InputError, match="domain"):
@@ -161,9 +158,8 @@ class TestCombined:
     def test_empty_set_always_admissible(self, tennis_schema):
         cs = empty(tennis_schema)
         assert cs.is_empty()
-        orig = ("sunny", "normal", "weak")
         for vec in tennis_schema.iter_space():
-            assert cs.admissible(orig, vec)
+            assert cs.admissible(vec)
 
     def test_monotone_pruning(self, tennis_schema):
         # a superset of constraints admits a subset of candidates
@@ -178,9 +174,8 @@ class TestCombined:
                 DenialConstraint((DenialLiteral(2, "strong"),)),
             ),
         )
-        orig = ("sunny", "normal", "weak")
-        admitted_small = {v for v in tennis_schema.iter_space() if small.admissible(orig, v)}
-        admitted_big = {v for v in tennis_schema.iter_space() if big.admissible(orig, v)}
+        admitted_small = {v for v in tennis_schema.iter_space() if small.admissible(v)}
+        admitted_big = {v for v in tennis_schema.iter_space() if big.admissible(v)}
         assert admitted_big <= admitted_small
 
 
@@ -203,8 +198,7 @@ class TestLoading:
         assert len(cs.denials) == 1
         assert cs.denials[0].literals[0] == DenialLiteral(0, "rain", "eq")
         assert cs.actionability == (ActionabilityRule(1, "fixed"),)
-        orig = ("sunny", "normal", "weak")
-        assert not cs.admissible(orig, ("rain", "normal", "strong"))
+        assert not cs.admissible(("rain", "normal", "strong"))
 
     def test_from_file(self, tmp_path, tennis_schema):
         p = tmp_path / "constraints.json"

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import tempfile
 from fractions import Fraction
@@ -49,22 +50,30 @@ from cfx.search import SearchConfig, enumerate_counterfactuals
 from cfx import aspgen
 
 
-def schemas(max_features=4, max_values=3):
-    def build(shape):
+def schemas(max_features=4, max_values=3, ordered=False):
+    """Features F1, F2, ... over the values "0", "1", ...; with ``ordered``
+    every domain is ordered, its values in a drawn order."""
+
+    def domains(shape):
+        plain = [tuple(str(v) for v in range(k)) for k in shape]
+        if not ordered:
+            return st.just(plain)
+        return st.tuples(*(st.permutations(d).map(tuple) for d in plain))
+
+    def build(domains):
         return FeatureSchema(tuple(
-            Feature(f"F{i + 1}", tuple(str(v) for v in range(k)))
-            for i, k in enumerate(shape)
+            Feature(f"F{i + 1}", d, ordered=ordered) for i, d in enumerate(domains)
         ))
 
     return st.lists(
         st.integers(2, max_values), min_size=1, max_size=max_features
-    ).map(tuple).map(build)
+    ).flatmap(domains).map(build)
 
 
 @st.composite
-def classified_spaces(draw):
+def classified_spaces(draw, ordered=False):
     """A schema, a total truth table over it, and a label-1 entity."""
-    schema = draw(schemas(max_features=3))
+    schema = draw(schemas(max_features=3, ordered=ordered))
     space = list(schema.iter_space())
     labels = draw(st.lists(
         st.integers(0, 1), min_size=len(space), max_size=len(space)
@@ -163,6 +172,36 @@ class TestSearchInvariants:
         )
         assert result.s_flags == [v in s_vals for v in got]
         assert result.c_flags == [v in c_vals for v in got]
+
+    @settings(max_examples=100, deadline=None)
+    @given(classified_spaces(ordered=True), st.data())
+    def test_actionability_agrees_with_oracle(self, case, data):
+        schema, table, entity = case
+        n = len(schema)
+        modes = {
+            i: data.draw(st.sampled_from(MODES))
+            for i in sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        }
+        cs = ConstraintSet(
+            schema, actionability=tuple(ActionabilityRule(*r) for r in modes.items())
+        )
+        result = enumerate_counterfactuals(
+            schema, TableClassifier(schema, table), entity, cs
+        )
+        domains = [f.domain for f in schema.features]
+        cfs = oracles.counterfactuals(
+            domains, entity.values, table.__getitem__,
+            oracles.actionable(domains, entity.values, modes),
+        )
+        s_vals = {cand for cand, _ in oracles.s_minimal(cfs)}
+        c_vals = {cand for cand, _ in oracles.c_minimal(cfs)}
+        got = [x.counterfactual.values for x in result.explanations]
+        assert got == oracles.canonical_order(
+            domains, entity.values, [cand for cand, _ in cfs]
+        )
+        assert result.s_flags == [v in s_vals for v in got]
+        assert result.c_flags == [v in c_vals for v in got]
+        assert result.exhausted
 
     @settings(max_examples=40, deadline=None)
     @given(classified_spaces())
@@ -628,6 +667,28 @@ class TestDenialEmission:
             for vec in schema.iter_space():
                 rendered = [c[v] for c, v in zip(consts, vec)]
                 assert denial_line_forbids(line, rendered) == chi.matches(vec), (line, vec)
+
+
+class TestActionabilityEmission:
+    @settings(max_examples=200, deadline=None)
+    @given(emission_cases())
+    def test_lines_forbid_what_no_alternative_allows(self, case):
+        schema, entity, classifier, options = case
+        cs = options.hard_constraints
+        if cs.is_empty():
+            return
+        lines = aspgen.emit_cip(schema, entity, classifier, options).section("hard").lines
+        onehot = sum(math.comb(len(g.members), 2) + 1 for g in cs.onehot)
+        lines = lines[len(cs.denials) : len(lines) - onehot]
+        alternatives = cs.alternatives(entity.values)
+        consts = [aspgen.render_constants(f.domain) for f in schema.features]
+        for vec in schema.iter_space():
+            rendered = [c[v] for c, v in zip(consts, vec)]
+            forbidden = any(
+                v != o and v not in allowed
+                for v, o, allowed in zip(vec, entity.values, alternatives)
+            )
+            assert any(denial_line_forbids(line, rendered) for line in lines) == forbidden
 
 
 # text json.dumps escapes: quotes, backslashes, control characters, '/',

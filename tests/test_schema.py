@@ -59,12 +59,6 @@ class TestSchemaValidation:
         with pytest.raises(InputError, match="out of range"):
             tennis_schema.feature(3)
 
-    def test_rank_needs_domain_value(self):
-        f = Feature("Age", ("20", "30", "40"), ordered=True)
-        assert f.rank("30") == 1
-        with pytest.raises(InputError):
-            f.rank("50")
-
 
 class TestEntity:
     def test_factory_validates(self, tennis_schema):
