@@ -188,7 +188,6 @@ def emit_cip(
 ) -> CipProgram:
     opts = options or CipOptions()
     schema.check_entity(entity)
-    backend = getattr(classifier, "backend", classifier)
 
     n = len(schema)
     v = _var_names(n)
@@ -209,7 +208,7 @@ def emit_cip(
     if opts.dialect == DLV_COMPLEX:
         sections.append(Section("header", None, ["#include<ListAndSet>"]))
 
-    classifier_section = _classifier_section(schema, backend, opts, v, consts)
+    classifier_section = _classifier_section(schema, classifier, opts, v, consts)
     if opts.classifier_embedding == FACTS:
         sections.append(classifier_section)
 
@@ -351,7 +350,8 @@ def _classifier_section(
     if opts.classifier_embedding == FACTS:
         if not isinstance(backend, TableClassifier):
             raise InputError("facts embedding needs a truth-table classifier")
-        if not backend.is_total():
+        covered, total = backend.coverage()
+        if covered < total:
             raise InputError(
                 "facts embedding needs a total truth table; "
                 "missing rows would silently count as neither label"

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BackendError, InputError
-from .schema import Entity, FeatureSchema, read_csv, read_text, reject_row
+from .schema import FeatureSchema, read_csv, read_text, reject_row
 
 TIMEOUT_ENV = "CFX_EXTERNAL_TIMEOUT_MS"
 DEFAULT_TIMEOUT_MS = 5000
@@ -108,10 +108,6 @@ class TableClassifier:
     def coverage(self) -> tuple[int, int]:
         """(rows present, size of the full product space)."""
         return len(self.rows), self.schema.space_size()
-
-    def is_total(self) -> bool:
-        covered, total = self.coverage()
-        return covered == total
 
     @classmethod
     def from_csv(cls, path: str | Path, schema: FeatureSchema) -> TableClassifier:
@@ -347,12 +343,7 @@ class ExternalClassifier:
     or call :meth:`close` to reap the child.
     """
 
-    def __init__(
-        self,
-        command: str | Sequence[str],
-        schema: FeatureSchema,
-        timeout_ms: int | None = None,
-    ):
+    def __init__(self, command: str | Sequence[str], schema: FeatureSchema):
         import shlex
 
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
@@ -366,15 +357,13 @@ class ExternalClassifier:
                         f"domain value {v!r} of {f.name!r} cannot cross the wire "
                         "(commas and newlines are reserved)"
                     )
-        if timeout_ms is None:
-            raw = os.environ.get(TIMEOUT_ENV, "")
-            try:
-                timeout_ms = int(raw) if raw else DEFAULT_TIMEOUT_MS
-            except ValueError:
-                raise InputError(f"{TIMEOUT_ENV} must be an integer, got {raw!r}") from None
-        if timeout_ms <= 0:
+        raw = os.environ.get(TIMEOUT_ENV, "")
+        try:
+            self.timeout_ms = int(raw) if raw else DEFAULT_TIMEOUT_MS
+        except ValueError:
+            raise InputError(f"{TIMEOUT_ENV} must be an integer, got {raw!r}") from None
+        if self.timeout_ms <= 0:
             raise InputError("timeout must be positive")
-        self.timeout_ms = timeout_ms
         self._proc: subprocess.Popen[bytes] | None = None
         self._lock = threading.Lock()
 
@@ -517,7 +506,3 @@ class MemoClassifier:
             self.backend_calls += 1
             self._cache[key] = result
             return result
-
-    def classify(self, entity: Entity) -> int:
-        self.schema.check_entity(entity)
-        return self.label(entity.values)

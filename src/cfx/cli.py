@@ -28,6 +28,7 @@ from . import __version__, constrain, search
 from .classify import (
     ExternalClassifier,
     MemoClassifier,
+    RuleClassifier,
     TableClassifier,
     load_rules,
 )
@@ -171,14 +172,15 @@ def _dispatch(args, manifest: dict) -> int:
     if getattr(args, "constraints", None):
         constraints = constrain.load_constraints(args.constraints, schema)
 
-    if args.command == "emit-asp":
-        return _cmd_emit_asp(args, schema, entity, constraints, manifest)
-
     backend = _build_backend(args, schema)
+    if args.command == "emit-asp":
+        return _cmd_emit_asp(args, schema, entity, backend, constraints, manifest)
+
     classifier = MemoClassifier(backend)
     try:
         if args.command == "classify":
-            code = _cmd_classify(classifier, entity)
+            sys.stdout.write(f"{classifier.label(entity.values)}\n")
+            code = EXIT_OK
         elif args.command == "explain":
             code = _cmd_explain(args, schema, classifier, entity, constraints, manifest)
         else:
@@ -223,34 +225,36 @@ def _build_backend(args, schema: FeatureSchema):
         return backend
     if args.rules:
         return load_rules(args.rules, schema)
-    return ExternalClassifier(args.external, schema)
+    external = getattr(args, "external", None)  # emit-asp has no --external
+    return None if external is None else ExternalClassifier(external, schema)
 
 
-def _search_config(args) -> search.SearchConfig:
+def _search_config(args, manifest: dict) -> search.SearchConfig:
     budget = args.budget
     if budget is None and args.external:
         budget = 10000  # keep runaway child processes bounded by default
-    return search.SearchConfig(max_cardinality=args.max_card, budget=budget)
+    cfg = search.SearchConfig(max_cardinality=args.max_card, budget=budget)
+    manifest["config"] = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
+    return cfg
 
 
-def _cmd_classify(classifier: MemoClassifier, entity: Entity) -> int:
-    sys.stdout.write(f"{classifier.classify(entity)}\n")
-    return EXIT_OK
+def _outcome(found: bool, proven: bool) -> int:
+    """Exit code of a search or score: something found, nothing there
+    (proven by an untruncated walk), or nothing found and nothing proven."""
+    if found:
+        return EXIT_OK
+    return EXIT_NO_COUNTERFACTUAL if proven else EXIT_INCONCLUSIVE
 
 
 def _cmd_explain(args, schema, classifier, entity, constraints, manifest) -> int:
-    cfg = _search_config(args)
-    manifest["config"] = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
     result = search.enumerate_counterfactuals(
-        schema, classifier, entity, constraints, cfg
+        schema, classifier, entity, constraints, _search_config(args, manifest)
     )
     if args.format == "json":
         sys.stdout.write(result.to_json_text(schema))
     else:
-        sys.stdout.write(_explain_table(result.to_json_dict(schema)))
-    if result.explanations:
-        return EXIT_OK
-    return EXIT_NO_COUNTERFACTUAL if result.no_counterfactual else EXIT_INCONCLUSIVE
+        sys.stdout.write(_explain_table(schema, result))
+    return _outcome(bool(result.explanations), result.exhausted)
 
 
 def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
@@ -259,20 +263,17 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
     if args.prob is None:
         if args.condition:
             raise InputError("--condition needs --prob")
-        cfg = _search_config(args)
-        manifest["config"] = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
+        cfg = _search_config(args, manifest)
         report = score_mod.x_resp(schema, classifier, entity, constraints, cfg)
         payload = report.to_json_dict(schema)
-        empty = all(fs.score == 0 for fs in report.scores)
         if args.format == "json":
             sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         else:
             scores = payload["scores"]
             witnesses = [s["witness"] and s["witness"]["changed"] for s in scores]
             sys.stdout.write(_score_table(scores, "witness (changed)", witnesses))
-        if not empty:
-            return EXIT_OK
-        return EXIT_NO_COUNTERFACTUAL if report.authoritative else EXIT_INCONCLUSIVE
+        found = any(fs.score > 0 for fs in report.scores)
+        return _outcome(found, report.authoritative)
 
     # The contingency walk runs no search: a call budget or an admissibility
     # filter would be silently ignored, so both are refused.
@@ -324,9 +325,7 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(_score_table(rows, "contingency", [r["gamma"] for r in rows]))
-    if any_positive:
-        return EXIT_OK
-    return EXIT_INCONCLUSIVE if any_truncated else EXIT_NO_COUNTERFACTUAL
+    return _outcome(any_positive, not any_truncated)
 
 
 def _build_distribution(args, schema: FeatureSchema):
@@ -350,23 +349,20 @@ def _build_distribution(args, schema: FeatureSchema):
                 f"{args.condition}: only denial constraints can condition a distribution"
             )
         if not cs.denials:
-            raise InputError(f"{args.condition} holds no denial constraints")
+            raise InputError(f"{args.condition}: holds no denial constraints")
         dist = score_mod.ConditionedDistribution(dist, cs.denials)
     return dist
 
 
-def _cmd_emit_asp(args, schema, entity, constraints, manifest) -> int:
+def _cmd_emit_asp(args, schema, entity, backend, constraints, manifest) -> int:
     from . import aspgen
 
-    if args.table:
+    if isinstance(backend, TableClassifier):
         embedding = aspgen.FACTS
-        backend = TableClassifier.from_csv(args.table, schema)
-    elif args.rules:
+    elif isinstance(backend, RuleClassifier):
         embedding = aspgen.RULES
-        backend = load_rules(args.rules, schema)
     else:
         embedding = aspgen.EXTERNAL_STUB
-        backend = None
     options = aspgen.CipOptions(
         dialect=args.dialect,
         classifier_embedding=embedding,
@@ -386,7 +382,10 @@ def _cmd_emit_asp(args, schema, entity, constraints, manifest) -> int:
     }
     program = aspgen.emit_cip(schema, entity, backend, options)
     if args.out:
-        Path(args.out).write_text(program.text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(program.text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         sys.stdout.write(json.dumps(program.section_index(), indent=2) + "\n")
     else:
         sys.stdout.write(program.text)
@@ -410,19 +409,17 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _explain_table(payload: dict) -> str:
-    rows = []
-    for x in payload["explanations"]:
-        changed = ", ".join(f"{k}={v}" for k, v in x["changed"].items())
-        rows.append(
-            [
-                changed,
-                ",".join(x["counterfactual"]),
-                str(x["cardinality"]),
-                "yes" if x["s_minimal"] else "no",
-                "yes" if x["c_minimal"] else "no",
-            ]
-        )
+def _explain_table(schema: FeatureSchema, result: search.SearchResult) -> str:
+    rows = [
+        [
+            ", ".join(f"{schema.feature(i).name}={v}" for i, v in x.changed),
+            ",".join(x.counterfactual.values),
+            str(x.cardinality),
+            "yes" if s else "no",
+            "yes" if c else "no",
+        ]
+        for x, s, c in zip(result.explanations, result.s_flags, result.c_flags)
+    ]
     return _render_table(
         ["changed (original values)", "counterfactual", "card", "s-min", "c-min"], rows
     )

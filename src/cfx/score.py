@@ -465,11 +465,8 @@ def global_resp(
             f"entity {entity.id!r} already has label 0; nothing to explain"
         )
     values = entity.values
-    # an empty list at f_star keeps it out of every contingency set
-    alternatives = [
-        [] if i == f_star else [v for v in f.domain if v != values[i]]
-        for i, f in enumerate(schema)
-    ]
+    alternatives = constrain.empty(schema).alternatives(values)
+    alternatives[f_star] = ()  # keeps f_star out of every contingency set
     n_others = len(schema) - 1
     bound = n_others if max_gamma is None else min(max_gamma, n_others)
 

@@ -33,6 +33,7 @@ from cfx.classify import (
     ProtocolError,
     RuleClassifier,
     TableClassifier,
+    TIMEOUT_ENV,
     parse_rules,
 )
 from cfx.constrain import ConstraintSet, DenialConstraint, DenialLiteral
@@ -287,7 +288,7 @@ def test_criterion_6(bits_schema, t1_table, e1, tennis_schema, tennis_clf,
 
 
 @criterion(7, "wire-protocol child agrees with in-process rules on all 12 entities")
-def test_criterion_7(tennis_schema, tennis_clf):
+def test_criterion_7(tennis_schema, tennis_clf, monkeypatch):
     def cmd(mode="ok"):
         return [sys.executable, CHILD, mode]
 
@@ -302,11 +303,13 @@ def test_criterion_7(tennis_schema, tennis_clf):
     with pytest.raises(ProtocolError):
         with ExternalClassifier(cmd("bad-reply"), tennis_schema) as ext:
             ext.label(probe)
-    with pytest.raises(ExternalTimeoutError):
-        with ExternalClassifier(cmd("slow"), tennis_schema, timeout_ms=200) as ext:
-            ext.label(probe)
     with pytest.raises(ProcessDiedError):
         with ExternalClassifier(cmd("die"), tennis_schema) as ext:
+            ext.label(probe)
+    # last, so no other child runs under the short timeout
+    monkeypatch.setenv(TIMEOUT_ENV, "200")
+    with pytest.raises(ExternalTimeoutError):
+        with ExternalClassifier(cmd("slow"), tennis_schema) as ext:
             ext.label(probe)
 
 

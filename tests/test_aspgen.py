@@ -230,13 +230,6 @@ class TestEmbeddings:
             in prog.text
         )
 
-    def test_memo_wrapper_is_unwrapped(self, bits_schema, t1_table, e1):
-        from cfx.classify import MemoClassifier
-
-        direct = emit_cip(bits_schema, e1, t1_table, CipOptions())
-        wrapped = emit_cip(bits_schema, e1, MemoClassifier(t1_table), CipOptions())
-        assert direct.text == wrapped.text
-
 
 class TestDialects:
     def test_differences_are_bounded(self, bits_schema, t1_table, e1):

@@ -24,12 +24,10 @@ class TestTableClassifier:
 
     def test_total_coverage(self, t1_table):
         assert t1_table.coverage() == (8, 8)
-        assert t1_table.is_total()
 
     def test_partial_table_errors_on_missing_row(self, bits_schema):
         partial = TableClassifier(bits_schema, dict(T1_ROWS[:3]))
         assert partial.coverage() == (3, 8)
-        assert not partial.is_total()
         with pytest.raises(MissingRowError):
             partial.label(("0", "0", "0"))
 
@@ -131,7 +129,7 @@ class TestTableClassifier:
         clf = TableClassifier.from_function(
             bits_schema, lambda v: 1 if v.count("1") >= 2 else 0
         )
-        assert clf.is_total()
+        assert clf.coverage() == (8, 8)
         assert clf.label(("1", "1", "0")) == 1
         assert clf.label(("1", "0", "0")) == 0
 
@@ -305,11 +303,3 @@ class TestMemoClassifier:
         memo = MemoClassifier(t1_table)
         seq = list(bits_schema.iter_space()) * 2
         assert [memo.label(v) for v in seq] == [t1_table.label(v) for v in seq]
-
-    def test_classify_validates_entity(self, t1_table, bits_schema):
-        memo = MemoClassifier(t1_table)
-        assert memo.classify(bits_schema.entity("e", ("0", "1", "1"))) == 1
-        from cfx.schema import Entity
-
-        with pytest.raises(InputError):
-            memo.classify(Entity("bad", ("0", "1")))

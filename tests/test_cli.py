@@ -784,7 +784,7 @@ class TestScore:
         argv = self.tennis_argv(files, "--prob", "uniform", "--condition", str(files / "cond.json"))
         code, out, err = run(capsys, argv)
         assert (code, out) == (cli.EXIT_INPUT, "")
-        assert err.startswith(f"cfx: {files / 'cond.json'}")
+        assert err.startswith(f"cfx: {files / 'cond.json'}: ")
         assert message in err
 
     @pytest.mark.parametrize("row, message", [
@@ -848,6 +848,19 @@ class TestEmitAsp:
         index = json.loads(out)
         assert index[0]["section"] == "header"
         assert target.read_text().startswith("#include<ListAndSet>")
+
+    def test_out_write_error_exit_2(self, capsys, files, tmp_path):
+        target = tmp_path / "missing" / "program.lp"
+        code, out, err = run(capsys, [
+            "emit-asp",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(files / "e1.json"),
+            "--table", str(files / "table1.csv"),
+            "--out", str(target),
+        ])
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith(f"cfx: cannot write {target}: ")
+        assert not target.parent.exists()
 
     def test_rules_embedding_default(self, capsys, files):
         code, out, err = run(capsys, [
@@ -934,6 +947,39 @@ class TestEmitAsp:
         assert code == 0
         assert 'dom1("C:\\\\"). dom1(tmp).' in out
         assert aspgen.lint_cip(out) == []
+
+
+class TestPartialTable:
+    """A truth table missing rows is announced on stderr before any use."""
+
+    NOTE = "cfx: note: truth table covers 3 of 12 vectors; queries outside it fail\n"
+
+    def argv(self, files, command):
+        table = files / "partial.csv"
+        table.write_text(
+            "Outlook,Humidity,Wind,label\n"
+            "sunny,normal,weak,1\nsunny,high,weak,0\nrain,normal,strong,0\n"
+        )
+        return [
+            command,
+            "--schema", str(files / "tennis_schema.json"),
+            "--entity", str(files / "tennis_e.json"),
+            "--table", str(table),
+        ]
+
+    def test_explain_notes_then_fails_in_backend(self, capsys, files):
+        code, out, err = run(capsys, self.argv(files, "explain"))
+        assert (code, out) == (cli.EXIT_BACKEND, "")
+        lines = err.splitlines(keepends=True)
+        assert lines[0] == self.NOTE
+        assert lines[1].startswith("cfx: classifier backend failure: no table row for ")
+
+    def test_emit_asp_notes_then_refuses_facts(self, capsys, files):
+        code, out, err = run(capsys, self.argv(files, "emit-asp"))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        lines = err.splitlines(keepends=True)
+        assert lines[0] == self.NOTE
+        assert lines[1].startswith("cfx: facts embedding needs a total truth table")
 
 
 class TestStartup:
@@ -1034,6 +1080,29 @@ class TestConsoleScript:
         assert (result.returncode, result.stdout) == (cli.EXIT_OK, "1\n")
         result = subprocess.run(argv[:3], capture_output=True, text=True, cwd=files, env=env)
         assert (result.returncode, result.stdout) == (cli.EXIT_USAGE, "")
+
+    @pytest.mark.parametrize("extra", [
+        ["explain", "--rules", "tennis.rules"],
+        ["score", "--rules", "tennis.rules", "--prob", "uniform"],
+        ["emit-asp", "--rules", "tennis.rules", "--weak", "--count"],
+    ], ids=["explain", "score-prob", "emit-asp"])
+    def test_stdout_reproducible_across_processes(self, files, extra):
+        # fresh interpreters with different string hashing print the same bytes
+        argv = [
+            sys.executable, "-m", "cfx.cli", extra[0],
+            "--schema", "tennis_schema.json", "--entity", "tennis_e.json", *extra[1:],
+        ]
+        outputs = []
+        for seed in ("0", "12345"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+                "PYTHONHASHSEED": seed,
+            }
+            result = subprocess.run(argv, capture_output=True, cwd=files, env=env)
+            assert result.returncode == cli.EXIT_OK, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_installed_entrypoint(self, files):
         target = self.script_target("cfx")

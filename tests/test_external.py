@@ -74,10 +74,9 @@ class TestFailurePaths:
             with pytest.raises(ProcessDiedError):
                 ext.label(("sunny", "normal", "weak"))
 
-    def test_timeout(self, tennis_schema):
-        with ExternalClassifier(
-            child_cmd("slow"), tennis_schema, timeout_ms=200
-        ) as ext:
+    def test_timeout(self, tennis_schema, monkeypatch):
+        monkeypatch.setenv(TIMEOUT_ENV, "200")
+        with ExternalClassifier(child_cmd("slow"), tennis_schema) as ext:
             with pytest.raises(ExternalTimeoutError, match="200 ms"):
                 ext.label(("sunny", "normal", "weak"))
 
@@ -112,14 +111,10 @@ class TestConstruction:
         with pytest.raises(InputError, match=TIMEOUT_ENV):
             ExternalClassifier(child_cmd(), tennis_schema)
 
-    def test_explicit_timeout_beats_env(self, tennis_schema, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV, "1234")
-        ext = ExternalClassifier(child_cmd(), tennis_schema, timeout_ms=99)
-        assert ext.timeout_ms == 99
-
-    def test_nonpositive_timeout_rejected(self, tennis_schema):
+    def test_nonpositive_timeout_rejected(self, tennis_schema, monkeypatch):
+        monkeypatch.setenv(TIMEOUT_ENV, "0")
         with pytest.raises(InputError, match="positive"):
-            ExternalClassifier(child_cmd(), tennis_schema, timeout_ms=0)
+            ExternalClassifier(child_cmd(), tennis_schema)
 
     def test_close_is_idempotent(self, tennis_schema):
         ext = ExternalClassifier(child_cmd(), tennis_schema)

@@ -184,3 +184,28 @@ class TestOneReader:
                 if "UnicodeDecodeError" in ast.unparse(node.type):
                     found.append(f"except UnicodeDecodeError at line {node.lineno}")
         assert found == []
+
+
+class TestNoUnusedImport:
+    """Every name a package module imports is used in that module, so
+    deleting code cannot leave its imports behind."""
+
+    PACKAGE = TestOneReader.PACKAGE
+
+    @pytest.mark.parametrize(
+        "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    )
+    def test_every_import_is_used(self, module):
+        tree = ast.parse((self.PACKAGE / module).read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # "import a.b" binds "a"
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{n} at line {node.lineno}" for n in names if n not in used]
+        assert unused == []
