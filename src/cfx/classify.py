@@ -1,9 +1,9 @@
 """Binary label backends: truth tables, first-match rule lists, external processes.
 
 Every backend exposes ``label(values) -> int`` over a value tuple conforming
-to its schema, plus a ``schema`` attribute. Labels are a function of feature
-values only; entity ids never influence them. ``MemoClassifier`` fronts any
-backend with a value-keyed cache so repeated queries cost one backend call.
+to its schema. Labels are a function of feature values only; entity ids
+never influence them. ``MemoClassifier`` fronts any backend with a
+value-keyed cache so repeated queries cost one backend call.
 
 The external backend speaks a line protocol over stdin/stdout:
 
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BackendError, InputError
 from .schema import FeatureSchema, read_csv, read_text, reject_row
@@ -153,13 +153,6 @@ class TableClassifier:
         table.schema, table.rows = schema, rows
         return table
 
-    @classmethod
-    def from_function(
-        cls, schema: FeatureSchema, fn: Callable[[tuple[str, ...]], int]
-    ) -> TableClassifier:
-        """Materialize a total table from a label function (test helper)."""
-        return cls(schema, {vec: fn(vec) for vec in schema.iter_space()})
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -180,7 +173,6 @@ class RuleClassifier:
     """
 
     def __init__(self, schema: FeatureSchema, rules: Iterable[Rule], default: int):
-        self.schema = schema
         self.rules = tuple(rules)
         self.default = _check_label(default, "default")
         # equals[i][v]: the rules testing feature i against v
@@ -479,7 +471,7 @@ class ExternalClassifier:
 
 
 class MemoClassifier:
-    """Value-keyed memo cache in front of any backend.
+    """Value-keyed memo cache in front of any object with a ``label`` method.
 
     Caching is semantically invisible for deterministic backends; ``queries``
     counts every lookup, ``backend_calls`` only the cache misses.
@@ -487,7 +479,6 @@ class MemoClassifier:
 
     def __init__(self, backend):
         self.backend = backend
-        self.schema: FeatureSchema = backend.schema
         self.queries = 0
         self.backend_calls = 0
         self._cache: dict[tuple[str, ...], int] = {}

@@ -11,14 +11,16 @@ stderr. Payloads are pure functions of the input files, so re-running a
 command reproduces stdout byte for byte.
 
 Exit codes: 0 success, 1 usage, 2 invalid input (including an entity that
-already has label 0), 3 no counterfactual exists (proven: the search was not
-truncated), 4 classifier backend failure, 5 inconclusive (a budget or bound
-truncated the search before it found anything, so nothing is proven).
+already has label 0) or a payload stdout cannot take, 3 no counterfactual
+exists (proven: the search was not truncated), 4 classifier backend failure,
+5 inconclusive (a budget or bound truncated the search before it found
+anything, so nothing is proven).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -138,11 +140,17 @@ def main(argv=None) -> int:
     }
     try:
         code = _dispatch(args, manifest)
+        # a buffered payload that cannot be written fails here, not at exit
+        sys.stdout.flush()
     except InputError as exc:
         print(f"cfx: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"cfx: {exc.strerror or exc}: {exc.filename or ''}".rstrip(": "), file=sys.stderr)
+    except OSError as exc:  # only writes to stdout raise it unwrapped
+        print(f"cfx: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        # a closed stream drops what it could not write, so the flush at
+        # exit cannot fail again
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
         return EXIT_INPUT
     except BackendError as exc:
         print(f"cfx: classifier backend failure: {exc}", file=sys.stderr)

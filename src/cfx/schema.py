@@ -145,6 +145,13 @@ class Explanation:
     def changed_indices(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.changed)
 
+    def to_json_dict(self, schema: FeatureSchema) -> dict:
+        return {
+            "changed": {schema.feature(i).name: v for i, v in self.changed},
+            "counterfactual": list(self.counterfactual.values),
+            "cardinality": self.cardinality,
+        }
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -175,15 +182,6 @@ def schema_from_dict(data: dict) -> FeatureSchema:
             )
         )
     return FeatureSchema(tuple(feats))
-
-
-def schema_to_dict(schema: FeatureSchema) -> dict:
-    return {
-        "features": [
-            {"name": f.name, "domain": list(f.domain), "ordered": f.ordered}
-            for f in schema.features
-        ]
-    }
 
 
 def load_schema(path: str | Path) -> FeatureSchema:
@@ -254,10 +252,13 @@ def in_file(path: str | Path, build: Callable[..., Any], *args: object) -> Any:
 
 
 def read_text(path: str | Path) -> str:
-    """The contents of the input file ``path``, decoded as UTF-8. Every
-    input file is read here or through ``read_csv``."""
+    """The contents of the input file ``path``, decoded as UTF-8 after any
+    leading byte order mark. Every input file is read here or through
+    ``read_csv``."""
     try:
-        data = Path(path).read_bytes()
+        # the mark is cut here, not by "utf-8-sig", whose error offsets
+        # would not index ``data``
+        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
         return data.decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None

@@ -28,8 +28,16 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import constrain, search
-from .errors import InputError, NothingToExplainError
-from .schema import Entity, Explanation, FeatureSchema, in_file, read_csv, reject_row
+from .errors import InputError
+from .schema import (
+    Entity,
+    Explanation,
+    FeatureSchema,
+    entities_from_csv,
+    in_file,
+    read_csv,
+    reject_row,
+)
 from .search import SearchConfig, SearchResult, enumerate_counterfactuals
 
 # refuse to sweep product spaces beyond this when a distribution needs
@@ -84,22 +92,15 @@ class RespReport:
     def to_json_dict(self, schema: FeatureSchema) -> dict:
         out = []
         for fs in self.scores:
-            witness = None
-            if fs.witness is not None:
-                witness = {
-                    "changed": {
-                        schema.feature(i).name: v for i, v in fs.witness.changed
-                    },
-                    "counterfactual": list(fs.witness.counterfactual.values),
-                    "cardinality": fs.witness.cardinality,
-                }
             out.append(
                 {
                     "feature": schema.feature(fs.feature).name,
                     "value": self.entity.values[fs.feature],
                     "score": fraction_str(fs.score),
                     "score_decimal": float(fs.score),
-                    "witness": witness,
+                    "witness": (
+                        None if fs.witness is None else fs.witness.to_json_dict(schema)
+                    ),
                     "counterfactual_value_explanation": fs.counterfactual_value_explanation,
                     "actual_value_explanation": fs.actual_value_explanation,
                 }
@@ -220,10 +221,10 @@ class UniformDistribution(Distribution):
 class ProductDistribution(Distribution):
     """Independent per-feature marginals.
 
-    Marginal weights are validated to sum to 1 within 1e-9 per feature and
-    then renormalized exactly, so the full product space carries mass
-    exactly 1. Each marginal is kept as integers over the lcm of its
-    denominators, and ``total`` is the product of those lcms.
+    Marginal weights are validated to sum to 1 within 1e-9 per feature.
+    Each marginal is kept as integers over the lcm of its denominators, and
+    ``total`` is the product of the scaled sums, so the full product space
+    carries mass exactly 1 and every marginal is renormalized exactly.
     """
 
     def __init__(
@@ -234,9 +235,10 @@ class ProductDistribution(Distribution):
         super().__init__(schema)
         if len(marginals) != len(schema):
             raise InputError("need one marginal per feature")
-        normalized: list[dict[str, Fraction]] = []
+        self._scaled: list[dict[str, int]] = []
+        self.total = 1
         for f, marg in zip(schema.features, marginals):
-            weights: dict[str, Fraction] = {}
+            weights = dict.fromkeys(f.domain, Fraction(0))
             for v, w in marg.items():
                 if v not in f.domain:
                     raise InputError(
@@ -250,16 +252,10 @@ class ProductDistribution(Distribution):
                 raise InputError(
                     f"marginal of {f.name!r} sums to {float(total)}, not 1"
                 )
-            normalized.append(
-                {v: weights.get(v, Fraction(0)) / total for v in f.domain}
-            )
-        self.marginals = normalized
-        self._scaled: list[dict[str, int]] = []
-        self.total = 1
-        for marg in normalized:
-            denom = lcm(*(p.denominator for p in marg.values()))
-            self._scaled.append({v: int(p * denom) for v, p in marg.items()})
-            self.total *= denom
+            denom = lcm(*(w.denominator for w in weights.values()))
+            scaled = {v: int(w * denom) for v, w in weights.items()}
+            self._scaled.append(scaled)
+            self.total *= sum(scaled.values())
 
     def weight(self, values: Sequence[str]) -> int:
         return prod(map(dict.__getitem__, self._scaled, values))
@@ -313,12 +309,10 @@ class EmpiricalDistribution(Distribution):
         return self.counts.get(tuple(values), 0)
 
     def support(self) -> Iterator[tuple[str, ...]]:
-        return iter(sorted(self.counts))
+        return iter(self.counts)
 
     @classmethod
     def from_csv(cls, path: str | Path, schema: FeatureSchema) -> EmpiricalDistribution:
-        from .schema import entities_from_csv
-
         return cls(schema, entities_from_csv(path, schema))
 
 
@@ -341,9 +335,6 @@ class ConditionedDistribution(Distribution):
         if any(chi.matches(values) for chi in self.denials):
             return 0
         return self.base.weight(values)
-
-    def support(self) -> Iterator[tuple[str, ...]]:
-        return self.base.support()
 
 
 def _as_fraction(w: Fraction | str | float | int, context: str) -> Fraction:
@@ -458,12 +449,10 @@ def global_resp(
     conditional slice has no mass, do not qualify. A size bound that stops
     the growth before any positive score marks the result truncated.
     """
-    schema.check_entity(entity)
     schema.feature(f_star)
-    if classifier.label(entity.values) != 1:
-        raise NothingToExplainError(
-            f"entity {entity.id!r} already has label 0; nothing to explain"
-        )
+    if max_gamma is not None and max_gamma < 0:
+        raise InputError("max_gamma must be >= 0")
+    search.require_label_one(schema, classifier, entity)
     values = entity.values
     alternatives = constrain.empty(schema).alternatives(values)
     alternatives[f_star] = ()  # keeps f_star out of every contingency set

@@ -93,13 +93,7 @@ class SearchResult:
     def to_json_dict(self, schema: FeatureSchema) -> dict:
         return self._payload(
             [
-                {
-                    "changed": {schema.feature(i).name: v for i, v in x.changed},
-                    "counterfactual": list(x.counterfactual.values),
-                    "cardinality": x.cardinality,
-                    "s_minimal": s,
-                    "c_minimal": c,
-                }
+                {**x.to_json_dict(schema), "s_minimal": s, "c_minimal": c}
                 for x, s, c in zip(self.explanations, self.s_flags, self.c_flags)
             ]
         )
@@ -155,6 +149,16 @@ class SearchResult:
         }
 
 
+def require_label_one(schema: FeatureSchema, classifier, entity: Entity) -> None:
+    """Check ``entity`` against ``schema`` and ask ``classifier`` for its
+    label, which must be 1 for there to be anything to explain."""
+    schema.check_entity(entity)
+    if classifier.label(entity.values) != 1:
+        raise NothingToExplainError(
+            f"entity {entity.id!r} already has label 0; nothing to explain"
+        )
+
+
 def level_candidates(
     alternatives: Sequence[Sequence[str]], values: tuple[str, ...], k: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
@@ -190,17 +194,13 @@ def enumerate_counterfactuals(
     """
     cfg = config or SearchConfig()
     cs = constraints or constrain.empty(schema)
-    schema.check_entity(entity)
     n = len(schema)
     bound = n if cfg.max_cardinality is None else min(cfg.max_cardinality, n)
 
     # SearchConfig guarantees a budget of at least 1 for the initial call
     calls_left = math.inf if cfg.budget is None else cfg.budget - 1
     stats = SearchStats(classifier_calls=1)
-    if classifier.label(entity.values) != 1:
-        raise NothingToExplainError(
-            f"entity {entity.id!r} already has label 0; nothing to explain"
-        )
+    require_label_one(schema, classifier, entity)
 
     values = entity.values
     alternatives = cs.alternatives(values)

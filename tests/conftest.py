@@ -41,6 +41,11 @@ default 0
 """
 
 
+def table_from_function(schema, fn):
+    """A total truth table: ``fn``'s label for every vector of the space."""
+    return TableClassifier(schema, {vec: fn(vec) for vec in schema.iter_space()})
+
+
 @pytest.fixture
 def bits_schema():
     return FeatureSchema((

@@ -24,7 +24,7 @@ from cfx.constrain import (
 )
 from cfx.errors import InputError
 from cfx.schema import Feature, FeatureSchema
-from conftest import GOLDEN, T1_ROWS
+from conftest import GOLDEN, T1_ROWS, table_from_function
 
 
 def normalized(text):
@@ -151,7 +151,7 @@ class TestStructure:
         schema = FeatureSchema(tuple(
             Feature(f"F{i}", ("0", "1")) for i in range(1, 5)
         ))
-        table = TableClassifier.from_function(schema, lambda v: 1 if "1" in v else 0)
+        table = table_from_function(schema, lambda v: 1 if "1" in v else 0)
         e = schema.entity("e", ("1", "1", "1", "1"))
         prog = emit_cip(schema, e, table, CipOptions())
         assert "ent(E,X1,X2,X3,X4,tr)" in prog.text
@@ -213,6 +213,16 @@ class TestEmbeddings:
         assert lines[0] == "cls(X,Y,Z,0) :- Y = high, dom1(X), dom3(Z)."
         assert lines[-1] == "cls(X,Y,Z,1) :- dom1(X), dom2(Y), dom3(Z), not cls(X,Y,Z,0)."
         assert lint_cip(prog.text) == []
+
+    @pytest.mark.parametrize("field, message", [
+        ("dialect", "unknown dialect 'clingo'"),
+        ("classifier_embedding", "unknown embedding 'clingo'"),
+        ("feature_tokens", "unknown feature token style 'clingo'"),
+    ])
+    def test_unknown_option_values(self, field, message):
+        with pytest.raises(InputError) as info:
+            CipOptions(**{field: "clingo"})
+        assert str(info.value) == message
 
     def test_external_stub_needs_asp_core_2(self):
         with pytest.raises(InputError, match="asp-core-2"):
@@ -298,7 +308,7 @@ class TestShift:
 
     def test_two_features_two_rules(self):
         schema = FeatureSchema((Feature("F1", ("0", "1")), Feature("F2", ("0", "1"))))
-        table = TableClassifier.from_function(
+        table = table_from_function(
             schema, lambda v: 0 if v == ("0", "0") else 1
         )
         e = schema.entity("e", ("1", "1"))
@@ -310,7 +320,7 @@ class TestShift:
 
     def test_one_feature_identity(self):
         schema = FeatureSchema((Feature("F", ("a", "b", "c")),))
-        table = TableClassifier.from_function(schema, lambda v: 1 if v[0] == "a" else 0)
+        table = table_from_function(schema, lambda v: 1 if v[0] == "a" else 0)
         e = schema.entity("e", ("a",))
         prog = emit_cip(schema, e, table, CipOptions())
         shifted = emit_cip(schema, e, table, CipOptions(shift=True))
@@ -383,7 +393,7 @@ class TestHardConstraints:
             Feature("b1", ("0", "1")),
             Feature("b2", ("0", "1")),
         ))
-        table = TableClassifier.from_function(schema, lambda v: 1 if v[1] == "1" else 0)
+        table = table_from_function(schema, lambda v: 1 if v[1] == "1" else 0)
         e = schema.entity("e", ("28", "1", "0"))
         cs = ConstraintSet(
             schema,
@@ -412,7 +422,7 @@ class TestHardConstraints:
             Feature("Size", ("low", "mid", "high"), ordered=True),
             Feature("b", ("0", "1")),
         ))
-        table = TableClassifier.from_function(schema, lambda v: 1 if v[1] == "1" else 0)
+        table = table_from_function(schema, lambda v: 1 if v[1] == "1" else 0)
         e = schema.entity("e", ("mid", "1"))
         cs = ConstraintSet(schema, actionability=(ActionabilityRule(0, "increase-only"),))
         prog = emit_cip(schema, e, table, CipOptions(hard_constraints=cs))
@@ -453,7 +463,7 @@ class TestConstants:
 
     def test_underscore_domain_emits_lintable_program(self):
         schema = FeatureSchema((Feature("F", ("_", "b")),))
-        table = TableClassifier.from_function(schema, lambda v: int(v[0] == "_"))
+        table = table_from_function(schema, lambda v: int(v[0] == "_"))
         prog = emit_cip(schema, schema.entity("e", ("_",)), table, CipOptions())
         assert 'dom1("_"). dom1(b).' in prog.text
         assert lint_cip(prog.text) == []
@@ -463,7 +473,7 @@ class TestConstants:
             Feature("Risk", ("high-risk", "low-risk")),
             Feature("Area", ("urban", "rural")),
         ))
-        table = TableClassifier.from_function(
+        table = table_from_function(
             schema, lambda v: 1 if v[0] == "high-risk" else 0
         )
         e = schema.entity("e", ("high-risk", "urban"))

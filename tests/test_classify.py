@@ -12,7 +12,7 @@ from cfx.classify import (
 )
 from cfx.errors import InputError
 from cfx.schema import Feature, FeatureSchema
-from conftest import T1_ROWS, TENNIS_RULES_TEXT
+from conftest import T1_ROWS, TENNIS_RULES_TEXT, table_from_function
 
 A_SCHEMA = FeatureSchema((Feature("A", ("0", "1")),))
 
@@ -126,7 +126,7 @@ class TestTableClassifier:
         assert str(info.value) == f"{p}: {message}"
 
     def test_from_function_is_total(self, bits_schema):
-        clf = TableClassifier.from_function(
+        clf = table_from_function(
             bits_schema, lambda v: 1 if v.count("1") >= 2 else 0
         )
         assert clf.coverage() == (8, 8)
@@ -151,7 +151,7 @@ class TestRuleClassifier:
         assert tennis_clf.label(("rain", "normal", "strong")) == 0
 
     def test_cross_backend_agreement_on_full_space(self, tennis_schema, tennis_clf):
-        table = TableClassifier.from_function(tennis_schema, tennis_clf.label)
+        table = table_from_function(tennis_schema, tennis_clf.label)
         vectors = list(tennis_schema.iter_space())
         assert len(vectors) == 12
         for vec in vectors:
@@ -251,6 +251,19 @@ class TestRuleSyntaxErrors:
         e = self.err("if Outlook=sunny then 1 extra\ndefault 0\n", tennis_schema)
         assert "unexpected tokens" in str(e)
 
+    @pytest.mark.parametrize("text, reason, line, column", [
+        ("if Outlook=sunny then 1\ndefault 0 1\n", "expected: default <0|1>", 2, 1),
+        ("  when Outlook=sunny then 1\ndefault 0\n", "expected 'if' or 'default'", 1, 3),
+        ("if Outlook=sunny and  \ndefault 0\n", "expected feature = value", 1, 21),
+        ("if Outlook=\ndefault 0\n", "expected a value after '='", 1, 4),
+        ("if Outlook=sunny then\ndefault 0\n", "expected a label after 'then'", 1, 18),
+        ("if Outlook=sunny or Wind=weak then 1\ndefault 0\n",
+         "expected 'and' or 'then'", 1, 18),
+    ])
+    def test_grammar_errors_position(self, tennis_schema, text, reason, line, column):
+        e = self.err(text, tennis_schema)
+        assert (e.reason, e.line, e.column) == (reason, line, column)
+
     def test_line_numbers_skip_comments(self, tennis_schema):
         e = self.err("# comment\n\nif Rain=yes then 1\ndefault 0\n", tennis_schema)
         assert e.line == 3
@@ -281,12 +294,10 @@ class TestRuleSyntaxErrors:
 
 
 class TestMemoClassifier:
-    def test_counts_and_cache(self, bits_schema):
+    def test_counts_and_cache(self):
         calls = []
 
         class Probe:
-            schema = bits_schema
-
             def label(self, values):
                 calls.append(tuple(values))
                 return 1 if values[0] == "1" else 0

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, payload purity, reproducibility."""
 
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -1007,6 +1008,34 @@ class TestStartup:
         defaults = aspgen.CipOptions()
         assert actions["dialect"].default == defaults.dialect
         assert actions["feature_tokens"].default == defaults.feature_tokens
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestStdoutWriteFailure:
+    """A payload that stdout cannot take exits 2 with one line naming the
+    reason, whether the write fails at once (unbuffered) or only when the
+    buffer is flushed."""
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_exit_2(self, files, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        argv = [
+            sys.executable, "-m", "cfx.cli", "classify",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(files / "e1.json"),
+            "--table", str(files / "table1.csv"),
+        ]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env
+            )
+        assert result.returncode == cli.EXIT_INPUT
+        reason, manifest = result.stderr.splitlines()
+        assert reason == f"cfx: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+        assert manifest_of(manifest)["classifier_calls"] == 1
 
 
 class TestExternalBackend:

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cfx.classify import TableClassifier
 from cfx.constrain import DenialConstraint, DenialLiteral
 from cfx.errors import InputError, NothingToExplainError
 from cfx.schema import Feature, FeatureSchema
 from cfx.score import (
+    SPACE_ENUMERATION_LIMIT,
     ConditionError,
     ConditionedDistribution,
     EmpiricalDistribution,
@@ -19,6 +19,7 @@ from cfx.score import (
     global_resp,
     local_resp,
 )
+from conftest import table_from_function
 
 
 def total_mass(dist, schema):
@@ -104,7 +105,8 @@ class TestProduct:
             bits_schema,
             [{"0": 0.1, "1": 0.9}, {"0": 0.5, "1": 0.5}, {"0": 0.25, "1": 0.75}],
         )
-        assert dist.marginals[0] == {"0": Fraction(1, 10), "1": Fraction(9, 10)}
+        assert dist.prob(("0", "0", "0")) == Fraction(1, 80)
+        assert dist.prob(("1", "1", "1")) == Fraction(27, 80)
 
     def test_unknown_value_rejected(self, bits_schema):
         with pytest.raises(InputError, match="not in its domain"):
@@ -230,6 +232,12 @@ class TestConditioned:
         with pytest.raises(ZeroMassError, match="zero mass"):
             ConditionedDistribution(UniformDistribution(bits_schema), everything)
 
+    def test_space_too_large_to_condition(self):
+        schema = FeatureSchema(tuple(Feature(f"F{i}", ("0", "1")) for i in range(21)))
+        assert schema.space_size() > SPACE_ENUMERATION_LIMIT
+        with pytest.raises(InputError, match="too large to enumerate"):
+            ConditionedDistribution(UniformDistribution(schema), [self.chi()])
+
     def test_agrees_with_oracle_table(self, bits_schema):
         chi = self.chi()
         dist = ConditionedDistribution(UniformDistribution(bits_schema), [chi])
@@ -248,7 +256,7 @@ class TestLocalResp:
         assert score == Fraction(1, 2)
 
     def test_no_flip_means_zero(self, bits_schema, e1):
-        ones = TableClassifier.from_function(bits_schema, lambda v: 1)
+        ones = table_from_function(bits_schema, lambda v: 1)
         dist = UniformDistribution(bits_schema)
         assert local_resp(bits_schema, ones, e1, 1, (), (), dist) == 0
 
@@ -299,7 +307,7 @@ class TestLocalResp:
     def test_gamma_damping(self, bits_schema):
         # classifier 0 only at (1,0,1): flipping F1 alone keeps label 1,
         # fixing F2=0 first makes the F1 resample flip half the time
-        clf = TableClassifier.from_function(
+        clf = table_from_function(
             bits_schema, lambda v: 0 if v == ("1", "0", "1") else 1
         )
         e = bits_schema.entity("e", ("0", "1", "1"))
@@ -318,7 +326,7 @@ class TestGlobalResp:
 
     def test_both_flip_toy(self):
         schema = FeatureSchema((Feature("F1", ("0", "1")), Feature("F2", ("0", "1"))))
-        clf = TableClassifier.from_function(
+        clf = table_from_function(
             schema, lambda v: 0 if v == ("0", "0") else 1
         )
         e = schema.entity("e", ("1", "1"))
@@ -330,7 +338,7 @@ class TestGlobalResp:
 
     def test_never_flipping_feature_scores_zero(self, bits_schema):
         # label depends on F1 only; F2 can never matter
-        clf = TableClassifier.from_function(
+        clf = table_from_function(
             bits_schema, lambda v: 1 if v[0] == "0" else 0
         )
         e = bits_schema.entity("e", ("0", "1", "1"))
@@ -342,7 +350,7 @@ class TestGlobalResp:
 
     def test_max_gamma_truncation_flagged(self):
         schema = FeatureSchema((Feature("F1", ("0", "1")), Feature("F2", ("0", "1"))))
-        clf = TableClassifier.from_function(
+        clf = table_from_function(
             schema, lambda v: 0 if v == ("0", "0") else 1
         )
         e = schema.entity("e", ("1", "1"))
@@ -350,6 +358,12 @@ class TestGlobalResp:
         result = global_resp(schema, clf, e, 0, dist, max_gamma=0)
         assert result.score == 0
         assert result.truncated
+
+    def test_negative_max_gamma_rejected(self, bits_schema, t1_table, e1):
+        dist = UniformDistribution(bits_schema)
+        with pytest.raises(InputError) as info:
+            global_resp(bits_schema, t1_table, e1, 0, dist, max_gamma=-1)
+        assert str(info.value) == "max_gamma must be >= 0"
 
     def test_label0_entity_rejected(self, bits_schema, t1_table):
         dist = UniformDistribution(bits_schema)

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cfx.classify import TableClassifier
 from cfx.constrain import ConstraintSet, DenialConstraint, DenialLiteral
 from cfx.errors import NothingToExplainError
 from cfx.schema import Feature, FeatureSchema
 from cfx.score import fraction_str, max_resp_features, x_resp
 from cfx.search import SearchConfig
+from conftest import table_from_function
 
 
 def by_name(report, schema):
@@ -109,7 +109,7 @@ class TestTennis:
 
 class TestEdges:
     def test_no_counterfactual_all_zero(self, bits_schema, e1):
-        ones = TableClassifier.from_function(bits_schema, lambda v: 1)
+        ones = table_from_function(bits_schema, lambda v: 1)
         report = x_resp(bits_schema, ones, e1)
         assert all(fs.score == 0 for fs in report.scores)
         assert max_resp_features(bits_schema, ones, e1) == frozenset()
@@ -125,7 +125,7 @@ class TestEdges:
         assert not report.authoritative
 
     def test_every_singleton_counterfactual_scores_one(self, bits_schema, e1):
-        only = TableClassifier.from_function(
+        only = table_from_function(
             bits_schema, lambda v: 1 if v == ("0", "1", "1") else 0
         )
         report = x_resp(bits_schema, only, e1)
@@ -137,7 +137,7 @@ class TestEdges:
         schema = FeatureSchema(tuple(
             Feature(f"F{i}", ("0", "1")) for i in range(1, 5)
         ))
-        deep = TableClassifier.from_function(
+        deep = table_from_function(
             schema, lambda v: 0 if v == ("1", "0", "0", "1") else 1
         )
         e = schema.entity("e", ("0", "1", "1", "0"))

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 import oracles
-from cfx.classify import MemoClassifier, TableClassifier
+from cfx.classify import MemoClassifier
 from cfx.constrain import ConstraintSet, DenialConstraint, DenialLiteral
 from cfx.errors import InputError, NothingToExplainError
 from cfx.schema import Feature, FeatureSchema
@@ -15,6 +15,7 @@ from cfx.search import (
     enumerate_counterfactuals,
     s_explanations,
 )
+from conftest import table_from_function
 
 
 def cf_values(result):
@@ -225,7 +226,7 @@ class TestModesAndConfig:
             enumerate_counterfactuals(bits_schema, t1_table, e7)
 
     def test_no_counterfactual_marker(self, bits_schema, e1):
-        ones = TableClassifier.from_function(bits_schema, lambda v: 1)
+        ones = table_from_function(bits_schema, lambda v: 1)
         result = enumerate_counterfactuals(bits_schema, ones, e1)
         assert result.explanations == []
         assert result.no_counterfactual
@@ -234,7 +235,7 @@ class TestModesAndConfig:
 
     def test_every_single_flip_counterfactual(self, bits_schema, e1):
         # only the original keeps label 1: every singleton is a c-explanation
-        only = TableClassifier.from_function(
+        only = table_from_function(
             bits_schema, lambda v: 1 if v == ("0", "1", "1") else 0
         )
         result = enumerate_counterfactuals(bits_schema, only, e1)
@@ -283,7 +284,7 @@ class TestScale:
         schema = FeatureSchema(tuple(
             Feature(f"F{i}", ("0", "1", "2")) for i in range(n)
         ))
-        clf = TableClassifier.from_function(
+        clf = table_from_function(
             schema, lambda v: int(2 * v.count("0") >= n)
         )
         entity = schema.entity("e", ("0",) * n)
