@@ -262,7 +262,7 @@ def _cmd_explain(args, schema, classifier, entity, constraints, manifest) -> int
         sys.stdout.write(result.to_json_text(schema))
     else:
         sys.stdout.write(_explain_table(schema, result))
-    return _outcome(bool(result.explanations), result.exhausted)
+    return _outcome(bool(result.hits), result.exhausted)
 
 
 def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
@@ -418,15 +418,16 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _explain_table(schema: FeatureSchema, result: search.SearchResult) -> str:
+    changed = [f"{f.name}={v}" for f, v in zip(schema.features, result.entity.values)]
     rows = [
         [
-            ", ".join(f"{schema.feature(i).name}={v}" for i, v in x.changed),
-            ",".join(x.counterfactual.values),
-            str(x.cardinality),
+            ", ".join([changed[i] for i in idxs]),
+            ",".join(cand),
+            str(len(idxs)),
             "yes" if s else "no",
             "yes" if c else "no",
         ]
-        for x, s, c in zip(result.explanations, result.s_flags, result.c_flags)
+        for (idxs, cand, s), c in zip(result.hits, result.c_flags)
     ]
     return _render_table(
         ["changed (original values)", "counterfactual", "card", "s-min", "c-min"], rows

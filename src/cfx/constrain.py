@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
-from .schema import FeatureSchema, _load_json, in_file
+from .schema import FeatureSchema, _coerce_value, _load_json, in_file
 
 FIXED = "fixed"
 INCREASE_ONLY = "increase-only"
@@ -150,22 +150,19 @@ def constraints_from_dict(data: dict, schema: FeatureSchema) -> ConstraintSet:
         lits = []
         for lit in _objects(raw, "literals"):
             try:
-                idx = schema.index_of(str(lit["feature"]))
-                value = str(lit["value"])
-            except (KeyError, TypeError):
-                raise InputError(
-                    "denial literal needs 'feature' and 'value'"
-                ) from None
-            lits.append(
-                DenialLiteral(idx, value, str(lit.get("polarity", EQ)))
-            )
+                idx = schema.index_of(_coerce_value(lit["feature"], "feature names"))
+                value = _coerce_value(lit["value"], "denial values")
+            except KeyError:
+                raise InputError("denial literal needs 'feature' and 'value'") from None
+            polarity = _coerce_value(lit.get("polarity", EQ), "polarities")
+            lits.append(DenialLiteral(idx, value, polarity))
         denials.append(DenialConstraint(tuple(lits)))
     actionability = []
     for raw in _objects(data, "actionability"):
         try:
-            idx = schema.index_of(str(raw["feature"]))
-            mode = str(raw["mode"])
-        except (KeyError, TypeError):
+            idx = schema.index_of(_coerce_value(raw["feature"], "feature names"))
+            mode = _coerce_value(raw["mode"], "actionability modes")
+        except KeyError:
             raise InputError("actionability rule needs 'feature' and 'mode'") from None
         actionability.append(ActionabilityRule(idx, mode))
     onehot = []
@@ -180,7 +177,8 @@ def constraints_from_dict(data: dict, schema: FeatureSchema) -> ConstraintSet:
                 'one-hot groups must be {"features": [...]} objects '
                 "or lists of feature names"
             )
-        onehot.append(OneHotGroup(tuple(schema.index_of(str(n)) for n in raw)))
+        names = [_coerce_value(n, "feature names") for n in raw]
+        onehot.append(OneHotGroup(tuple(map(schema.index_of, names))))
     return ConstraintSet(
         schema,
         denials=tuple(denials),

@@ -167,20 +167,14 @@ def schema_from_dict(data: dict) -> FeatureSchema:
     for item in raw:
         if not isinstance(item, dict) or "name" not in item or "domain" not in item:
             raise InputError("each feature needs 'name' and 'domain'")
+        name = _coerce_value(item["name"], "feature names")
         if not isinstance(item["domain"], list):
-            raise InputError(f"domain of feature {item['name']!r} must be a list")
+            raise InputError(f"domain of feature {name!r} must be a list")
         ordered = item.get("ordered", False)
         if not isinstance(ordered, bool):
-            raise InputError(
-                f"'ordered' of feature {item['name']!r} must be true or false"
-            )
-        feats.append(
-            Feature(
-                name=str(item["name"]),
-                domain=tuple(_coerce_value(v, "domain") for v in item["domain"]),
-                ordered=ordered,
-            )
-        )
+            raise InputError(f"'ordered' of feature {name!r} must be true or false")
+        domain = tuple(_coerce_value(v, "domain values") for v in item["domain"])
+        feats.append(Feature(name, domain, ordered))
     return FeatureSchema(tuple(feats))
 
 
@@ -193,8 +187,8 @@ def entity_from_dict(data: dict, schema: FeatureSchema) -> Entity:
         raise InputError("entity JSON needs 'id' and 'values'")
     if not isinstance(data["values"], list):
         raise InputError("entity 'values' must be a list")
-    values = [_coerce_value(v, "entity") for v in data["values"]]
-    return schema.entity(str(data["id"]), values)
+    values = [_coerce_value(v, "entity values") for v in data["values"]]
+    return schema.entity(_coerce_value(data["id"], "entity ids"), values)
 
 
 def load_entity(path: str | Path, schema: FeatureSchema) -> Entity:
@@ -219,15 +213,15 @@ def entities_from_csv(path: str | Path, schema: FeatureSchema) -> list[Entity]:
 
 
 def _coerce_value(v: object, kind: str) -> str:
-    # JSON files may spell categorical codes as bare numbers; treat them as
-    # the equivalent string token. ``kind`` names the values in errors.
+    # JSON files may spell codes, names and ids as bare integers, read as
+    # their decimal text. ``kind`` names the values in errors: "entity ids".
     if isinstance(v, str):
         return v
     if isinstance(v, bool):
-        raise InputError(f"boolean {kind} values are not supported; use strings")
+        raise InputError(f"boolean {kind} are not supported; use strings")
     if isinstance(v, int):
         return str(v)
-    raise InputError(f"{kind} values must be strings, got {v!r}")
+    raise InputError(f"{kind} must be strings, got {v!r}")
 
 
 def _load_json(path: str | Path) -> dict:

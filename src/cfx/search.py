@@ -8,10 +8,11 @@ with hits, so it issues at most sum(level sizes up to d*) queries.
 
 Candidate order is deterministic: index sets lexicographically, then value
 combinations in domain order. Results come back in that same canonical
-order (cardinality, index set, domain positions) without a sort, and each
-explanation is built straight from the index set and values that produced
-it. Subset-minimality is settled once per distinct changed-index set against
-the minimal sets of lower levels, which are the only possible strict subsets.
+order (cardinality, index set, domain positions) without a sort. Each hit is
+one row: changed-index set, counterfactual values, s-minimal flag; the
+explanations and c-minimal flags are views derived from the rows. A set's
+subset-minimality is settled at its first hit against the minimal sets of
+lower levels, which are the only possible strict subsets.
 
 A search may be truncated by ``max_cardinality`` or ``budget``; the result
 then carries ``exhausted=False`` and its minimality flags describe only the
@@ -58,37 +59,57 @@ class SearchStats:
 
 @dataclass
 class SearchResult:
-    """Counterfactual explanations for one entity, with minimality flags."""
+    """Counterfactual explanations for one entity, with minimality flags.
+
+    ``hits`` holds one (changed-index set, counterfactual values, s-minimal)
+    row per hit in walk order; every other view is derived from it.
+    """
 
     entity: Entity
-    explanations: list[Explanation]
-    s_flags: list[bool]
-    c_flags: list[bool]
+    hits: list[tuple[tuple[int, ...], tuple[str, ...], bool]]
     stats: SearchStats
     exhausted: bool
 
-    def __post_init__(self) -> None:
-        # every cardinality-minimal explanation must be subset-minimal
-        assert all(s or not c for s, c in zip(self.s_flags, self.c_flags))
+    @property
+    def explanations(self) -> list[Explanation]:
+        return self._kept([True] * len(self.hits))
+
+    @property
+    def s_flags(self) -> list[bool]:
+        return [s for _, _, s in self.hits]
+
+    @property
+    def c_flags(self) -> list[bool]:
+        # the walk yields hits by increasing cardinality, so the first is minimum
+        dstar = self.min_cardinality
+        return [len(idxs) == dstar for idxs, _, _ in self.hits]
 
     @property
     def s_set(self) -> list[Explanation]:
-        return [x for x, keep in zip(self.explanations, self.s_flags) if keep]
+        return self._kept(self.s_flags)
 
     @property
     def c_set(self) -> list[Explanation]:
-        return [x for x, keep in zip(self.explanations, self.c_flags) if keep]
+        return self._kept(self.c_flags)
+
+    def _kept(self, flags: list[bool]) -> list[Explanation]:
+        """The explanations of the hits whose flag is set."""
+        e, out, last = self.entity, [], None
+        for (idxs, cand, _), keep in zip(self.hits, flags):
+            if keep:
+                if idxs != last:  # hits of one index set share its pairs
+                    last, changed = idxs, tuple((i, e.values[i]) for i in idxs)
+                out.append(Explanation(changed, Entity(e.id, cand)))
+        return out
 
     @property
     def min_cardinality(self) -> int | None:
-        if not self.explanations:
-            return None
-        return self.explanations[0].cardinality
+        return len(self.hits[0][0]) if self.hits else None
 
     @property
     def no_counterfactual(self) -> bool:
         """Definitively nothing to reach: empty and nothing was truncated."""
-        return not self.explanations and self.exhausted
+        return not self.hits and self.exhausted
 
     def to_json_dict(self, schema: FeatureSchema) -> dict:
         return self._payload(
@@ -107,7 +128,7 @@ class SearchResult:
         only the top-level skeleton around them.
         """
         text = json.dumps(self._payload([]), indent=2)
-        if self.explanations:
+        if self.hits:
             # json never writes a raw newline inside a string, so the marker
             # can only be the top-level key
             head, _, tail = text.partition('\n  "explanations": []')
@@ -115,22 +136,22 @@ class SearchResult:
         return text + "\n"
 
     def _json_rows(self, schema: FeatureSchema) -> str:
-        changed = []
-        values = []
-        for f in schema.features:
-            key = f"        {_quote(f.name)}: "
-            changed.append({v: key + _quote(v) for v in f.domain})
-            values.append({v: "        " + _quote(v) for v in f.domain})
+        # "changed" maps each changed feature to its original value
+        changed = [
+            f"        {_quote(f.name)}: {_quote(v)}"
+            for f, v in zip(schema.features, self.entity.values)
+        ]
+        values = [{v: "        " + _quote(v) for v in f.domain} for f in schema.features]
         flag = ("false", "true")
         return ",\n".join(
             [
                 '    {\n      "changed": {\n'
-                + ",\n".join([changed[i][v] for i, v in x.changed])
+                + ",\n".join([changed[i] for i in idxs])
                 + '\n      },\n      "counterfactual": [\n'
-                + ",\n".join([q[v] for q, v in zip(values, x.counterfactual.values)])
-                + f'\n      ],\n      "cardinality": {x.cardinality},'
+                + ",\n".join([q[v] for q, v in zip(values, cand)])
+                + f'\n      ],\n      "cardinality": {len(idxs)},'
                 f'\n      "s_minimal": {flag[s]},\n      "c_minimal": {flag[c]}\n    }}'
-                for x, s, c in zip(self.explanations, self.s_flags, self.c_flags)
+                for (idxs, cand, s), c in zip(self.hits, self.c_flags)
             ]
         )
 
@@ -204,16 +225,16 @@ def enumerate_counterfactuals(
 
     values = entity.values
     alternatives = cs.alternatives(values)
-    explanations: list[Explanation] = []
-    s_flags: list[bool] = []
-    # (changed pairs, s-verdict) per changed-index set, and the bitmasks of
-    # the minimal sets. A strict subset of a level-k set lies on a lower
-    # level, and a non-minimal one contains a minimal one, so checking a new
-    # set against the minimal masks found so far settles it; two sets of one
-    # level are never strict subsets of each other.
-    seen: dict[tuple[int, ...], tuple[tuple[tuple[int, str], ...], bool]] = {}
+    hits: list[tuple[tuple[int, ...], tuple[str, ...], bool]] = []
+    # Bitmasks of the minimal sets. A strict subset of a level-k set lies on
+    # a lower level, and a non-minimal one contains a minimal one, so checking
+    # a new set against the minimal masks found so far settles it; two sets
+    # of one level are never strict subsets of each other. The walk yields
+    # all candidates of one index set together, so a set is settled at its
+    # first hit and ``last`` carries the verdict to the rest.
     minimal_masks: list[int] = []
-    truncated = stopped_early = False
+    last: tuple[int, ...] = ()
+    minimal = truncated = stopped_early = False
 
     for k in range(1, bound + 1):
         stats.levels_explored = k
@@ -229,20 +250,16 @@ def enumerate_counterfactuals(
         for idxs, cand in admissible[:granted]:
             if classifier.label(cand) != 0:
                 continue
-            if idxs not in seen:
+            if idxs != last:
+                last = idxs
                 mask = sum(1 << i for i in idxs)
                 minimal = not any(m & mask == m for m in minimal_masks)
                 if minimal:
                     minimal_masks.append(mask)
-                seen[idxs] = (tuple((i, values[i]) for i in idxs), minimal)
-            changed, minimal = seen[idxs]
-            explanations.append(
-                Explanation(changed, Entity(id=entity.id, values=cand))
-            )
-            s_flags.append(minimal)
+            hits.append((idxs, cand, minimal))
         if truncated:
             break
-        if stop_at_first_hit and explanations:
+        if stop_at_first_hit and hits:
             stopped_early = True
             break
 
@@ -255,18 +272,7 @@ def enumerate_counterfactuals(
     else:
         exhausted = bound == n
 
-    # the walk yields hits by increasing cardinality, so the first is minimum
-    dstar = explanations[0].cardinality if explanations else None
-    c_flags = [x.cardinality == dstar for x in explanations]
-
-    return SearchResult(
-        entity=entity,
-        explanations=explanations,
-        s_flags=s_flags,
-        c_flags=c_flags,
-        stats=stats,
-        exhausted=exhausted,
-    )
+    return SearchResult(entity=entity, hits=hits, stats=stats, exhausted=exhausted)
 
 
 def c_explanations(

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import oracles
-from cfx import aspgen, cli
+from cfx import aspgen, cli, search
 from cfx.classify import parse_rules
-from cfx.schema import load_schema
+from cfx.schema import Explanation, load_schema
 from cfx.score import fraction_str
 from conftest import GOLDEN, T1_ROWS, TENNIS_RULES_TEXT
 
@@ -166,16 +166,44 @@ class TestExplain:
         assert "s-min" in out.splitlines()[0]
         assert any("F2=1" in line for line in out.splitlines())
 
-    def test_json_matches_golden_bytes(self, capsys, files):
-        # tennis covers all four combinations of the s- and c-minimal flags
-        code, out, _ = run(capsys, [
+    def tennis_argv(self, files, *extra):
+        return [
             "explain",
             "--schema", str(files / "tennis_schema.json"),
             "--entity", str(files / "tennis_e.json"),
             "--rules", str(files / "tennis.rules"),
-        ])
+            *extra,
+        ]
+
+    def test_json_matches_golden_bytes(self, capsys, files):
+        # tennis covers all four combinations of the s- and c-minimal flags
+        code, out, _ = run(capsys, self.tennis_argv(files))
         assert code == 0
         assert out == (GOLDEN / "tennis_explain.json").read_text(encoding="utf-8")
+
+    def test_table_matches_golden_bytes(self, capsys, files):
+        code, out, _ = run(capsys, self.tennis_argv(files, "--format", "table"))
+        assert code == 0
+        assert out == (GOLDEN / "tennis_explain_table.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_renders_without_explanation_objects(
+        self, capsys, files, monkeypatch, fmt, tennis_schema, tennis_clf, tennis_entity
+    ):
+        # every hit is a row; no explain path may build a per-hit object
+        built = []
+        init = Explanation.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Explanation, "__init__", counting)
+        code, out, _ = run(capsys, self.tennis_argv(files, "--format", fmt))
+        assert (code, len(built)) == (0, 0)
+        # the counter does see the objects the API's views build
+        result = search.enumerate_counterfactuals(tennis_schema, tennis_clf, tennis_entity)
+        assert len(result.explanations) == len(built) == 4
 
     def test_padded_table_header(self, capsys, files):
         padded = files / "padded.csv"
@@ -492,7 +520,50 @@ class TestErrorsNameTheirFile:
          ["score", *TENNIS, *RULES, "--prob", "uniform",
           "--condition", "{d}/constraints.json"],
          "unknown feature 'f99'"),
-    ], ids=["schema", "entity", "constraints", "condition"])
+        ("tennis_schema.json", {"features": {"name": "a"}},
+         ["classify", *TENNIS, *RULES], "'features' must be a list"),
+        ("tennis_schema.json", {"features": [{"name": "a"}]},
+         ["classify", *TENNIS, *RULES], "each feature needs 'name' and 'domain'"),
+        ("tennis_schema.json", {"features": [{"name": None, "domain": ["x", "y"]}]},
+         ["classify", *TENNIS, *RULES], "feature names must be strings, got None"),
+        ("tennis_schema.json", {"features": [{"name": True, "domain": ["x", "y"]}]},
+         ["classify", *TENNIS, *RULES],
+         "boolean feature names are not supported; use strings"),
+        ("tennis_e.json", {"values": ["sunny", "normal", "weak"]},
+         ["classify", *TENNIS, *RULES], "entity JSON needs 'id' and 'values'"),
+        ("tennis_e.json", {"id": None, "values": ["sunny", "normal", "weak"]},
+         ["explain", *TENNIS, *RULES], "entity ids must be strings, got None"),
+        ("tennis_e.json", {"id": 1.5, "values": ["sunny", "normal", "weak"]},
+         ["explain", *TENNIS, *RULES], "entity ids must be strings, got 1.5"),
+        ("tennis_e.json", {"id": {"a": 1}, "values": ["sunny", "normal", "weak"]},
+         ["explain", *TENNIS, *RULES], "entity ids must be strings, got {'a': 1}"),
+        ("constraints.json", {"actionability": [{"feature": "Wind"}]},
+         ["explain", *TENNIS, *RULES, "--constraints", "{d}/constraints.json"],
+         "actionability rule needs 'feature' and 'mode'"),
+        ("constraints.json", {"actionability": [{"feature": None, "mode": "fixed"}]},
+         ["explain", *TENNIS, *RULES, "--constraints", "{d}/constraints.json"],
+         "feature names must be strings, got None"),
+        ("constraints.json", {"actionability": [{"feature": "Wind", "mode": True}]},
+         ["explain", *TENNIS, *RULES, "--constraints", "{d}/constraints.json"],
+         "boolean actionability modes are not supported; use strings"),
+        ("constraints.json",
+         {"denials": [{"literals": [{"feature": "Wind", "value": ["weak"]}]}]},
+         ["explain", *TENNIS, *RULES, "--constraints", "{d}/constraints.json"],
+         "denial values must be strings, got ['weak']"),
+        ("constraints.json", {"denials": [{"literals": [
+            {"feature": "Wind", "value": "weak", "polarity": None}]}]},
+         ["explain", *TENNIS, *RULES, "--constraints", "{d}/constraints.json"],
+         "polarities must be strings, got None"),
+        ("constraints.json", {"onehot": [[None, "Wind"]]},
+         ["explain", *TENNIS, *RULES, "--constraints", "{d}/constraints.json"],
+         "feature names must be strings, got None"),
+    ], ids=[
+        "schema", "entity", "constraints", "condition",
+        "features-not-list", "feature-without-domain", "null-name", "bool-name",
+        "entity-without-id", "null-id", "float-id", "object-id",
+        "rule-without-mode", "null-rule-feature", "bool-mode",
+        "list-denial-value", "null-polarity", "null-onehot-member",
+    ])
     def test_json_errors(self, capsys, files, victim, data, argv, message):
         (files / victim).write_text(json.dumps(data))
         code, out, err = run(capsys, [a.format(d=files) for a in argv])
@@ -745,6 +816,11 @@ class TestScore:
         code, out, _ = run(capsys, self.tennis_argv(files, "--format", "table", *extra))
         assert code == cli.EXIT_OK
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_x_resp_json_matches_golden_bytes(self, capsys, files):
+        code, out, _ = run(capsys, self.tennis_argv(files))
+        assert code == cli.EXIT_OK
+        assert out == (GOLDEN / "tennis_score.json").read_text(encoding="utf-8")
 
     def test_prob_empirical_matches_oracle(self, capsys, files):
         self.check_empirical(capsys, files)

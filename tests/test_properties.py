@@ -172,6 +172,7 @@ class TestSearchInvariants:
         )
         assert result.s_flags == [v in s_vals for v in got]
         assert result.c_flags == [v in c_vals for v in got]
+        assert all(s or not c for s, c in zip(result.s_flags, result.c_flags))
 
     @settings(max_examples=100, deadline=None)
     @given(classified_spaces(ordered=True), st.data())

@@ -335,6 +335,15 @@ class TestResultShape:
         }
         assert payload["stats"]["classifier_calls"] == 8
 
+    def test_one_row_per_hit(self, bits_schema, t1_table, e1):
+        # (changed-index set, counterfactual values, s-minimal), walk order
+        result = enumerate_counterfactuals(bits_schema, t1_table, e1)
+        assert result.hits == [
+            ((1,), ("0", "0", "1"), True),
+            ((0, 1), ("1", "0", "1"), False),
+            ((1, 2), ("0", "0", "0"), False),
+        ]
+
     def test_counterfactual_entities_keep_id(self, bits_schema, t1_table, e1):
         result = enumerate_counterfactuals(bits_schema, t1_table, e1)
         assert all(x.counterfactual.id == "e" for x in result.explanations)
