@@ -10,7 +10,11 @@ expected label drop under a population distribution: fix a contingency set
 of other features at new values, then compare the label of the intervened
 entity against the expected label when the scrutinized feature is resampled
 from the distribution conditioned on everything else. The global score
-maximizes that quantity over contingency sets of minimum size.
+maximizes that quantity over contingency sets of minimum size. Every
+distribution gives integer weights, so the local score is an integer pair
+(slice mass, mass that loses label 1); candidates of one size, which share
+the damping divisor, are ranked by cross-multiplying those pairs, and each
+feature gets one ``Fraction``.
 
 Distributions: uniform over the product space, fully factorized (product of
 per-feature marginals), empirical (frequencies of a sample), and any of
@@ -195,11 +199,12 @@ class Distribution:
     def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
         """Weights of the vectors that differ from ``values`` only at feature
         ``index``, keyed by that feature's value in domain order. Divided by
-        their sum, they are the feature's distribution given the others."""
+        their sum, they are the feature's distribution given the others.
+
+        The values other than ``values[index]`` must be known to be in their
+        domains, as for ``weight``: nothing here checks them again."""
         domain = self.schema.feature(index).domain
         varied = list(values)
-        varied[index] = domain[0]
-        self.schema.check_values(varied)
         weights = {}
         for v in domain:
             varied[index] = v
@@ -410,27 +415,33 @@ def local_resp(
         raise ConditionError(
             4, "the contingency intervention alone must keep label 1"
         )
-    return _local_core(classifier, tuple(primed), f_star, len(gamma), dist)
+    total, lost = _local_core(classifier, tuple(primed), f_star, dist)
+    return Fraction(lost, total * (1 + len(gamma)))
 
 
 def _local_core(
     classifier,
     primed: tuple[str, ...],
     f_star: int,
-    gamma_size: int,
     dist: Distribution,
-) -> Fraction:
+) -> tuple[int, int]:
+    """(slice mass, mass whose label is not 1) when ``f_star`` is resampled
+    in ``primed``. The caller has checked that ``primed`` carries label 1,
+    so its own value at ``f_star`` is not asked again."""
     weights = dist.conditional(primed, f_star)
+    own = primed[f_star]
     varied = list(primed)
-    total = kept = 0
+    total = lost = 0
     for v, w in weights.items():
         if w == 0:
             continue
         total += w
+        if v == own:
+            continue
         varied[f_star] = v
-        if classifier.label(tuple(varied)) == 1:
-            kept += w
-    return Fraction(total - kept, total * (1 + gamma_size))
+        if classifier.label(tuple(varied)) != 1:
+            lost += w
+    return total, lost
 
 
 def global_resp(
@@ -460,22 +471,26 @@ def global_resp(
     bound = n_others if max_gamma is None else min(max_gamma, n_others)
 
     for size in range(0, bound + 1):
-        best: tuple[Fraction, tuple[int, ...], tuple[str, ...]] | None = None
+        # every score of one size is lost / (total * (1 + size)), so the
+        # pairs compare by cross-multiplication; (0, 1) admits only lost > 0
+        best_lost, best_total = 0, 1
+        best: tuple[tuple[int, ...], tuple[str, ...]] | None = None
         for gamma, primed in search.level_candidates(alternatives, values, size):
             if classifier.label(primed) != 1:
                 continue
             try:
-                score = _local_core(classifier, primed, f_star, size, dist)
+                total, lost = _local_core(classifier, primed, f_star, dist)
             except ZeroMassError:
                 continue
-            if score > 0 and (best is None or score > best[0]):
-                best = (score, gamma, tuple(primed[i] for i in gamma))
+            if lost * best_total > best_lost * total:
+                best_lost, best_total, best = lost, total, (gamma, primed)
         if best is not None:
+            gamma, primed = best
             return GlobalScore(
                 feature=f_star,
-                score=best[0],
-                gamma=best[1],
-                gamma_values=best[2],
+                score=Fraction(best_lost, best_total * (1 + size)),
+                gamma=gamma,
+                gamma_values=tuple(primed[i] for i in gamma),
                 truncated=False,
             )
     return GlobalScore(

@@ -728,18 +728,20 @@ class TestScore:
 
     @pytest.mark.parametrize("inputs, prob, calls, scores", [
         (("bits_schema.json", "e1.json", "--table", "table1.csv"),
-         "uniform", (22, 7), ["0/1", "1/2", "0/1"]),
+         "uniform", (17, 7), ["0/1", "1/2", "0/1"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         "product:tennis_marginals.csv", (21, 6), ["1/4", "1/3", "1/8"]),
+         "product:tennis_marginals.csv", (16, 6), ["1/4", "1/3", "1/8"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         "empirical:tennis_sample.csv", (17, 6), ["1/2", "1/3", "1/2"]),
+         "empirical:tennis_sample.csv", (14, 6), ["1/2", "1/3", "1/2"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules",
           "--condition", "constraints.json"),
-         "empirical:tennis_sample.csv", (20, 9), ["0/1", "1/3", "0/1"]),
+         "empirical:tennis_sample.csv", (16, 9), ["0/1", "1/3", "0/1"]),
     ])
     def test_prob_call_counts(self, capsys, files, inputs, prob, calls, scores):
         # label queries and cache misses of one global_resp walk per
-        # feature; the counts a faster conditional or backend must keep
+        # feature: one query per contingency candidate, plus, for each
+        # candidate that keeps label 1, one per other value of the
+        # scrutinized feature with weight in its slice
         schema, entity, backend, model, *condition = inputs
         prob = prob.replace(":", f":{files}/", 1)
         code, out, err = run(capsys, [
@@ -821,6 +823,15 @@ class TestScore:
         code, out, _ = run(capsys, self.tennis_argv(files))
         assert code == cli.EXIT_OK
         assert out == (GOLDEN / "tennis_score.json").read_text(encoding="utf-8")
+
+    def test_prob_json_matches_golden_bytes(self, capsys, files, monkeypatch):
+        # pins score, score_decimal, the gamma dicts and truncated; the
+        # relative path keeps the echoed distribution spec stable
+        monkeypatch.chdir(files)
+        argv = self.tennis_argv(files)
+        code, out, _ = run(capsys, [*argv, "--prob", "product:tennis_marginals.csv"])
+        assert code == cli.EXIT_OK
+        assert out == (GOLDEN / "tennis_prob.json").read_text(encoding="utf-8")
 
     def test_prob_empirical_matches_oracle(self, capsys, files):
         self.check_empirical(capsys, files)

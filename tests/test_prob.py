@@ -7,7 +7,7 @@ import pytest
 import oracles
 from cfx.constrain import DenialConstraint, DenialLiteral
 from cfx.errors import InputError, NothingToExplainError
-from cfx.schema import Feature, FeatureSchema
+from cfx.schema import Entity, Feature, FeatureSchema
 from cfx.score import (
     SPACE_ENUMERATION_LIMIT,
     ConditionError,
@@ -24,6 +24,19 @@ from conftest import table_from_function
 
 def total_mass(dist, schema):
     return sum((dist.prob(v) for v in schema.iter_space()), Fraction(0))
+
+
+# Distribution.conditional trusts its caller to pass in-domain values, so
+# both scores must reject an entity outside its domain before conditioning
+DISTRIBUTIONS = pytest.mark.parametrize("make_dist", [
+    UniformDistribution,
+    lambda schema: ProductDistribution(
+        schema, [{"0": Fraction(1, 2), "1": Fraction(1, 2)}] * len(schema)
+    ),
+    lambda schema: EmpiricalDistribution(schema, [("0", "1", "1")]),
+], ids=["uniform", "product", "empirical"])
+OUTSIDE = Entity("e", ("0", "2", "1"))
+OUTSIDE_MESSAGE = "value '2' not in domain of feature 'F2'"
 
 
 class TestUniform:
@@ -283,6 +296,14 @@ class TestLocalResp:
         with pytest.raises(ConditionError) as info:
             local_resp(bits_schema, t1_table, e1, 1, (0,), ("2",), dist)
         assert info.value.condition == 2
+        assert str(info.value) == "value '2' not in domain of 'F1'"
+
+    @DISTRIBUTIONS
+    def test_entity_outside_domain_rejected(self, bits_schema, t1_table, make_dist):
+        with pytest.raises(InputError) as info:
+            local_resp(bits_schema, t1_table, OUTSIDE, 0, (), (), make_dist(bits_schema))
+        assert type(info.value) is InputError
+        assert str(info.value) == OUTSIDE_MESSAGE
 
     def test_condition_4_entity_label(self, bits_schema, t1_table):
         dist = UniformDistribution(bits_schema)
@@ -364,6 +385,13 @@ class TestGlobalResp:
         with pytest.raises(InputError) as info:
             global_resp(bits_schema, t1_table, e1, 0, dist, max_gamma=-1)
         assert str(info.value) == "max_gamma must be >= 0"
+
+    @DISTRIBUTIONS
+    def test_entity_outside_domain_rejected(self, bits_schema, t1_table, make_dist):
+        with pytest.raises(InputError) as info:
+            global_resp(bits_schema, t1_table, OUTSIDE, 0, make_dist(bits_schema))
+        assert type(info.value) is InputError
+        assert str(info.value) == OUTSIDE_MESSAGE
 
     def test_label0_entity_rejected(self, bits_schema, t1_table):
         dist = UniformDistribution(bits_schema)

@@ -99,6 +99,47 @@ def draw_marginals(data, schema):
     return marginals
 
 
+def draw_distribution(data, schema):
+    """A uniform, product or empirical distribution, perhaps conditioned on
+    drawn denials, and its probability table from tests/oracles.py.
+
+    When the denials leave no mass, checks that conditioning refuses them
+    and returns ``(None, None)``.
+    """
+    domains = [f.domain for f in schema.features]
+    kind = data.draw(st.sampled_from(("uniform", "product", "empirical")))
+    if kind == "uniform":
+        dist, table = UniformDistribution(schema), oracles.uniform_table(domains)
+    elif kind == "product":
+        # zero weights leave some conditional slices without mass
+        marginals = draw_marginals(data, schema)
+        dist = ProductDistribution(schema, marginals)
+        table = oracles.product_table(domains, marginals)
+    else:
+        vectors = st.tuples(*map(st.sampled_from, domains))
+        sample = data.draw(st.lists(vectors, min_size=1, max_size=6))
+        dist = EmpiricalDistribution(schema, sample)
+        table = oracles.empirical_table(sample)
+    if not data.draw(st.booleans(), label="conditioned"):
+        return dist, table
+    literal = st.integers(0, len(domains) - 1).flatmap(lambda i: st.tuples(
+        st.just(i), st.sampled_from(domains[i]), st.sampled_from((EQ, NE))
+    ))
+    denials = data.draw(st.lists(
+        st.lists(literal, min_size=1, max_size=2), min_size=1, max_size=2
+    ))
+    table = oracles.condition_table(table, lambda vec: not any(
+        all((vec[i] == v) == (polarity == EQ) for i, v, polarity in chi)
+        for chi in denials
+    ))
+    chis = [DenialConstraint(tuple(DenialLiteral(*lit) for lit in chi)) for chi in denials]
+    if table is None:
+        with pytest.raises(ZeroMassError, match="conditioning event has zero mass"):
+            ConditionedDistribution(dist, chis)
+        return None, None
+    return ConditionedDistribution(dist, chis), table
+
+
 @st.composite
 def rule_lists(draw):
     """A schema, a rule list over it, a default, and vectors to label.
@@ -323,20 +364,16 @@ class TestScoreInvariants:
             else:
                 assert fs.witness is None
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(classified_spaces(), st.sampled_from([None, 0, 1]), st.data())
     def test_global_resp_matches_brute_force(self, case, max_gamma, data):
+        # results only: the oracle also asks zero-weight slice values
         schema, table, entity = case
         clf = TableClassifier(schema, table)
         domains = [f.domain for f in schema.features]
-        if data.draw(st.booleans(), label="uniform"):
-            dist = UniformDistribution(schema)
-            dist_table = oracles.uniform_table(domains)
-        else:
-            # zero weights leave some conditional slices without mass
-            marginals = draw_marginals(data, schema)
-            dist = ProductDistribution(schema, marginals)
-            dist_table = oracles.product_table(domains, marginals)
+        dist, dist_table = draw_distribution(data, schema)
+        if dist is None:
+            return
         n = len(schema.features)
         for f_star in range(n):
             got = global_resp(schema, clf, entity, f_star, dist, max_gamma)
@@ -354,36 +391,9 @@ class TestScoreInvariants:
         # every distribution, plain or conditioned on denials, against the
         # probability tables of tests/oracles.py
         domains = [f.domain for f in schema.features]
-        kind = data.draw(st.sampled_from(("uniform", "product", "empirical")))
-        if kind == "uniform":
-            dist, table = UniformDistribution(schema), oracles.uniform_table(domains)
-        elif kind == "product":
-            # zero weights leave some conditional slices without mass
-            marginals = draw_marginals(data, schema)
-            dist = ProductDistribution(schema, marginals)
-            table = oracles.product_table(domains, marginals)
-        else:
-            vectors = st.tuples(*map(st.sampled_from, domains))
-            sample = data.draw(st.lists(vectors, min_size=1, max_size=6))
-            dist = EmpiricalDistribution(schema, sample)
-            table = oracles.empirical_table(sample)
-        if data.draw(st.booleans(), label="conditioned"):
-            literal = st.integers(0, len(domains) - 1).flatmap(lambda i: st.tuples(
-                st.just(i), st.sampled_from(domains[i]), st.sampled_from((EQ, NE))
-            ))
-            denials = data.draw(st.lists(
-                st.lists(literal, min_size=1, max_size=2), min_size=1, max_size=2
-            ))
-            table = oracles.condition_table(table, lambda vec: not any(
-                all((vec[i] == v) == (polarity == EQ) for i, v, polarity in chi)
-                for chi in denials
-            ))
-            chis = [DenialConstraint(tuple(DenialLiteral(*lit) for lit in chi)) for chi in denials]
-            if table is None:
-                with pytest.raises(ZeroMassError, match="conditioning event has zero mass"):
-                    ConditionedDistribution(dist, chis)
-                return
-            dist = ConditionedDistribution(dist, chis)
+        dist, table = draw_distribution(data, schema)
+        if dist is None:
+            return
         for vec in schema.iter_space():
             assert dist.prob(vec) == oracles.prob_of(table, vec)
         values = data.draw(st.tuples(*map(st.sampled_from, domains)))
