@@ -88,40 +88,30 @@ class Section:
     comment: str | None
     lines: list[str]
 
+    @property
+    def block(self) -> list[str]:
+        """The section as printed: its ``%`` comment line, if any, then its lines."""
+        return [f"% {self.comment}", *self.lines] if self.comment else self.lines
+
 
 @dataclass
 class CipProgram:
-    """Rendered program as named sections of lines."""
+    """Rendered program as named sections of lines, one blank line apart."""
 
     sections: list[Section]
 
     @property
     def text(self) -> str:
-        chunks: list[str] = []
-        for section in self.sections:
-            block: list[str] = []
-            if section.comment:
-                block.append(f"% {section.comment}")
-            block.extend(section.lines)
-            chunks.append("\n".join(block))
-        return "\n\n".join(chunks) + "\n"
+        return "\n\n".join("\n".join(s.block) for s in self.sections) + "\n"
 
     def section_index(self) -> list[dict]:
         index = []
         line = 1
         for section in self.sections:
-            height = len(section.lines) + (1 if section.comment else 0)
-            index.append(
-                {"section": section.name, "start": line, "end": line + height - 1}
-            )
-            line += height + 1  # blank separator
+            end = line + len(section.block) - 1
+            index.append({"section": section.name, "start": line, "end": end})
+            line = end + 2  # blank separator
         return index
-
-    def section(self, name: str) -> Section:
-        for s in self.sections:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 # --- constant rendering -------------------------------------------------------
@@ -187,7 +177,7 @@ def emit_cip(
     options: CipOptions | None = None,
 ) -> CipProgram:
     opts = options or CipOptions()
-    schema.check_entity(entity)
+    schema.check_values(entity.values)
 
     n = len(schema)
     v = _var_names(n)

@@ -104,13 +104,10 @@ class FeatureSchema:
                     f"value {v!r} not in domain of feature {f.name!r}"
                 )
 
-    def check_entity(self, e: Entity) -> None:
-        self.check_values(e.values)
-
     def entity(self, id: str, values: Iterable[str]) -> Entity:
         """Build and validate an entity over this schema."""
         e = Entity(id=id, values=tuple(values))
-        self.check_entity(e)
+        self.check_values(e.values)
         return e
 
 

@@ -42,7 +42,7 @@ from .schema import (
     read_csv,
     reject_row,
 )
-from .search import SearchConfig, SearchResult, enumerate_counterfactuals
+from .search import SearchConfig, enumerate_counterfactuals
 
 # refuse to sweep product spaces beyond this when a distribution needs
 # full-space enumeration (conditioning mass, sanity sums)
@@ -117,19 +117,6 @@ class RespReport:
         }
 
 
-def _report_from_result(
-    schema: FeatureSchema, result: SearchResult
-) -> RespReport:
-    s_set = result.s_set
-    scores = []
-    for i in range(len(schema)):
-        # the s-set runs smallest first, so the first hit is a smallest one
-        best = next((x for x in s_set if i in x.changed_indices), None)
-        score = Fraction(0) if best is None else Fraction(1, best.cardinality)
-        scores.append(FeatureScore(i, score, best))
-    return RespReport(result.entity, scores, authoritative=result.exhausted)
-
-
 def x_resp(
     schema: FeatureSchema,
     classifier,
@@ -139,7 +126,14 @@ def x_resp(
 ) -> RespReport:
     """Reciprocal-size responsibility of every feature value of ``entity``."""
     result = enumerate_counterfactuals(schema, classifier, entity, constraints, config)
-    return _report_from_result(schema, result)
+    s_set = result.s_set
+    scores = []
+    for i in range(len(schema)):
+        # the s-set runs smallest first, so the first hit is a smallest one
+        best = next((x for x in s_set if i in x.changed_indices), None)
+        score = Fraction(0) if best is None else Fraction(1, best.cardinality)
+        scores.append(FeatureScore(i, score, best))
+    return RespReport(entity, scores, authoritative=result.exhausted)
 
 
 def max_resp_features(
@@ -151,20 +145,15 @@ def max_resp_features(
 ) -> frozenset[int]:
     """Features attaining the maximum score; empty iff no counterfactual.
 
-    These are exactly the features changed by some minimum-cardinality
-    explanation, which is cross-checked against the scores.
+    The maximum score is 1/d* for the minimum cardinality d*, and every hit
+    on level d* is subset-minimal, so these are the features changed by the
+    minimum-cardinality explanations: the walk stops at the first level with
+    hits.
     """
-    result = enumerate_counterfactuals(schema, classifier, entity, constraints, config)
-    from_c = frozenset(i for x in result.c_set for i in x.changed_indices)
-    report = _report_from_result(schema, result)
-    top = max((fs.score for fs in report.scores), default=Fraction(0))
-    from_scores = (
-        frozenset(fs.feature for fs in report.scores if fs.score == top)
-        if top > 0
-        else frozenset()
+    result = enumerate_counterfactuals(
+        schema, classifier, entity, constraints, config, stop_at_first_hit=True
     )
-    assert from_c == from_scores
-    return from_c
+    return frozenset(i for idxs, _, _ in result.hits for i in idxs)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +376,7 @@ def local_resp(
     the label of the resulting entity must still be 1. The score is
     (1 - E[label | all features but f_star fixed]) / (1 + |gamma|).
     """
-    schema.check_entity(entity)
+    schema.check_values(entity.values)
     schema.feature(f_star)
     gamma = tuple(gamma)
     if len(set(gamma)) != len(gamma):
@@ -476,7 +465,8 @@ def global_resp(
         best_lost, best_total = 0, 1
         best: tuple[tuple[int, ...], tuple[str, ...]] | None = None
         for gamma, primed in search.level_candidates(alternatives, values, size):
-            if classifier.label(primed) != 1:
+            # the size-0 candidate is the entity, whose label 1 was just read
+            if gamma and classifier.label(primed) != 1:
                 continue
             try:
                 total, lost = _local_core(classifier, primed, f_star, dist)

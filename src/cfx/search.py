@@ -173,7 +173,7 @@ class SearchResult:
 def require_label_one(schema: FeatureSchema, classifier, entity: Entity) -> None:
     """Check ``entity`` against ``schema`` and ask ``classifier`` for its
     label, which must be 1 for there to be anything to explain."""
-    schema.check_entity(entity)
+    schema.check_values(entity.values)
     if classifier.label(entity.values) != 1:
         raise NothingToExplainError(
             f"entity {entity.id!r} already has label 0; nothing to explain"

@@ -41,6 +41,12 @@ default 0
 """
 
 
+def section(program, name):
+    """The section of an emitted program named ``name``."""
+    [found] = [s for s in program.sections if s.name == name]
+    return found
+
+
 def table_from_function(schema, fn):
     """A total truth table: ``fn``'s label for every vector of the space."""
     return TableClassifier(schema, {vec: fn(vec) for vec in schema.iter_space()})

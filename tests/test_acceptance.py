@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import T1_ROWS, T2_ROWS, TENNIS_RULES_TEXT
+from conftest import T1_ROWS, T2_ROWS, TENNIS_RULES_TEXT, section
 from cfx import aspgen
 from cfx.aspgen import (
     ASP_CORE_2,
@@ -279,7 +279,7 @@ def test_criterion_6(bits_schema, t1_table, e1, tennis_schema, tennis_clf,
         CipOptions(include_weak=True, include_count=True, shift=True),
     )
     rules = [
-        ln for ln in shifted.section("intervention").lines
+        ln for ln in section(shifted, "intervention").lines
         if ln.startswith("ent(") and ":-" in ln
     ]
     assert len(rules) == 3

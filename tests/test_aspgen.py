@@ -24,7 +24,7 @@ from cfx.constrain import (
 )
 from cfx.errors import InputError
 from cfx.schema import Feature, FeatureSchema
-from conftest import GOLDEN, T1_ROWS, table_from_function
+from conftest import GOLDEN, T1_ROWS, section, table_from_function
 
 
 def normalized(text):
@@ -90,7 +90,7 @@ class TestGoldens:
 class TestStructure:
     def test_fact_packing_matches_presentation(self, bits_schema, t1_table, e1):
         prog = emit_cip(bits_schema, e1, t1_table, CipOptions())
-        cls_lines = prog.section("classifier").lines
+        cls_lines = section(prog, "classifier").lines
         assert cls_lines == [
             "cls(0,1,1,1). cls(1,1,1,1). cls(1,1,0,1). cls(1,0,1,0). cls(1,0,0,1).",
             "cls(0,1,0,1). cls(0,0,1,0). cls(0,0,0,0).",
@@ -177,7 +177,7 @@ class TestEmbeddings:
             tennis_clf,
             CipOptions(classifier_embedding=RULES),
         )
-        lines = prog.section("classifier").lines
+        lines = section(prog, "classifier").lines
         assert lines == [
             "cls(X,Y,Z,1) :- Y = normal, X = sunny, dom3(Z).",
             "cls(X,Y,Z,1) :- X = overcast, dom2(Y), dom3(Z).",
@@ -209,7 +209,7 @@ class TestEmbeddings:
             inverted,
             CipOptions(classifier_embedding=RULES),
         )
-        lines = prog.section("classifier").lines
+        lines = section(prog, "classifier").lines
         assert lines[0] == "cls(X,Y,Z,0) :- Y = high, dom1(X), dom3(Z)."
         assert lines[-1] == "cls(X,Y,Z,1) :- dom1(X), dom2(Y), dom3(Z), not cls(X,Y,Z,0)."
         assert lint_cip(prog.text) == []
@@ -223,6 +223,11 @@ class TestEmbeddings:
         with pytest.raises(InputError) as info:
             CipOptions(**{field: "clingo"})
         assert str(info.value) == message
+
+    def test_rules_embedding_needs_rules(self, bits_schema, t1_table, e1):
+        with pytest.raises(InputError) as info:
+            emit_cip(bits_schema, e1, t1_table, CipOptions(classifier_embedding=RULES))
+        assert str(info.value) == "rules embedding needs a rule-list classifier"
 
     def test_external_stub_needs_asp_core_2(self):
         with pytest.raises(InputError, match="asp-core-2"):
@@ -284,7 +289,7 @@ class TestDialects:
 class TestShift:
     def test_three_features_three_rules(self, bits_schema, t1_table, e1):
         shifted = emit_cip(bits_schema, e1, t1_table, CipOptions(shift=True))
-        rules = shifted.section("intervention").lines
+        rules = section(shifted, "intervention").lines
         assert len(rules) == 3
         assert all(" v " not in r and " | " not in r for r in rules)
         # rule 1 keeps the first head atom and negates the other two in order
@@ -313,7 +318,7 @@ class TestShift:
         )
         e = schema.entity("e", ("1", "1"))
         shifted = emit_cip(schema, e, table, CipOptions(shift=True))
-        rules = shifted.section("intervention").lines
+        rules = section(shifted, "intervention").lines
         assert len(rules) == 2
         assert rules[0].count("not ent(") == 1
         assert lint_cip(shifted.text) == []
@@ -324,7 +329,7 @@ class TestShift:
         e = schema.entity("e", ("a",))
         prog = emit_cip(schema, e, table, CipOptions())
         shifted = emit_cip(schema, e, table, CipOptions(shift=True))
-        assert len(prog.section("intervention").lines) == 1
+        assert len(section(prog, "intervention").lines) == 1
         assert shifted.text == prog.text
         assert lint_cip(prog.text) == []
 
@@ -384,7 +389,7 @@ class TestHardConstraints:
                 hard_constraints=ConstraintSet(tennis_schema, denials=(chi,)),
             ),
         )
-        assert prog.section("hard").lines == [line]
+        assert section(prog, "hard").lines == [line]
         assert lint_cip(prog.text) == []
 
     def test_actionability_and_onehot(self):
@@ -407,7 +412,7 @@ class TestHardConstraints:
         prog = emit_cip(schema, e, table, CipOptions(hard_constraints=cs))
         # increase-only from 28 forbids 20, fixed forbids b1 = 0, free
         # forbids nothing; then the two one-hot lines
-        assert prog.section("hard").lines == [
+        assert section(prog, "hard").lines == [
             ":- ent(E,20,X,Y,tr).",
             ":- ent(E,X,0,Y,tr).",
             ":- ent(E,X,1,1,tr).",
@@ -426,7 +431,7 @@ class TestHardConstraints:
         e = schema.entity("e", ("mid", "1"))
         cs = ConstraintSet(schema, actionability=(ActionabilityRule(0, "increase-only"),))
         prog = emit_cip(schema, e, table, CipOptions(hard_constraints=cs))
-        assert prog.section("hard").lines == [":- ent(E,low,X,tr)."]
+        assert section(prog, "hard").lines == [":- ent(E,low,X,tr)."]
         assert lint_cip(prog.text) == []
 
 

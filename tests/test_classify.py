@@ -141,6 +141,15 @@ class TestTableClassifier:
         with pytest.raises(InputError, match="no rows"):
             TableClassifier(bits_schema, {})
 
+    def test_string_labels(self, bits_schema):
+        clf = TableClassifier(bits_schema, {("0", "1", "1"): "1", ("0", "0", "1"): "0"})
+        assert clf.rows == {("0", "1", "1"): 1, ("0", "0", "1"): 0}
+
+    def test_keys_equal_as_tuples_are_duplicates(self, bits_schema):
+        with pytest.raises(InputError) as info:
+            TableClassifier(bits_schema, {("0", "1", "1"): 1, "011": 0})
+        assert str(info.value) == "duplicate table row for ('0', '1', '1')"
+
 
 class TestRuleClassifier:
     def test_tennis_labels(self, tennis_clf):

@@ -728,20 +728,21 @@ class TestScore:
 
     @pytest.mark.parametrize("inputs, prob, calls, scores", [
         (("bits_schema.json", "e1.json", "--table", "table1.csv"),
-         "uniform", (17, 7), ["0/1", "1/2", "0/1"]),
+         "uniform", (14, 7), ["0/1", "1/2", "0/1"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         "product:tennis_marginals.csv", (16, 6), ["1/4", "1/3", "1/8"]),
+         "product:tennis_marginals.csv", (13, 6), ["1/4", "1/3", "1/8"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         "empirical:tennis_sample.csv", (14, 6), ["1/2", "1/3", "1/2"]),
+         "empirical:tennis_sample.csv", (11, 6), ["1/2", "1/3", "1/2"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules",
           "--condition", "constraints.json"),
-         "empirical:tennis_sample.csv", (16, 9), ["0/1", "1/3", "0/1"]),
+         "empirical:tennis_sample.csv", (13, 9), ["0/1", "1/3", "0/1"]),
     ])
     def test_prob_call_counts(self, capsys, files, inputs, prob, calls, scores):
         # label queries and cache misses of one global_resp walk per
-        # feature: one query per contingency candidate, plus, for each
-        # candidate that keeps label 1, one per other value of the
-        # scrutinized feature with weight in its slice
+        # feature: one query for the entity, one per nonempty contingency
+        # candidate, plus, for each candidate that keeps label 1 (the empty
+        # one included), one per other value of the scrutinized feature
+        # with weight in its slice
         schema, entity, backend, model, *condition = inputs
         prob = prob.replace(":", f":{files}/", 1)
         code, out, err = run(capsys, [
@@ -936,6 +937,45 @@ class TestEmitAsp:
         index = json.loads(out)
         assert index[0]["section"] == "header"
         assert target.read_text().startswith("#include<ListAndSet>")
+
+    def test_constraints_emit_hard_section(self, capsys, files, tmp_path):
+        constraints = files / "hard.json"
+        constraints.write_text(json.dumps({
+            "denials": [{"literals": [
+                {"feature": "F1", "value": "1"},
+                {"feature": "F3", "value": "0"},
+            ]}],
+            "actionability": [{"feature": "F3", "mode": "fixed"}],
+            "onehot": [{"features": ["F1", "F2"]}],
+        }))
+        argv = [
+            "emit-asp",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(files / "e1.json"),
+            "--table", str(files / "table1.csv"),
+            "--constraints", str(constraints),
+        ]
+        # the denial, the value that fixing F3 forbids, then the one-hot
+        # lines: F1 and F2 not both set, not both clear
+        hard = [
+            "% hard constraints",
+            ":- ent(E,1,X,0,tr).",
+            ":- ent(E,X,Y,0,tr).",
+            ":- ent(E,1,1,X,tr).",
+            ":- ent(E,0,0,X,tr).",
+        ]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.endswith("\n\n" + "\n".join(hard) + "\n")
+        target = tmp_path / "program.lp"
+        code, index, _ = run(capsys, [*argv, "--out", str(target)])
+        assert code == 0
+        assert target.read_text() == out
+        entry = json.loads(index)[-1]
+        assert entry["section"] == "hard"
+        lines = out.splitlines()
+        assert lines[entry["start"] - 1 : entry["end"]] == hard
+        assert entry["end"] == len(lines)
 
     def test_out_write_error_exit_2(self, capsys, files, tmp_path):
         target = tmp_path / "missing" / "program.lp"

@@ -181,6 +181,18 @@ class TestProduct:
             ProductDistribution.from_csv(p, tennis_schema)
         assert str(info.value) == f"{tmp_path}/{message}"
 
+    def test_one_marginal_per_feature(self, bits_schema):
+        with pytest.raises(InputError) as info:
+            ProductDistribution(bits_schema, [{"0": 1}] * 2)
+        assert str(info.value) == "need one marginal per feature"
+
+    def test_integer_and_unparsable_weights(self, bits_schema):
+        dist = ProductDistribution(bits_schema, [{"0": 1, "1": 0}] * 3)
+        assert dist.prob(("0", "0", "0")) == 1
+        with pytest.raises(InputError) as info:
+            ProductDistribution(bits_schema, [{"0": None}] + [{"0": 1}] * 2)
+        assert str(info.value) == "marginal of 'F1': cannot parse probability None"
+
 
 class TestEmpirical:
     def test_frequencies(self, bits_schema):
@@ -297,6 +309,13 @@ class TestLocalResp:
             local_resp(bits_schema, t1_table, e1, 1, (0,), ("2",), dist)
         assert info.value.condition == 2
         assert str(info.value) == "value '2' not in domain of 'F1'"
+
+    def test_condition_2_one_value_per_feature(self, bits_schema, t1_table, e1):
+        dist = UniformDistribution(bits_schema)
+        with pytest.raises(ConditionError) as info:
+            local_resp(bits_schema, t1_table, e1, 1, (0, 2), ("1",), dist)
+        assert info.value.condition == 2
+        assert str(info.value) == "one new value per contingency feature required"
 
     @DISTRIBUTIONS
     def test_entity_outside_domain_rejected(self, bits_schema, t1_table, make_dist):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from conftest import section
 from cfx.classify import MemoClassifier, Rule, RuleClassifier, TableClassifier
 from cfx.constrain import (
     EQ,
@@ -334,13 +335,19 @@ class TestScoreInvariants:
         )
         assert [fs.score for fs in report.scores] == want
 
-    @settings(max_examples=60, deadline=None)
-    @given(classified_spaces())
-    def test_max_resp_features_attain_the_maximum(self, case):
+    @settings(max_examples=100, deadline=None)
+    @given(classified_spaces(), st.data())
+    def test_max_resp_features_attain_the_maximum(self, case, data):
+        # a truncated walk included: both read the same levels up to the
+        # first one with hits
         schema, table, entity = case
         clf = TableClassifier(schema, table)
-        winners = max_resp_features(schema, clf, entity)
-        report = x_resp(schema, clf, entity)
+        config = SearchConfig(
+            max_cardinality=data.draw(st.none() | st.integers(1, len(schema))),
+            budget=data.draw(st.none() | st.integers(1, len(table) + 1)),
+        )
+        winners = max_resp_features(schema, clf, entity, config=config)
+        report = x_resp(schema, clf, entity, config=config)
         top = max(fs.score for fs in report.scores)
         if top > 0:
             assert winners == frozenset(
@@ -553,12 +560,12 @@ class TestEmissionInvariants:
             (s.name, s.comment, s.lines)
             for s in shifted.sections if s.name != "intervention"
         ]
-        [rule] = plain.section("intervention").lines
+        [rule] = section(plain, "intervention").lines
         head, body = rule[: -len(".")].split(" :- ")
         sep = " v " if options.dialect == aspgen.DLV_COMPLEX else " | "
         disjuncts = head.split(sep)
         assert len(disjuncts) == len(schema)
-        assert shifted.section("intervention").lines == [
+        assert section(shifted, "intervention").lines == [
             f"{d} :- {body}, "
             + ", ".join(f"not {o}" for k, o in enumerate(disjuncts) if k != j)
             + "."
@@ -672,7 +679,7 @@ class TestDenialEmission:
         if not cs.denials:
             return
         program = aspgen.emit_cip(schema, entity, classifier, options)
-        lines = program.section("hard").lines[: len(cs.denials)]
+        lines = section(program, "hard").lines[: len(cs.denials)]
         consts = [aspgen.render_constants(f.domain) for f in schema.features]
         for chi, line in zip(cs.denials, lines, strict=True):
             for vec in schema.iter_space():
@@ -688,7 +695,8 @@ class TestActionabilityEmission:
         cs = options.hard_constraints
         if cs.is_empty():
             return
-        lines = aspgen.emit_cip(schema, entity, classifier, options).section("hard").lines
+        program = aspgen.emit_cip(schema, entity, classifier, options)
+        lines = section(program, "hard").lines
         onehot = sum(math.comb(len(g.members), 2) + 1 for g in cs.onehot)
         lines = lines[len(cs.denials) : len(lines) - onehot]
         alternatives = cs.alternatives(entity.values)
