@@ -1,17 +1,22 @@
 """Solver-ready counterfactual intervention programs.
 
 ``emit_cip`` renders, for one schema/entity/classifier triple, a logic
-program whose stable models are exactly the counterfactual interventions:
-domain and entity facts; transition rules feeding every reached entity back
-into the program; one disjunctive rule choosing a feature to change, with a
-chosen/diffchoice pair per feature collapsing the choice to a single new
-value; a stop rule marking label-0 entities; a constraint forbidding a
-return to the original entity; a filter dropping models that never reach a
-counterfactual; and per-feature rules projecting out the displaced original
-values. Optional extras: a rule counting the displaced values, weak
-constraints making minimum-change models optimal, hard constraints
-rendered from an admissibility constraint set, and the disjunctive rule
-shifted into one normal rule per feature.
+program whose stable models are counterfactual interventions: each is a
+chain of single-feature changes ending at the first entity labelled 0.
+Denials and one-hot groups hold on every ``tr`` step of a chain, not only
+on its end, so the program can drop counterfactuals that the search reports
+(README, "Program emission").
+
+The program holds domain and entity facts; transition rules feeding every
+reached entity back into the program; one disjunctive rule choosing a
+feature to change, with a chosen/diffchoice pair per feature collapsing the
+choice to a single new value; a stop rule marking label-0 entities; a
+constraint forbidding a return to the original entity; a filter dropping
+models that never reach a counterfactual; and per-feature rules projecting
+out the displaced original values. Optional extras: a rule counting the
+displaced values, weak constraints making minimum-change models optimal,
+hard constraints rendered from an admissibility constraint set, and the
+disjunctive rule shifted into one normal rule per feature.
 
 Two dialects are supported. "dlv-complex" opens with its #include header,
 joins disjuncts with ``v`` and ends weak constraints with a bare period;

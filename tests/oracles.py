@@ -5,8 +5,11 @@ whole product space without shortcuts. Nothing imports the package under
 test, so agreement between the two is meaningful.
 """
 
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 
 def space(domains):
@@ -237,3 +240,55 @@ def unsafe_variables(head, body):
             holds, binds = variables(outs), True
         (bound if binds and not negated else needed).update(holds)
     return needed - bound
+
+
+# --- truth-table CSV ---
+
+
+def table_from_csv(path, names, domains):
+    """The rows of a truth-table CSV over features ``names`` with value sets
+    ``domains``, loaded one row at a time: a dict from value tuple to label
+    in file order. The first bad row in file order raises ValueError with
+    the message the package gives. A row is numbered by the line it starts
+    on; its picked cells are stripped; a row whose every cell is blank is
+    skipped; otherwise a row of the wrong width, a value outside its domain,
+    a repeated vector or a label other than 0/1 is an error, in that order
+    of precedence within the row."""
+    text = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty CSV")
+    fields = [h.strip() for h in header]
+    missing = [n for n in names if n not in fields]
+    if missing:
+        raise ValueError(f"{path}: missing feature columns {missing}")
+    if "label" not in fields:
+        raise ValueError(f"{path}: missing 'label' column")
+    twice = [n for n in (*names, "label") if fields.count(n) > 1]
+    if twice:
+        raise ValueError(f"{path}: columns named more than once: {twice}")
+    at = [fields.index(n) for n in (*names, "label")]
+    rows = {}
+    start = reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: wrong column count")
+        *vec, label = (row[i].strip() for i in at)
+        vec = tuple(vec)
+        for name, domain, v in zip(names, domains, vec):
+            if v not in domain:
+                raise ValueError(
+                    f"{path}:{lineno}: value {v!r} not in domain of feature {name!r}"
+                )
+        if vec in rows:
+            raise ValueError(f"{path}:{lineno}: duplicate row for {vec}")
+        if label not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        rows[vec] = int(label)
+    if not rows:
+        raise ValueError(f"{path}: truth table has no rows")
+    return rows

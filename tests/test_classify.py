@@ -1,5 +1,6 @@
 import pytest
 
+from cfx import classify
 from cfx.classify import (
     MemoClassifier,
     MissingRowError,
@@ -124,6 +125,47 @@ class TestTableClassifier:
         with pytest.raises(InputError) as info:
             TableClassifier.from_csv(p, bits_schema)
         assert str(info.value) == f"{p}: {message}"
+
+    def test_from_csv_duplicate_across_chunks_names_the_later_line(
+        self, tmp_path, bits_schema, monkeypatch
+    ):
+        monkeypatch.setattr(classify, "CHUNK_ROWS", 2)
+        p = tmp_path / "table.csv"
+        p.write_text("F1,F2,F3,label\n0,1,1,1\n0,0,0,0\n1,1,1,1\n0,1,1,0\n")
+        with pytest.raises(InputError) as info:
+            TableClassifier.from_csv(p, bits_schema)
+        assert str(info.value) == f"{p}:5: duplicate row for ('0', '1', '1')"
+
+    def test_from_csv_padded_and_blank_rows_in_the_last_chunk(
+        self, tmp_path, bits_schema, monkeypatch
+    ):
+        monkeypatch.setattr(classify, "CHUNK_ROWS", 2)
+        p = tmp_path / "table.csv"
+        p.write_text("F1,F2,F3,label\n0,1,1,1\n0,0,0,0\n 1 ,1,\t1,1 \n , , , \n")
+        clf = TableClassifier.from_csv(p, bits_schema)
+        assert list(clf.rows.items()) == [
+            (("0", "1", "1"), 1), (("0", "0", "0"), 0), (("1", "1", "1"), 1),
+        ]
+
+    def test_from_csv_bad_row_before_a_narrow_row_of_its_chunk(
+        self, tmp_path, bits_schema
+    ):
+        # read_csv rejects line 3 while the chunk holding line 2 is read
+        p = tmp_path / "table.csv"
+        p.write_text("F1,F2,F3,label\n0,2,1,1\n0,1\n")
+        with pytest.raises(InputError) as info:
+            TableClassifier.from_csv(p, bits_schema)
+        assert str(info.value) == f"{p}:2: value '2' not in domain of feature 'F2'"
+
+    def test_from_csv_strips_a_cell_that_a_padded_domain_value_matches(self, tmp_path):
+        # " a" is in the domain as read, but the cell is stripped to "a"
+        p = tmp_path / "table.csv"
+        p.write_text("A,label\n a,1\n")
+        with pytest.raises(InputError) as info:
+            TableClassifier.from_csv(p, FeatureSchema((Feature("A", (" a", "b")),)))
+        assert str(info.value) == f"{p}:2: value 'a' not in domain of feature 'A'"
+        both = FeatureSchema((Feature("A", (" a", "a")),))
+        assert TableClassifier.from_csv(p, both).rows == {("a",): 1}
 
     def test_from_function_is_total(self, bits_schema):
         clf = table_from_function(

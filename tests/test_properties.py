@@ -13,13 +13,16 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import section
+from cfx import classify
 from cfx.classify import MemoClassifier, Rule, RuleClassifier, TableClassifier
+from cfx.errors import InputError
 from cfx.constrain import (
     EQ,
     FIXED,
@@ -801,6 +804,59 @@ def table_csvs(draw):
     return schema, rows, out.getvalue()
 
 
+_TABLE_FAULTS = ("value", "label", "repeat", "pad", "blank", "width")
+
+
+@st.composite
+def faulty_table_csvs(draw):
+    """A schema and a table CSV over it: up to 12 rows of distinct vectors,
+    with up to three faults at drawn rows. A fault is a value outside its
+    domain, a label other than 0/1, a repeat of an earlier vector, padded
+    cells (a newline pad makes the quoted cell span lines), a blank row or
+    a row of the wrong width. A domain may hold a value with surrounding
+    whitespace, which a stripped cell never matches."""
+    values = st.lists(st.sampled_from(["0", "1", "2", "a"]), min_size=2, max_size=3, unique=True)
+    domains = [draw(values) for _ in range(draw(st.integers(1, 3)))]
+    n = len(domains)
+    if draw(st.integers(0, 4)) == 0:
+        padded = draw(st.sampled_from([" a", "b "]))
+        domains[draw(st.integers(0, n - 1))].append(padded)
+    schema = FeatureSchema(tuple(
+        Feature(f"F{i + 1}", tuple(d)) for i, d in enumerate(domains)
+    ))
+    vecs = [list(v) for v in draw(st.permutations(list(schema.iter_space())))[:12]]
+    faults = dict(draw(st.lists(
+        st.tuples(st.integers(0, len(vecs) - 1), st.sampled_from(_TABLE_FAULTS)), max_size=3
+    )))
+    columns = [*schema.names, "label"]
+    if draw(st.booleans()):
+        columns.append("id")
+    columns = draw(st.permutations(columns))
+    pad = st.sampled_from(["", " ", "\t", "\n"])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(columns)
+    for i, vec in enumerate(vecs):
+        fault = faults.get(i)
+        label = str(draw(st.integers(0, 1)))
+        if fault == "value":
+            vec[draw(st.integers(0, n - 1))] = "z"
+        if fault == "label":
+            label = draw(st.sampled_from(["2", "", "x", "01"]))
+        if fault == "repeat" and i:
+            vec = vecs[draw(st.integers(0, i - 1))]
+        cells = {**dict(zip(schema.names, vec)), "label": label, "id": f"r{i}"}
+        row = [cells[c] for c in columns]
+        if fault == "pad":
+            row = [draw(pad) + c + draw(pad) for c in row]
+        if fault == "blank":
+            row = [draw(st.sampled_from(["", " ", "\t"])) for _ in row]
+        if fault == "width":
+            row = draw(st.sampled_from([row[:-1], [*row, "x"]]))
+        writer.writerow(row)
+    return schema, out.getvalue()
+
+
 class TestTableLoading:
     @settings(max_examples=100, deadline=None)
     @given(table_csvs())
@@ -813,3 +869,25 @@ class TestTableLoading:
         # equal in file order too: emit-asp's fact section keeps it
         built = TableClassifier(schema, rows)
         assert list(loaded.rows.items()) == list(built.rows.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_table_csvs(), st.sampled_from([1, 2, 3, 5, classify.CHUNK_ROWS]))
+    def test_from_csv_matches_row_by_row_reference(self, case, chunk_rows):
+        """Same rows in the same order, or the same message, whichever
+        chunk a fault falls in."""
+        schema, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            try:
+                want = list(oracles.table_from_csv(
+                    path, schema.names, [f.domain for f in schema.features]
+                ).items())
+            except ValueError as exc:
+                want = str(exc)
+            with mock.patch.object(classify, "CHUNK_ROWS", chunk_rows):
+                try:
+                    got = list(TableClassifier.from_csv(path, schema).rows.items())
+                except InputError as exc:
+                    got = str(exc)
+        assert got == want
