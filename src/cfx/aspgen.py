@@ -38,7 +38,6 @@ per value it forbids, so no solver compares constants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -46,7 +45,7 @@ from typing import Iterable, Iterator, Sequence
 from . import constrain
 from .classify import RuleClassifier, TableClassifier
 from .errors import InputError
-from .schema import Entity, FeatureSchema
+from .schema import Entity, FeatureSchema, Record
 
 DLV_COMPLEX = "dlv-complex"
 ASP_CORE_2 = "asp-core-2"
@@ -64,34 +63,49 @@ _PACK_WIDTH = 79
 _DENIAL_OPS = {constrain.EQ: "=", constrain.NE: "!="}
 
 
-@dataclass(frozen=True)
-class CipOptions:
-    dialect: str = DLV_COMPLEX
-    classifier_embedding: str = FACTS
-    include_weak: bool = False
-    include_count: bool = False
-    shift: bool = False
-    feature_tokens: str = INDICES
-    hard_constraints: constrain.ConstraintSet | None = None
+class CipOptions(Record):
+    __slots__ = (
+        "dialect", "classifier_embedding", "include_weak", "include_count",
+        "shift", "feature_tokens", "hard_constraints",
+    )
 
-    def __post_init__(self) -> None:
-        if self.dialect not in DIALECTS:
-            raise InputError(f"unknown dialect {self.dialect!r}")
-        if self.classifier_embedding not in EMBEDDINGS:
-            raise InputError(f"unknown embedding {self.classifier_embedding!r}")
-        if self.feature_tokens not in (INDICES, NAMES):
-            raise InputError(f"unknown feature token style {self.feature_tokens!r}")
-        if self.classifier_embedding == EXTERNAL_STUB and self.dialect != ASP_CORE_2:
+    def __init__(
+        self,
+        dialect: str = DLV_COMPLEX,
+        classifier_embedding: str = FACTS,
+        include_weak: bool = False,
+        include_count: bool = False,
+        shift: bool = False,
+        feature_tokens: str = INDICES,
+        hard_constraints: constrain.ConstraintSet | None = None,
+    ):
+        if dialect not in DIALECTS:
+            raise InputError(f"unknown dialect {dialect!r}")
+        if classifier_embedding not in EMBEDDINGS:
+            raise InputError(f"unknown embedding {classifier_embedding!r}")
+        if feature_tokens not in (INDICES, NAMES):
+            raise InputError(f"unknown feature token style {feature_tokens!r}")
+        if classifier_embedding == EXTERNAL_STUB and dialect != ASP_CORE_2:
             raise InputError(
                 "the external classifier stub needs the asp-core-2 dialect"
             )
+        self.dialect = dialect
+        self.classifier_embedding = classifier_embedding
+        self.include_weak = include_weak
+        self.include_count = include_count
+        self.shift = shift
+        self.feature_tokens = feature_tokens
+        self.hard_constraints = hard_constraints
 
 
-@dataclass
-class Section:
-    name: str
-    comment: str | None
-    lines: list[str]
+class Section(Record):
+    __slots__ = ("name", "comment", "lines")
+    __hash__ = None  # type: ignore[assignment]  # holds a list
+
+    def __init__(self, name: str, comment: str | None, lines: list[str]):
+        self.name = name
+        self.comment = comment
+        self.lines = lines
 
     @property
     def block(self) -> list[str]:
@@ -99,11 +113,14 @@ class Section:
         return [f"% {self.comment}", *self.lines] if self.comment else self.lines
 
 
-@dataclass
-class CipProgram:
+class CipProgram(Record):
     """Rendered program as named sections of lines, one blank line apart."""
 
-    sections: list[Section]
+    __slots__ = ("sections",)
+    __hash__ = None  # type: ignore[assignment]  # holds a list
+
+    def __init__(self, sections: list[Section]):
+        self.sections = sections
 
     @property
     def text(self) -> str:
@@ -437,11 +454,13 @@ def _terms(n: int, fixed: dict[int, str]) -> list[str]:
 # --- lint ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    # arity-clash | unsafe-variable | duplicate-fact | underscore-term | parse-error
-    kind: str
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("kind", "message")
+
+    def __init__(self, kind: str, message: str):
+        # arity-clash | unsafe-variable | duplicate-fact | underscore-term | parse-error
+        self.kind = kind
+        self.message = message
 
 
 _VAR = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")

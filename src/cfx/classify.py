@@ -24,14 +24,13 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BackendError, InputError
-from .schema import FeatureSchema, read_csv, read_text, reject_row
+from .schema import FeatureSchema, Record, read_csv, read_text, reject_row
 
 TIMEOUT_ENV = "CFX_EXTERNAL_TIMEOUT_MS"
 DEFAULT_TIMEOUT_MS = 5000
@@ -74,10 +73,12 @@ _LABELS = {"0": 0, "1": 1}
 
 
 def _check_label(raw: object, context: str) -> int:
-    if raw in (0, 1):
-        return int(raw)  # type: ignore[arg-type]
-    if raw in ("0", "1"):
-        return int(raw)  # type: ignore[arg-type]
+    """``raw`` as the int label it spells: the int 0 or 1, or the string
+    "0" or "1". ``True`` and ``1.0`` equal 1 but are no labels."""
+    if type(raw) is int and raw in (0, 1):
+        return raw
+    if isinstance(raw, str) and raw in _LABELS:
+        return _LABELS[raw]
     raise InputError(f"{context}: label must be 0 or 1, got {raw!r}")
 
 
@@ -214,12 +215,14 @@ def _load_rows(
         rows[vec] = label
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """Conjunction of (feature index, value) tests and the label it yields."""
 
-    conditions: tuple[tuple[int, str], ...]
-    label: int
+    __slots__ = ("conditions", "label")
+
+    def __init__(self, conditions: tuple[tuple[int, str], ...], label: int):
+        self.conditions = conditions
+        self.label = _check_label(label, "rule")
 
 
 class RuleClassifier:
@@ -239,7 +242,6 @@ class RuleClassifier:
         equals: list[dict[str, int]] = [{} for _ in schema.features]
         bit = 1
         for rule in self.rules:
-            _check_label(rule.label, "rule")
             for i, v in rule.conditions:
                 f = schema.feature(i)
                 by_value = equals[i]

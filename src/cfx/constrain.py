@@ -11,12 +11,11 @@ group to "1". ``admissible`` checks denials and one-hot groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
-from .schema import FeatureSchema, _coerce_value, _load_json, in_file
+from .schema import FeatureSchema, Record, _coerce_value, _load_json, in_file
 
 FIXED = "fixed"
 INCREASE_ONLY = "increase-only"
@@ -28,56 +27,69 @@ EQ = "eq"
 NE = "ne"
 
 
-@dataclass(frozen=True)
-class DenialLiteral:
+class DenialLiteral(Record):
     """One test inside a denial: feature (index) equals / differs from value."""
 
-    feature: int
-    value: str
-    polarity: str = EQ
+    __slots__ = ("feature", "value", "polarity")
+
+    def __init__(self, feature: int, value: str, polarity: str = EQ):
+        self.feature = feature
+        self.value = value
+        self.polarity = polarity
 
     def holds(self, values: Sequence[str]) -> bool:
         hit = values[self.feature] == self.value
         return hit if self.polarity == EQ else not hit
 
 
-@dataclass(frozen=True)
-class DenialConstraint:
+class DenialConstraint(Record):
     """A forbidden conjunction: entities matching every literal are denied."""
 
-    literals: tuple[DenialLiteral, ...]
+    __slots__ = ("literals",)
+
+    def __init__(self, literals: tuple[DenialLiteral, ...]):
+        self.literals = literals
 
     def matches(self, values: Sequence[str]) -> bool:
         return all(lit.holds(values) for lit in self.literals)
 
 
-@dataclass(frozen=True)
-class ActionabilityRule:
-    feature: int
-    mode: str
+class ActionabilityRule(Record):
+    __slots__ = ("feature", "mode")
+
+    def __init__(self, feature: int, mode: str):
+        self.feature = feature
+        self.mode = mode
 
 
-@dataclass(frozen=True)
-class OneHotGroup:
-    members: tuple[int, ...]
+class OneHotGroup(Record):
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple[int, ...]):
+        self.members = members
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Record):
     """Validated bundle of constraints bound to a schema."""
 
-    schema: FeatureSchema
-    denials: tuple[DenialConstraint, ...] = ()
-    actionability: tuple[ActionabilityRule, ...] = ()
-    onehot: tuple[OneHotGroup, ...] = ()
+    __slots__ = ("schema", "denials", "actionability", "onehot")
 
-    def __post_init__(self) -> None:
-        s = self.schema
-        for chi in self.denials:
+    def __init__(
+        self,
+        schema: FeatureSchema,
+        denials: tuple[DenialConstraint, ...] = (),
+        actionability: tuple[ActionabilityRule, ...] = (),
+        onehot: tuple[OneHotGroup, ...] = (),
+    ):
+        self.schema = schema
+        self.denials = denials
+        self.actionability = actionability
+        self.onehot = onehot
+        for chi in denials:
             if not chi.literals:
                 raise InputError("denial constraint with no literals")
             for lit in chi.literals:
-                f = s.feature(lit.feature)
+                f = schema.feature(lit.feature)
                 if lit.polarity not in (EQ, NE):
                     raise InputError(f"bad polarity {lit.polarity!r}")
                 if lit.value not in f.domain:
@@ -86,8 +98,8 @@ class ConstraintSet:
                         "not in its domain"
                     )
         seen: set[int] = set()
-        for rule in self.actionability:
-            f = s.feature(rule.feature)
+        for rule in actionability:
+            f = schema.feature(rule.feature)
             if rule.mode not in MODES:
                 raise InputError(f"bad actionability mode {rule.mode!r}")
             if rule.feature in seen:
@@ -97,13 +109,13 @@ class ConstraintSet:
                 raise InputError(
                     f"directional actionability on {f.name!r} needs an ordered domain"
                 )
-        for group in self.onehot:
+        for group in onehot:
             if len(group.members) < 2:
                 raise InputError("one-hot group needs at least two members")
             if len(set(group.members)) != len(group.members):
                 raise InputError("one-hot group repeats a member")
             for i in group.members:
-                f = s.feature(i)
+                f = schema.feature(i)
                 if set(f.domain) != {"0", "1"}:
                     raise InputError(
                         f"one-hot member {f.name!r} must have domain {{0,1}}"

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -25,26 +24,52 @@ from .errors import InputError
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Feature:
+class Record:
+    """Base of the package's value classes. A subclass names its fields in
+    ``__slots__`` and sets them in its ``__init__``; equality, the hash and
+    the repr go by those fields, in that order. Instances are values:
+    nothing assigns to a field of a hashed class after ``__init__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Feature(Record):
     """One categorical feature: a name and its finite value domain."""
 
-    name: str
-    domain: tuple[str, ...]
-    ordered: bool = False
+    __slots__ = ("name", "domain", "ordered")
+
+    def __init__(self, name: str, domain: tuple[str, ...], ordered: bool = False):
+        self.name = name
+        self.domain = domain
+        self.ordered = ordered
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
+class FeatureSchema(Record):
     """An ordered collection of features defining a finite product space."""
 
-    features: tuple[Feature, ...]
+    __slots__ = ("features",)
 
-    def __post_init__(self) -> None:
-        if not self.features:
+    def __init__(self, features: tuple[Feature, ...]):
+        self.features = features
+        if not features:
             raise InputError("schema needs at least one feature")
         seen: set[str] = set()
-        for f in self.features:
+        for f in features:
             if not _IDENT.match(f.name):
                 raise InputError(f"feature name {f.name!r} is not an identifier")
             if f.name in seen:
@@ -111,28 +136,30 @@ class FeatureSchema:
         return e
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(Record):
     """A classified individual: an id and one value per feature."""
 
-    id: str
-    values: tuple[str, ...]
+    __slots__ = ("id", "values")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, values: tuple[str, ...]):
+        if not id:
             raise InputError("entity id must be non-empty")
+        self.id = id
+        self.values = values
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(Record):
     """Displaced original values plus the counterfactual entity they lead to.
 
     ``changed`` holds (feature index, original value) pairs sorted by index;
     the counterfactual differs from the original exactly on those indices.
     """
 
-    changed: tuple[tuple[int, str], ...]
-    counterfactual: Entity
+    __slots__ = ("changed", "counterfactual")
+
+    def __init__(self, changed: tuple[tuple[int, str], ...], counterfactual: Entity):
+        self.changed = changed
+        self.counterfactual = counterfactual
 
     @property
     def cardinality(self) -> int:

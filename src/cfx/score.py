@@ -25,7 +25,6 @@ event).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
@@ -37,6 +36,7 @@ from .schema import (
     Entity,
     Explanation,
     FeatureSchema,
+    Record,
     entities_from_csv,
     in_file,
     read_csv,
@@ -72,11 +72,13 @@ def fraction_str(x: Fraction) -> str:
 # deterministic score
 
 
-@dataclass(frozen=True)
-class FeatureScore:
-    feature: int
-    score: Fraction
-    witness: Explanation | None
+class FeatureScore(Record):
+    __slots__ = ("feature", "score", "witness")
+
+    def __init__(self, feature: int, score: Fraction, witness: Explanation | None):
+        self.feature = feature
+        self.score = score
+        self.witness = witness
 
     @property
     def counterfactual_value_explanation(self) -> bool:
@@ -87,11 +89,14 @@ class FeatureScore:
         return self.score > 0
 
 
-@dataclass
-class RespReport:
-    entity: Entity
-    scores: list[FeatureScore]
-    authoritative: bool
+class RespReport(Record):
+    __slots__ = ("entity", "scores", "authoritative")
+    __hash__ = None  # type: ignore[assignment]  # holds a list
+
+    def __init__(self, entity: Entity, scores: list[FeatureScore], authoritative: bool):
+        self.entity = entity
+        self.scores = scores
+        self.authoritative = authoritative
 
     def to_json_dict(self, schema: FeatureSchema) -> dict:
         out = []
@@ -352,13 +357,22 @@ def _as_fraction(w: Fraction | str | float | int, context: str) -> Fraction:
 # probabilistic score
 
 
-@dataclass(frozen=True)
-class GlobalScore:
-    feature: int
-    score: Fraction
-    gamma: tuple[int, ...] | None
-    gamma_values: tuple[str, ...] | None
-    truncated: bool
+class GlobalScore(Record):
+    __slots__ = ("feature", "score", "gamma", "gamma_values", "truncated")
+
+    def __init__(
+        self,
+        feature: int,
+        score: Fraction,
+        gamma: tuple[int, ...] | None,
+        gamma_values: tuple[str, ...] | None,
+        truncated: bool,
+    ):
+        self.feature = feature
+        self.score = score
+        self.gamma = gamma
+        self.gamma_values = gamma_values
+        self.truncated = truncated
 
 
 def local_resp(

@@ -25,50 +25,61 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Sequence
 
 from . import constrain
 from .errors import EngineError, InputError, NothingToExplainError
-from .schema import Entity, Explanation, FeatureSchema
+from .schema import Entity, Explanation, FeatureSchema, Record
 
 
 class SearchTruncatedError(EngineError):
     """A minimality query ran against a truncated (non-authoritative) search."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_cardinality: int | None = None
-    budget: int | None = None
+class SearchConfig(Record):
+    __slots__ = ("max_cardinality", "budget")
 
-    def __post_init__(self) -> None:
-        if self.max_cardinality is not None and self.max_cardinality < 1:
+    def __init__(self, max_cardinality: int | None = None, budget: int | None = None):
+        if max_cardinality is not None and max_cardinality < 1:
             raise InputError("max_cardinality must be >= 1")
-        if self.budget is not None and self.budget < 1:
+        if budget is not None and budget < 1:
             raise InputError("budget must be >= 1")
+        self.max_cardinality = max_cardinality
+        self.budget = budget
 
 
-@dataclass
-class SearchStats:
-    classifier_calls: int = 0
-    levels_explored: int = 0
+class SearchStats(Record):
+    __slots__ = ("classifier_calls", "levels_explored")
+    __hash__ = None  # type: ignore[assignment]  # the search counts into it
+
+    def __init__(self, classifier_calls: int = 0, levels_explored: int = 0):
+        self.classifier_calls = classifier_calls
+        self.levels_explored = levels_explored
 
 
-@dataclass
-class SearchResult:
+class SearchResult(Record):
     """Counterfactual explanations for one entity, with minimality flags.
 
     ``hits`` holds one (changed-index set, counterfactual values, s-minimal)
     row per hit in walk order; every other view is derived from it.
     """
 
-    entity: Entity
-    hits: list[tuple[tuple[int, ...], tuple[str, ...], bool]]
-    stats: SearchStats
-    exhausted: bool
+    __slots__ = ("entity", "hits", "stats", "exhausted")
+    __hash__ = None  # type: ignore[assignment]  # holds lists
+
+    def __init__(
+        self,
+        entity: Entity,
+        hits: list[tuple[tuple[int, ...], tuple[str, ...], bool]],
+        stats: SearchStats,
+        exhausted: bool,
+    ):
+        self.entity = entity
+        self.hits = hits
+        self.stats = stats
+        self.exhausted = exhausted
 
     @property
     def explanations(self) -> list[Explanation]:

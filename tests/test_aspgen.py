@@ -14,7 +14,7 @@ from cfx.aspgen import (
     lint_cip,
     render_constants,
 )
-from cfx.classify import TableClassifier, parse_rules
+from cfx.classify import Rule, RuleClassifier, TableClassifier, parse_rules
 from cfx.constrain import (
     ActionabilityRule,
     ConstraintSet,
@@ -213,6 +213,40 @@ class TestEmbeddings:
         assert lines[0] == "cls(X,Y,Z,0) :- Y = high, dom1(X), dom3(Z)."
         assert lines[-1] == "cls(X,Y,Z,1) :- dom1(X), dom2(Y), dom3(Z), not cls(X,Y,Z,0)."
         assert lint_cip(prog.text) == []
+
+    @pytest.mark.parametrize("labels, default", [
+        ((1, 1), 0), (("1", "1"), "0"), ((1, "1"), "0"), (("1", 1), 0),
+    ])
+    def test_rules_embedding_renders_integer_labels(
+        self, tennis_schema, tennis_entity, labels, default
+    ):
+        # a label spelled as a string is the same label as its int
+        clf = RuleClassifier(
+            tennis_schema,
+            [Rule(((0, "sunny"),), labels[0]), Rule(((0, "rain"),), labels[1])],
+            default,
+        )
+        prog = emit_cip(
+            tennis_schema, tennis_entity, clf, CipOptions(classifier_embedding=RULES)
+        )
+        assert section(prog, "classifier").lines == [
+            "cls(X,Y,Z,1) :- X = sunny, dom2(Y), dom3(Z).",
+            "cls(X,Y,Z,1) :- X = rain, dom2(Y), dom3(Z).",
+            "cls(X,Y,Z,0) :- dom1(X), dom2(Y), dom3(Z), not cls(X,Y,Z,1).",
+        ]
+
+    @pytest.mark.parametrize("label", [1.0, True], ids=repr)
+    def test_rules_embedding_never_sees_a_non_integer_label(
+        self, tennis_schema, tennis_entity, label
+    ):
+        # 1.0 == True == 1, but cls(X,Y,Z,1.0) would match no cls(...,1) atom
+        with pytest.raises(InputError, match="label must be 0 or 1"):
+            emit_cip(
+                tennis_schema,
+                tennis_entity,
+                RuleClassifier(tennis_schema, [Rule(((0, "sunny"),), label)], 0),
+                CipOptions(classifier_embedding=RULES),
+            )
 
     @pytest.mark.parametrize("field, message", [
         ("dialect", "unknown dialect 'clingo'"),

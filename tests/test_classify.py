@@ -193,6 +193,45 @@ class TestTableClassifier:
         assert str(info.value) == "duplicate table row for ('0', '1', '1')"
 
 
+class TestLabels:
+    """A label is the int 0 or 1 or the string "0" or "1", kept as its int;
+    ``True`` and ``1.0`` equal 1 but are refused."""
+
+    NOT_LABELS = [True, False, 1.0, 0.0, 2, -1, "01", " 1", "true", None]
+
+    @pytest.mark.parametrize("raw", NOT_LABELS, ids=repr)
+    def test_rule_refuses(self, raw):
+        with pytest.raises(InputError) as info:
+            Rule(((0, "1"),), raw)
+        assert str(info.value) == f"rule: label must be 0 or 1, got {raw!r}"
+
+    @pytest.mark.parametrize("raw", NOT_LABELS, ids=repr)
+    def test_default_refuses(self, raw):
+        with pytest.raises(InputError) as info:
+            RuleClassifier(A_SCHEMA, [], raw)
+        assert str(info.value) == f"default: label must be 0 or 1, got {raw!r}"
+
+    @pytest.mark.parametrize("raw", NOT_LABELS, ids=repr)
+    def test_table_row_refuses(self, raw):
+        with pytest.raises(InputError) as info:
+            TableClassifier(A_SCHEMA, {("0",): 0, ("1",): raw})
+        assert str(info.value) == (
+            f"table row ('1',): label must be 0 or 1, got {raw!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "raw, label", [(0, 0), (1, 1), ("0", 0), ("1", 1)], ids=["0", "1", "'0'", "'1'"]
+    )
+    def test_labels_are_ints(self, raw, label):
+        rule = Rule(((0, "1"),), raw)
+        assert (type(rule.label), rule.label) == (int, label)
+        clf = RuleClassifier(A_SCHEMA, [rule], raw)
+        table = TableClassifier(A_SCHEMA, {("0",): raw, ("1",): raw})
+        for backend in (clf, table):
+            got = [backend.label(v) for v in (("0",), ("1",))]
+            assert [(type(x), x) for x in got] == [(int, label)] * 2
+
+
 class TestRuleClassifier:
     def test_tennis_labels(self, tennis_clf):
         assert tennis_clf.label(("sunny", "normal", "weak")) == 1

@@ -1111,16 +1111,28 @@ class TestPartialTable:
 
 
 class TestStartup:
+    @staticmethod
+    def loaded(imports, modules, *flags):
+        """Which of ``modules`` a fresh interpreter holds after ``imports``."""
+        code = f"import sys, {imports}; print([m for m in {modules!r} if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
     def test_cli_import_leaves_aspgen_out(self):
         # only the subcommands that run them import these
         lazy = ("cfx.aspgen", "cfx.score", "fractions", "subprocess", "select", "shlex")
-        code = f"import sys, cfx.cli; print([m for m in {lazy!r} if m in sys.modules])"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+        assert self.loaded("cfx.cli", lazy) == "[]\n"
+
+    def test_no_command_imports_dataclasses(self):
+        # the value classes are hand-written; these two modules cost more to
+        # import than the rest of the package. -S: a .pth file of the
+        # site-packages may import them on its own
+        slow = ("dataclasses", "inspect")
+        assert self.loaded("cfx.cli, cfx.score, cfx.aspgen", slow, "-S") == "[]\n"
 
     def test_emit_asp_choices_are_aspgen_constants(self):
         parser = cli.build_parser()

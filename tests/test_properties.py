@@ -5,7 +5,6 @@ values apiece, keeping the product space small enough to enumerate.
 """
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -546,12 +545,20 @@ class TestEmissionInvariants:
     @given(emission_cases())
     def test_shift_rewrites_only_the_intervention_rule(self, case):
         schema, entity, classifier, options = case
-        plain = aspgen.emit_cip(
-            schema, entity, classifier, dataclasses.replace(options, shift=False)
-        )
-        shifted = aspgen.emit_cip(
-            schema, entity, classifier, dataclasses.replace(options, shift=True)
-        )
+
+        def emit(shift):
+            # ``options`` with only ``shift`` set anew
+            return aspgen.emit_cip(schema, entity, classifier, aspgen.CipOptions(
+                dialect=options.dialect,
+                classifier_embedding=options.classifier_embedding,
+                include_weak=options.include_weak,
+                include_count=options.include_count,
+                shift=shift,
+                feature_tokens=options.feature_tokens,
+                hard_constraints=options.hard_constraints,
+            ))
+
+        plain, shifted = emit(False), emit(True)
         if len(schema) == 1:
             assert shifted.text == plain.text
             return

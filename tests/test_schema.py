@@ -311,3 +311,61 @@ class TestEveryDefinitionIsNamed:
                     where = name if owner is None else f"{owner}.{name}"
                     unnamed.append(f"{path.name}:{node.lineno} {where}")
         assert unnamed == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestRunsOnPython310:
+    """The package, its tests and the benchmark run on Python 3.10, the
+    oldest version CI runs: every module parses under 3.10's grammar and
+    names none of the likeliest standard-library names that came later."""
+
+    MODULES = sorted(
+        p
+        for where in ("src/cfx", "tests", "perfbench")
+        for p in (ROOT / where).rglob("*.py")
+        if "_work" not in p.parts
+    )
+    # module: its names newer than 3.10
+    NEWER = {"itertools": {"batched"}, "typing": {"Self"}, "datetime": {"UTC"}}
+    GUARDS = {"ImportError", "ModuleNotFoundError"}
+
+    @pytest.mark.parametrize(
+        "path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix()
+    )
+    def test_parses_and_names_nothing_newer(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+        # tomllib (3.11) may be imported where a failed import is caught
+        guarded = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Try)
+            and any(
+                handler.type is not None
+                and {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+                & self.GUARDS
+                for handler in node.handlers
+            )
+            for stmt in node.body
+            for inner in ast.walk(stmt)
+        }
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                pairs = [(node.module, a.name) for a in node.names]
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                pairs, modules = [], [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                pairs, modules = [(node.value.id, node.attr)], []
+            else:
+                continue
+            found += [
+                f"{module}.{name} at line {node.lineno}"
+                for module, name in pairs
+                if name in self.NEWER.get(module, ())
+            ]
+            if "tomllib" in modules and id(node) not in guarded:
+                found.append(f"unguarded tomllib import at line {node.lineno}")
+        assert found == []
