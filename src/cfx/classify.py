@@ -24,10 +24,9 @@ import os
 import re
 import threading
 import time
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BackendError, InputError
 from .schema import FeatureSchema, Record, read_csv, read_text, reject_row
@@ -129,10 +128,16 @@ class TableClassifier:
         every cell of it is a domain value or label as read and every
         vector in it is new; any other chunk goes through ``_load_rows``,
         which alone says what a row may hold and raises the first bad
-        row's error.
+        row's error. A row that ``read_csv`` rejects is reported only after
+        the rows before it are loaded, so an earlier bad row is still
+        reported first.
         """
-        fields, lines = read_csv(path)
         names = schema.names
+        if "label" in names:
+            raise InputError(
+                f"{path}: a feature named 'label' would share the label column"
+            )
+        fields, lines = read_csv(path)
         missing = [n for n in names if n not in fields]
         if missing:
             raise InputError(f"{path}: missing feature columns {missing}")
@@ -150,40 +155,35 @@ class TableClassifier:
         accept = [{v for v in d if v == v.strip()} for d in domains]
         accept.append(set(_LABELS))
         rows: dict[tuple[str, ...], int] = {}
-        for chunk in _chunks(lines):
+
+        def take(chunk: list[tuple[int, list[str]]]) -> None:
             cols = pick(list(zip(*map(itemgetter(1), chunk))))
             if all(map(set.issuperset, accept, cols)):
                 new = dict(zip(zip(*cols[:n]), map(_LABELS.__getitem__, cols[n])))
                 if len(new) == len(chunk) and rows.keys().isdisjoint(new):
                     rows.update(new)
-                    continue
+                    return
             _load_rows(path, schema, pick, domains, rows, chunk)
+
+        chunk: list[tuple[int, list[str]]] = []
+        try:
+            for pair in lines:
+                chunk.append(pair)
+                if len(chunk) == CHUNK_ROWS:
+                    full, chunk = chunk, []
+                    take(full)
+        finally:
+            # Also when read_csv raises for a row: the rows before it load
+            # first, so an earlier bad row's error replaces that one. A
+            # chunk is emptied before ``take`` loads it, so a chunk that
+            # raised is not loaded twice.
+            if chunk:
+                take(chunk)
         if not rows:
             raise InputError(f"{path}: truth table has no rows")
         table = cls.__new__(cls)
         table.schema, table.rows = schema, rows
         return table
-
-
-def _chunks(
-    pairs: Iterator[tuple[int, list[str]]],
-) -> Iterator[list[tuple[int, list[str]]]]:
-    """``pairs`` in lists of CHUNK_ROWS. A row that ``read_csv`` rejects
-    ends the last list, and its error is raised once that list is loaded,
-    so an earlier bad row is still reported first."""
-    rejected: list[InputError] = []
-
-    def upto() -> Iterator[tuple[int, list[str]]]:
-        try:
-            yield from pairs
-        except InputError as exc:
-            rejected.append(exc)
-
-    rest = upto()
-    while chunk := list(islice(rest, CHUNK_ROWS)):
-        yield chunk
-    if rejected:
-        raise rejected[0]
 
 
 def _load_rows(

@@ -177,7 +177,7 @@ def _dispatch(args, manifest: dict) -> int:
         "constraints": getattr(args, "constraints", None),
     }
     constraints = None
-    if getattr(args, "constraints", None):
+    if getattr(args, "constraints", None) is not None:
         constraints = constrain.load_constraints(args.constraints, schema)
 
     backend = _build_backend(args, schema)
@@ -221,7 +221,7 @@ def _load_entity(args, schema: FeatureSchema) -> Entity:
 
 
 def _build_backend(args, schema: FeatureSchema):
-    if args.table:
+    if args.table is not None:
         backend = TableClassifier.from_csv(args.table, schema)
         covered, total = backend.coverage()
         if covered < total:
@@ -231,7 +231,7 @@ def _build_backend(args, schema: FeatureSchema):
                 file=sys.stderr,
             )
         return backend
-    if args.rules:
+    if args.rules is not None:
         return load_rules(args.rules, schema)
     external = getattr(args, "external", None)  # emit-asp has no --external
     return None if external is None else ExternalClassifier(external, schema)
@@ -239,7 +239,7 @@ def _build_backend(args, schema: FeatureSchema):
 
 def _search_config(args, manifest: dict) -> search.SearchConfig:
     budget = args.budget
-    if budget is None and args.external:
+    if budget is None and args.external is not None:
         budget = 10000  # keep runaway child processes bounded by default
     cfg = search.SearchConfig(max_cardinality=args.max_card, budget=budget)
     manifest["config"] = {"max_cardinality": cfg.max_cardinality, "budget": cfg.budget}
@@ -269,7 +269,7 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
     from . import score as score_mod
 
     if args.prob is None:
-        if args.condition:
+        if args.condition is not None:
             raise InputError("--condition needs --prob")
         cfg = _search_config(args, manifest)
         report = score_mod.x_resp(schema, classifier, entity, constraints, cfg)
@@ -350,7 +350,7 @@ def _build_distribution(args, schema: FeatureSchema):
         raise InputError(
             f"--prob must be uniform, product:FILE or empirical:FILE, got {spec!r}"
         )
-    if args.condition:
+    if args.condition is not None:
         cs = constrain.load_constraints(args.condition, schema)
         if cs.actionability or cs.onehot:
             raise InputError(
@@ -389,7 +389,7 @@ def _cmd_emit_asp(args, schema, entity, backend, constraints, manifest) -> int:
         "feature_tokens": args.feature_tokens,
     }
     program = aspgen.emit_cip(schema, entity, backend, options)
-    if args.out:
+    if args.out is not None:
         try:
             Path(args.out).write_text(program.text, encoding="utf-8")
         except OSError as exc:

@@ -290,12 +290,16 @@ def read_text(path: str | Path) -> str:
 def read_csv(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The stripped header of the CSV file ``path`` and its rows as (line
     number, unstripped cells) pairs. Rows not as wide as the header go to
-    ``reject_row``. Testing every row for blankness would slow large tables,
+    ``reject_row``; a row the csv module cannot read is an error naming
+    FILE:LINE. Testing every row for blankness would slow large tables,
     so a blank row of the right width reaches the loader: it fails the
     loader's cell checks, and the loader hands it to ``reject_row``."""
     # not str.splitlines, which also ends lines at U+2028 and form feeds
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise InputError(f"{path}:1: {exc}") from None
     if header is None:
         raise InputError(f"{path}: empty CSV")
     width = len(header)
@@ -304,12 +308,15 @@ def read_csv(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]
         # a quoted cell may span lines, so a row is numbered by the line it
         # starts on: one past the last line the reader consumed before it
         start = reader.line_num + 1
-        for row in reader:
-            if len(row) == width:
-                yield start, row
-            else:
-                reject_row(path, start, row, "wrong column count")
-            start = reader.line_num + 1
+        try:
+            for row in reader:
+                if len(row) == width:
+                    yield start, row
+                else:
+                    reject_row(path, start, row, "wrong column count")
+                start = reader.line_num + 1
+        except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+            raise InputError(f"{path}:{start}: {exc}") from None
 
     return [h.strip() for h in header], rows()
 

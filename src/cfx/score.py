@@ -178,10 +178,6 @@ class Distribution:
         """Weight of a vector whose values are known to be in their domains."""
         raise NotImplementedError
 
-    def prob(self, values: Sequence[str]) -> Fraction:
-        self.schema.check_values(values)
-        return Fraction(self.weight(values), self.total)
-
     def support(self) -> Iterator[tuple[str, ...]]:
         """Vectors that may carry mass (a superset is fine)."""
         if self.schema.space_size() > SPACE_ENUMERATION_LIMIT:

@@ -24,7 +24,6 @@ empty, so nothing smaller can exist.
 from __future__ import annotations
 
 import json
-import math
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Sequence
@@ -52,7 +51,9 @@ class SearchConfig(Record):
 
 class SearchStats(Record):
     __slots__ = ("classifier_calls", "levels_explored")
-    __hash__ = None  # type: ignore[assignment]  # the search counts into it
+    # unhashable like the SearchResult that carries it: a tally of one run,
+    # not a key
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, classifier_calls: int = 0, levels_explored: int = 0):
         self.classifier_calls = classifier_calls
@@ -229,10 +230,9 @@ def enumerate_counterfactuals(
     n = len(schema)
     bound = n if cfg.max_cardinality is None else min(cfg.max_cardinality, n)
 
-    # SearchConfig guarantees a budget of at least 1 for the initial call
-    calls_left = math.inf if cfg.budget is None else cfg.budget - 1
-    stats = SearchStats(classifier_calls=1)
+    budget = cfg.budget
     require_label_one(schema, classifier, entity)
+    calls = 1  # SearchConfig guarantees a budget of at least 1 for this call
 
     values = entity.values
     alternatives = cs.alternatives(values)
@@ -245,20 +245,15 @@ def enumerate_counterfactuals(
     # first hit and ``last`` carries the verdict to the rest.
     minimal_masks: list[int] = []
     last: tuple[int, ...] = ()
-    minimal = truncated = stopped_early = False
+    minimal = False
 
     for k in range(1, bound + 1):
-        stats.levels_explored = k
-        admissible = [
-            (idxs, cand)
-            for idxs, cand in level_candidates(alternatives, values, k)
-            if cs.admissible(cand)
-        ]
-        granted = min(len(admissible), calls_left)
-        truncated = granted < len(admissible)
-        calls_left -= granted
-        stats.classifier_calls += granted
-        for idxs, cand in admissible[:granted]:
+        for idxs, cand in level_candidates(alternatives, values, k):
+            if not cs.admissible(cand):
+                continue
+            if calls == budget:
+                return SearchResult(entity, hits, SearchStats(calls, k), exhausted=False)
+            calls += 1
             if classifier.label(cand) != 0:
                 continue
             if idxs != last:
@@ -268,22 +263,12 @@ def enumerate_counterfactuals(
                 if minimal:
                     minimal_masks.append(mask)
             hits.append((idxs, cand, minimal))
-        if truncated:
-            break
         if stop_at_first_hit and hits:
-            stopped_early = True
-            break
+            # Levels below the hit level were explored empty, so both
+            # minimality notions are settled by what was found.
+            return SearchResult(entity, hits, SearchStats(calls, k), exhausted=True)
 
-    if truncated:
-        exhausted = False
-    elif stopped_early:
-        # Levels below the hit level were explored empty, so both minimality
-        # notions are settled by what was found.
-        exhausted = True
-    else:
-        exhausted = bound == n
-
-    return SearchResult(entity=entity, hits=hits, stats=stats, exhausted=exhausted)
+    return SearchResult(entity, hits, SearchStats(calls, bound), exhausted=bound == n)
 
 
 def c_explanations(

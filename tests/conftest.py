@@ -1,5 +1,6 @@
 """Shared fixtures: two 3-bit truth tables and the play-tennis tree."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,11 @@ def section(program, name):
     """The section of an emitted program named ``name``."""
     [found] = [s for s in program.sections if s.name == name]
     return found
+
+
+def prob(dist, values):
+    """The probability ``dist`` gives ``values``: its weight over its total."""
+    return Fraction(dist.weight(values), dist.total)
 
 
 def table_from_function(schema, fn):

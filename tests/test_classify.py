@@ -79,6 +79,15 @@ class TestTableClassifier:
         with pytest.raises(InputError, match="named more than once"):
             TableClassifier.from_csv(p, bits_schema)
 
+    @pytest.mark.parametrize("header", ["label,x", "label,x,label"])
+    def test_from_csv_refuses_a_feature_named_label(self, tmp_path, header):
+        schema = FeatureSchema((Feature("label", ("0", "1")), Feature("x", ("0", "1"))))
+        p = tmp_path / "table.csv"
+        p.write_text(header + "\n" + ",".join("1" * (header.count(",") + 1)) + "\n")
+        with pytest.raises(InputError) as info:
+            TableClassifier.from_csv(p, schema)
+        assert str(info.value) == f"{p}: a feature named 'label' would share the label column"
+
     @pytest.mark.parametrize("row", ["0,1,1", "0,1,1,1,extra"])
     def test_from_csv_wrong_column_count(self, tmp_path, bits_schema, row):
         p = tmp_path / "table.csv"

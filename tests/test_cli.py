@@ -504,6 +504,32 @@ class TestLoneSurrogate:
         assert json.loads(out)["entity"] == "\U0001f600"
 
 
+class TestEmptyFlagValue:
+    """A flag given the empty string names that path or command and is
+    rejected, never taken as absent."""
+
+    TENNIS = ["--schema", "{d}/tennis_schema.json", "--entity", "{d}/tennis_e.json"]
+    RULES = ["--rules", "{d}/tennis.rules"]
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", *TENNIS, "--table", ""],
+        ["explain", *TENNIS, "--rules", ""],
+        ["explain", *TENNIS, "--external", ""],
+        ["explain", *TENNIS, *RULES, "--constraints", ""],
+        ["score", *TENNIS, *RULES, "--condition", ""],
+        ["score", *TENNIS, *RULES, "--prob", "uniform", "--condition", ""],
+        ["emit-asp", *TENNIS, *RULES, "--out", ""],
+    ], ids=[
+        "table", "rules", "external", "constraints", "condition", "prob-condition", "out",
+    ])
+    def test_rejected(self, capsys, files, argv):
+        code, out, err = run(capsys, [a.format(d=files) for a in argv])
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        message, manifest = err.splitlines()
+        assert message.startswith("cfx: ")
+        assert manifest_of(manifest)["command"] == argv[0]
+
+
 class TestErrorsNameTheirFile:
     TENNIS = ["--schema", "{d}/tennis_schema.json", "--entity", "{d}/tennis_e.json"]
     RULES = ["--rules", "{d}/tennis.rules"]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import section
+from conftest import prob, section
 from cfx import classify
 from cfx.classify import MemoClassifier, Rule, RuleClassifier, TableClassifier
 from cfx.errors import InputError
@@ -49,7 +49,7 @@ from cfx.score import (
     max_resp_features,
     x_resp,
 )
-from cfx.search import SearchConfig, enumerate_counterfactuals
+from cfx.search import SearchConfig, enumerate_counterfactuals, level_candidates
 from cfx import aspgen
 
 
@@ -315,6 +315,16 @@ class TestSearchInvariants:
 
         full = run(None)
         calls = full.stats.classifier_calls
+        # the level of each admissible candidate, in walk order; a budget
+        # of b grants the entity's call and b - 1 of them, so the walk stops
+        # on the b-th
+        values = entity.values
+        levels = [
+            k
+            for k in range(1, (max_card or n) + 1)
+            for _, cand in level_candidates(cs.alternatives(values), values, k)
+            if cs.admissible(cand)
+        ]
         for b in range(1, calls + 2):
             cut = run(b)
             k = len(cut.explanations)
@@ -323,6 +333,9 @@ class TestSearchInvariants:
             assert cut.c_flags == full.c_flags[:k]
             assert cut.stats.classifier_calls == min(b, calls)
             assert cut.exhausted == (full.exhausted and b >= calls)
+            assert cut.stats.levels_explored == (
+                levels[b - 1] if b < calls else full.stats.levels_explored
+            )
 
 
 class TestScoreInvariants:
@@ -404,7 +417,7 @@ class TestScoreInvariants:
         if dist is None:
             return
         for vec in schema.iter_space():
-            assert dist.prob(vec) == oracles.prob_of(table, vec)
+            assert prob(dist, vec) == oracles.prob_of(table, vec)
         values = data.draw(st.tuples(*map(st.sampled_from, domains)))
         for index, domain in enumerate(domains):
             want = oracles.conditional(table, values, index)

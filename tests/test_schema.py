@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 from collections import Counter
 from pathlib import Path
@@ -159,6 +160,17 @@ class TestSerialization:
             entities_from_csv(p, tennis_schema)
         assert str(info.value) == f"{p}{where}: {message}"
 
+    @pytest.mark.parametrize("head, where", [
+        ("", ":1"), ("id,Outlook,Humidity,Wind\ne1,sunny,normal,weak\n\n", ":4"),
+    ], ids=["header", "row"])
+    def test_csv_module_errors_name_the_line(self, tmp_path, tennis_schema, head, where):
+        limit = csv.field_size_limit()
+        p = tmp_path / "e.csv"
+        p.write_text(head + "e2," + "x" * (limit + 1) + ",normal,weak\n")
+        with pytest.raises(InputError) as info:
+            entities_from_csv(p, tennis_schema)
+        assert str(info.value) == f"{p}{where}: field larger than field limit ({limit})"
+
 
 class TestOneReader:
     """Input files are opened, decoded and split into CSV rows in schema.py
@@ -251,7 +263,8 @@ class TestEveryDefinitionIsNamed:
     Names are matched as words, not resolved to what they bind. So the test
     cannot see an attribute that nothing reads (one set in ``__init__`` and
     never looked up), and a definition counts as named when another one of
-    its name is named or read."""
+    its name is named or read. Attributes of ``args`` are command-line
+    options (``args.prob`` is ``--prob``), so they name no definition."""
 
     PACKAGE = TestOneReader.PACKAGE
     BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -261,23 +274,27 @@ class TestEveryDefinitionIsNamed:
     CALLED_BY_BASE = {"_Parser.error"}
 
     @staticmethod
-    def names(tree):
-        found = Counter()
+    def attributes(tree):
+        """The attribute nodes of ``tree`` but those on ``args``."""
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+        ]
+
+    def names(self, tree):
+        found = Counter(node.attr for node in self.attributes(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 found[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                found[node.attr] += 1
             elif isinstance(node, ast.alias):
                 found[node.name.rpartition(".")[2]] += 1
         return found
 
-    @staticmethod
-    def reads(tree):
+    def reads(self, tree):
         return Counter(
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            node.attr for node in self.attributes(tree) if isinstance(node.ctx, ast.Load)
         )
 
     def test_every_definition_is_named(self):

@@ -17,8 +17,8 @@ ENTITY = schema.Entity("e", ("1", "0", "lo"))
 EXPLANATION = schema.Explanation(((0, "1"),), schema.Entity("e", ("0", "0", "lo")))
 
 # class: (keyword arguments without the defaulted ones, the defaults, one
-# changed argument, hashable). The classes without a hash hold lists or are
-# counted into.
+# changed argument, hashable). The classes without a hash hold lists or a
+# run's counts.
 CASES = {
     schema.Feature: (
         {"name": "a", "domain": ("0", "1")}, {"ordered": False}, {"name": "b"}, True,
