@@ -536,7 +536,8 @@ class MemoClassifier:
     """Value-keyed memo cache in front of any object with a ``label`` method.
 
     Caching is semantically invisible for deterministic backends; ``queries``
-    counts every lookup, ``backend_calls`` only the cache misses.
+    counts every lookup, ``backend_calls`` only the cache misses. Not
+    thread-safe: use one per thread.
     """
 
     def __init__(self, backend):
@@ -544,18 +545,12 @@ class MemoClassifier:
         self.queries = 0
         self.backend_calls = 0
         self._cache: dict[tuple[str, ...], int] = {}
-        self._lock = threading.Lock()
 
     def label(self, values: Sequence[str]) -> int:
+        self.queries += 1
         key = tuple(values)
-        # The lock is for API callers sharing one classifier across threads;
-        # the package never calls it concurrently. The backend is called under
-        # it, keeping backend call counts deterministic for those callers.
-        with self._lock:
-            self.queries += 1
-            if key in self._cache:
-                return self._cache[key]
-            result = self.backend.label(key)
+        result = self._cache.get(key)  # None is never a label
+        if result is None:
+            result = self._cache[key] = self.backend.label(key)
             self.backend_calls += 1
-            self._cache[key] = result
-            return result
+        return result

@@ -393,7 +393,9 @@ def _cmd_emit_asp(args, schema, entity, backend, constraints, manifest) -> int:
         try:
             Path(args.out).write_text(program.text, encoding="utf-8")
         except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+            raise InputError(
+                f"cannot write {args.out or repr('')}: {exc.strerror or exc}"
+            ) from None
         sys.stdout.write(json.dumps(program.section_index(), indent=2) + "\n")
     else:
         sys.stdout.write(program.text)

@@ -279,7 +279,7 @@ def read_text(path: str | Path) -> str:
         data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
         return data.decode("utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise InputError(f"cannot read {path or repr('')}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(

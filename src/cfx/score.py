@@ -131,13 +131,17 @@ def x_resp(
 ) -> RespReport:
     """Reciprocal-size responsibility of every feature value of ``entity``."""
     result = enumerate_counterfactuals(schema, classifier, entity, constraints, config)
-    s_set = result.s_set
-    scores = []
-    for i in range(len(schema)):
-        # the s-set runs smallest first, so the first hit is a smallest one
-        best = next((x for x in s_set if i in x.changed_indices), None)
-        score = Fraction(0) if best is None else Fraction(1, best.cardinality)
-        scores.append(FeatureScore(i, score, best))
+    # s-minimal rows run smallest first, so a feature's first is a smallest one
+    first: dict[int, tuple] = {}
+    for row in result.hits:
+        if row[2]:
+            for i in row[0]:
+                first.setdefault(i, row)
+            if len(first) == len(schema):
+                break
+    scores = [FeatureScore(i, Fraction(0), None) for i in range(len(schema))]
+    for i, witness in zip(first, result.explain_rows(first.values())):
+        scores[i] = FeatureScore(i, Fraction(1, witness.cardinality), witness)
     return RespReport(entity, scores, authoritative=result.exhausted)
 
 
@@ -254,6 +258,15 @@ class ProductDistribution(Distribution):
 
     def weight(self, values: Sequence[str]) -> int:
         return prod(map(dict.__getitem__, self._scaled, values))
+
+    def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
+        # the others' product times this feature's marginal, never all zero
+        scaled = self._scaled
+        rest = scaled[:index] + scaled[index + 1:]
+        others = prod(map(dict.__getitem__, rest, values[:index] + values[index + 1:]))
+        if not others:
+            raise ZeroMassError(_NO_SLICE_MASS)
+        return {v: others * w for v, w in scaled[index].items()}
 
     @classmethod
     def from_csv(cls, path: str | Path, schema: FeatureSchema) -> ProductDistribution:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import constrain
 from .errors import EngineError, InputError, NothingToExplainError
@@ -84,7 +84,7 @@ class SearchResult(Record):
 
     @property
     def explanations(self) -> list[Explanation]:
-        return self._kept([True] * len(self.hits))
+        return self.explain_rows(self.hits)
 
     @property
     def s_flags(self) -> list[bool]:
@@ -98,20 +98,19 @@ class SearchResult(Record):
 
     @property
     def s_set(self) -> list[Explanation]:
-        return self._kept(self.s_flags)
+        return self.explain_rows([row for row in self.hits if row[2]])
 
     @property
     def c_set(self) -> list[Explanation]:
-        return self._kept(self.c_flags)
+        return self.explain_rows([row for row, c in zip(self.hits, self.c_flags) if c])
 
-    def _kept(self, flags: list[bool]) -> list[Explanation]:
-        """The explanations of the hits whose flag is set."""
+    def explain_rows(self, rows: Iterable[tuple]) -> list[Explanation]:
+        """The explanation of each of ``rows``, rows of :attr:`hits`."""
         e, out, last = self.entity, [], None
-        for (idxs, cand, _), keep in zip(self.hits, flags):
-            if keep:
-                if idxs != last:  # hits of one index set share its pairs
-                    last, changed = idxs, tuple((i, e.values[i]) for i in idxs)
-                out.append(Explanation(changed, Entity(e.id, cand)))
+        for idxs, cand, _ in rows:
+            if idxs != last:  # hits of one index set share its pairs
+                last, changed = idxs, tuple((i, e.values[i]) for i in idxs)
+            out.append(Explanation(changed, Entity(e.id, cand)))
         return out
 
     @property
@@ -155,17 +154,17 @@ class SearchResult(Record):
         ]
         values = [{v: "        " + _quote(v) for v in f.domain} for f in schema.features]
         flag = ("false", "true")
-        return ",\n".join(
-            [
-                '    {\n      "changed": {\n'
-                + ",\n".join([changed[i] for i in idxs])
-                + '\n      },\n      "counterfactual": [\n'
-                + ",\n".join([q[v] for q, v in zip(values, cand)])
-                + f'\n      ],\n      "cardinality": {len(idxs)},'
-                f'\n      "s_minimal": {flag[s]},\n      "c_minimal": {flag[c]}\n    }}'
-                for (idxs, cand, s), c in zip(self.hits, self.c_flags)
-            ]
-        )
+        rows, last = [], None
+        for (idxs, cand, s), c in zip(self.hits, self.c_flags):
+            if idxs != last:  # hits of one index set are adjacent
+                last, pairs = idxs, ",\n".join([changed[i] for i in idxs])
+                head = f'    {{\n      "changed": {{\n{pairs}\n      }},\n'
+                head += '      "counterfactual": [\n'
+                tail = f'\n      ],\n      "cardinality": {len(idxs)},\n      "s_minimal": '
+                c_tail = f',\n      "c_minimal": {flag[c]}\n    }}'
+                tails = [tail + m + c_tail for m in flag]
+            rows.append(head + ",\n".join(map(dict.__getitem__, values, cand)) + tails[s])
+        return ",\n".join(rows)
 
     def _payload(self, explanations: list) -> dict:
         return {
@@ -201,14 +200,15 @@ def level_candidates(
     of size ``k`` lexicographically, then their value combinations in
     domain order. ``alternatives[i]`` lists the values feature i may take
     instead of ``values[i]``, in domain order; an empty list keeps feature
-    i out of every index set.
+    i out of every index set. Each candidate comes whole out of ``product``
+    over one pool per feature: alternatives inside the set, the value outside.
     """
     for idxs in combinations(range(len(values)), k):
-        for combo in product(*(alternatives[i] for i in idxs)):
-            cand = list(values)
-            for i, v in zip(idxs, combo):
-                cand[i] = v
-            yield idxs, tuple(cand)
+        pools: list[Sequence[str]] = [(v,) for v in values]
+        for i in idxs:
+            pools[i] = alternatives[i]
+        for cand in product(*pools):
+            yield idxs, cand
 
 
 def enumerate_counterfactuals(

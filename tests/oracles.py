@@ -64,6 +64,18 @@ def canonical_order(domains, values, cands):
     return sorted(cands, key=key)
 
 
+def level_candidates(alternatives, values, k):
+    """(index set, candidate) pairs at Hamming distance k: index sets
+    lexicographically, each spliced with every combination of its features'
+    alternatives in the order given."""
+    for idxs in combinations(range(len(values)), k):
+        for combo in product(*(alternatives[i] for i in idxs)):
+            cand = list(values)
+            for i, v in zip(idxs, combo):
+                cand[i] = v
+            yield idxs, tuple(cand)
+
+
 def s_minimal(cfs):
     """Counterfactuals whose changed set has no proper subset among the rest."""
     out = []

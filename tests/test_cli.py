@@ -511,22 +511,24 @@ class TestEmptyFlagValue:
     TENNIS = ["--schema", "{d}/tennis_schema.json", "--entity", "{d}/tennis_e.json"]
     RULES = ["--rules", "{d}/tennis.rules"]
 
-    @pytest.mark.parametrize("argv", [
-        ["explain", *TENNIS, "--table", ""],
-        ["explain", *TENNIS, "--rules", ""],
-        ["explain", *TENNIS, "--external", ""],
-        ["explain", *TENNIS, *RULES, "--constraints", ""],
-        ["score", *TENNIS, *RULES, "--condition", ""],
-        ["score", *TENNIS, *RULES, "--prob", "uniform", "--condition", ""],
-        ["emit-asp", *TENNIS, *RULES, "--out", ""],
+    @pytest.mark.parametrize("argv, message", [
+        (["explain", *TENNIS, "--table", ""], "cannot read '': "),
+        (["explain", *TENNIS, "--rules", ""], "cannot read '': "),
+        (["explain", *TENNIS, "--external", ""], "external classifier command is empty"),
+        (["explain", *TENNIS, *RULES, "--constraints", ""], "cannot read '': "),
+        (["score", *TENNIS, *RULES, "--condition", ""], "--condition needs --prob"),
+        (["score", *TENNIS, *RULES, "--prob", "uniform", "--condition", ""],
+         "cannot read '': "),
+        (["emit-asp", *TENNIS, *RULES, "--out", ""], "cannot write '': "),
     ], ids=[
         "table", "rules", "external", "constraints", "condition", "prob-condition", "out",
     ])
-    def test_rejected(self, capsys, files, argv):
+    def test_rejected(self, capsys, files, argv, message):
+        # an empty path shows as '' in the message, not as nothing
         code, out, err = run(capsys, [a.format(d=files) for a in argv])
         assert (code, out) == (cli.EXIT_INPUT, "")
-        message, manifest = err.splitlines()
-        assert message.startswith("cfx: ")
+        line, manifest = err.splitlines()
+        assert line.startswith("cfx: " + message)
         assert manifest_of(manifest)["command"] == argv[0]
 
 
@@ -781,6 +783,28 @@ class TestScore:
         ])
         assert code == cli.EXIT_OK
         assert [r["score"] for r in json.loads(out)["scores"]] == scores
+        manifest = manifest_of(err)
+        assert (manifest["classifier_calls"], manifest["backend_calls"]) == calls
+
+    @pytest.mark.parametrize("command, inputs, calls", [
+        ("explain", ("bits_schema.json", "e1.json", "--table", "table1.csv"), (8, 8)),
+        ("explain", ("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
+         (12, 12)),
+        ("score", ("bits_schema.json", "e1.json", "--table", "table1.csv"), (8, 8)),
+        ("score", ("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
+         (12, 12)),
+    ], ids=["explain-table1", "explain-tennis", "score-table1", "score-tennis"])
+    def test_walk_call_counts(self, capsys, files, command, inputs, calls):
+        # label queries and cache misses of one full lattice walk: the
+        # entity, then every candidate once, so the memo never hits
+        schema, entity, backend, model = inputs
+        code, _, err = run(capsys, [
+            command,
+            "--schema", str(files / schema),
+            "--entity", str(files / entity),
+            backend, str(files / model),
+        ])
+        assert code == cli.EXIT_OK
         manifest = manifest_of(err)
         assert (manifest["classifier_calls"], manifest["backend_calls"]) == calls
 

@@ -338,6 +338,25 @@ class TestSearchInvariants:
             )
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(schemas(), st.data())
+    def test_level_candidates_match_splice_reference(self, schema, data):
+        # empty alternatives included: global_resp empties the scrutinized
+        # feature's, an actionability rule may empty any
+        domains = [f.domain for f in schema.features]
+        values = data.draw(st.tuples(*map(st.sampled_from, domains)))
+        alternatives = [
+            data.draw(st.lists(
+                st.sampled_from(d).filter(lambda x, v=v: x != v), unique=True
+            ))
+            for d, v in zip(domains, values)
+        ]
+        for k in range(len(values) + 1):
+            assert list(level_candidates(alternatives, values, k)) == list(
+                oracles.level_candidates(alternatives, values, k)
+            )
+
+
 class TestScoreInvariants:
     @settings(max_examples=60, deadline=None)
     @given(classified_spaces())
@@ -345,10 +364,21 @@ class TestScoreInvariants:
         schema, table, entity = case
         clf = TableClassifier(schema, table)
         report = x_resp(schema, clf, entity)
-        want = oracles.x_resp(
-            [f.domain for f in schema.features], entity.values, table.__getitem__
-        )
+        domains = [f.domain for f in schema.features]
+        want = oracles.x_resp(domains, entity.values, table.__getitem__)
         assert [fs.score for fs in report.scores] == want
+        # each witness is the first s-minimal counterfactual in walk order
+        # that changes the feature
+        cfs = oracles.counterfactuals(domains, entity.values, table.__getitem__)
+        s_min = oracles.canonical_order(
+            domains, entity.values, [cand for cand, _ in oracles.s_minimal(cfs)]
+        )
+        for fs in report.scores:
+            first = next(
+                (c for c in s_min if fs.feature in oracles.changed_set(entity.values, c)),
+                None,
+            )
+            assert (fs.witness and fs.witness.counterfactual.values) == first
 
     @settings(max_examples=100, deadline=None)
     @given(classified_spaces(), st.data())
@@ -432,6 +462,42 @@ class TestScoreInvariants:
             assert {v: Fraction(w, total) for v, w in weights.items() if w} == {
                 v: p for v, p in want.items() if p
             }
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(schemas(), st.data())
+    def test_product_conditional_equals_weights(self, schema, data):
+        # exact integers, in domain order: the one-product shortcut against
+        # the weight of each vector of the slice; a zero marginal weight on
+        # another feature's value leaves the slice without mass
+        domains = [f.domain for f in schema.features]
+        dist = ProductDistribution(schema, draw_marginals(data, schema))
+        values = data.draw(st.tuples(*map(st.sampled_from, domains)))
+        for index, domain in enumerate(domains):
+            want = {
+                v: dist.weight(values[:index] + (v,) + values[index + 1:])
+                for v in domain
+            }
+            if not any(want.values()):
+                with pytest.raises(ZeroMassError):
+                    dist.conditional(values, index)
+                continue
+            got = dist.conditional(values, index)
+            assert list(got.items()) == list(want.items())
+            assert all(type(w) is int for w in got.values())
+
+    def test_product_conditional_zero_mass_on_another_feature(self):
+        schema = FeatureSchema((
+            Feature("A", ("a0", "a1")), Feature("B", ("b0", "b1", "b2")),
+        ))
+        dist = ProductDistribution(schema, [
+            {"a0": Fraction(1, 3), "a1": Fraction(2, 3)},
+            {"b0": Fraction(0), "b1": Fraction(1, 4), "b2": Fraction(3, 4)},
+        ])
+        with pytest.raises(ZeroMassError):
+            dist.conditional(("a1", "b0"), 0)
+        assert dist.conditional(("a1", "b2"), 0) == {"a0": 1 * 3, "a1": 2 * 3}
+        assert dist.conditional(("a1", "b0"), 1) == {"b0": 0, "b1": 2, "b2": 6}
 
 
 class TestRuleListInvariants:

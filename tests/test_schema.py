@@ -334,13 +334,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRunsOnPython310:
-    """The package, its tests and the benchmark run on Python 3.10, the
-    oldest version CI runs: every module parses under 3.10's grammar and
-    names none of the likeliest standard-library names that came later."""
+    """The package, its tests, the benchmark and the A/B script run on
+    Python 3.10, the oldest version CI runs: every module parses under
+    3.10's grammar and names none of the likeliest standard-library names
+    that came later."""
 
     MODULES = sorted(
         p
-        for where in ("src/cfx", "tests", "perfbench")
+        for where in ("src/cfx", "tests", "perfbench", "bench")
         for p in (ROOT / where).rglob("*.py")
         if "_work" not in p.parts
     )
