@@ -13,8 +13,11 @@ The external backend speaks a line protocol over stdin/stdout:
     child  -> engine: 1
 
 One reply line per query line, in order, values comma-joined in schema order
-with no quoting. The child must answer within CFX_EXTERNAL_TIMEOUT_MS
-milliseconds (default 5000).
+with no quoting. The engine may send up to AHEAD_BYTES of query lines before
+it reads their replies, so the child must keep reading stdin while it
+answers and take each line as one query, however the lines arrive. The
+engine waits at most CFX_EXTERNAL_TIMEOUT_MS milliseconds (default 5000)
+for each reply.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import re
 import threading
 import time
+from collections import deque
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -39,6 +43,9 @@ DEFAULT_TIMEOUT_MS = 5000
 # interpreter ran 3 full collections at 64 rows and 7 at 256, each
 # walking the whole table
 CHUNK_ROWS = 64
+# ExternalClassifier sends announced queries ahead of their replies, this
+# many bytes of lines at most: one page, the least a Linux pipe buffer holds
+AHEAD_BYTES = 4096
 
 
 class MissingRowError(BackendError):
@@ -392,9 +399,15 @@ def _end_col(line: str) -> int:
 class ExternalClassifier:
     """Classifier run as a child process speaking the line protocol.
 
-    The child is spawned lazily on the first query and reused afterwards;
-    at most one query is outstanding at any time. Use as a context manager
-    or call :meth:`close` to reap the child.
+    The child is spawned lazily on the first query and reused afterwards.
+    Use as a context manager or call :meth:`close` to reap the child.
+
+    :meth:`announce` names the queries that come next. They are written to
+    the child ahead of their ``label`` calls, up to AHEAD_BYTES of lines in
+    one write, so one round trip answers many of them; each ``label`` call
+    then reads the reply it is owed. A ``label`` call for any other query
+    first reads and drops the replies still owed, then asks its own query
+    alone. ``writes`` counts the writes to the child, the handshake's too.
     """
 
     def __init__(self, command: str | Sequence[str], schema: FeatureSchema):
@@ -420,6 +433,8 @@ class ExternalClassifier:
             raise InputError("timeout must be positive")
         self._proc: subprocess.Popen[bytes] | None = None
         self._lock = threading.Lock()
+        self.writes = 0
+        self._forget()
 
     # lifecycle
 
@@ -440,16 +455,23 @@ class ExternalClassifier:
         assert proc.stdout is not None
         self._poller = select.poll()
         self._poller.register(proc.stdout, select.POLLIN)
-        self._pending = b""  # bytes read past the last reply line
-        self._eof = False
-        self._send("#schema " + ",".join(self.schema.names))
-        reply = self._recv("#schema handshake")
+        self._write(f"#schema {','.join(self.schema.names)}\n".encode(), _what(None))
+        reply = self._recv(None)
         if reply != "#ok":
             self.close()
             raise ProtocolError(f"handshake: expected '#ok', got {reply!r}")
 
+    def _forget(self) -> None:
+        """Start the wire state over: nothing sent, owed or read ahead."""
+        self._waiting: deque[str] = deque()  # announced, not yet sent
+        self._owed: deque[str] = deque()  # sent, reply not yet taken
+        self._replies: deque[bytes] = deque()  # whole reply lines read
+        self._partial = b""  # bytes read past the last whole reply line
+        self._eof = False
+
     def close(self) -> None:
         proc, self._proc = self._proc, None
+        self._forget()
         if proc is None:
             return
         import subprocess
@@ -477,59 +499,119 @@ class ExternalClassifier:
     # Replies are read on the calling thread: poll the pipe until a whole
     # line is buffered or the timeout runs out. A round trip is then one
     # hand-off to the child and one back, with no reader thread to wake.
+    # Queries go out ahead only while no reply is owed, so the child's
+    # stdin holds at most AHEAD_BYTES, one page: the least a pipe buffer
+    # holds. The write never blocks, even on a child that reads no more
+    # until its replies are read.
 
-    def _send(self, line: str) -> None:
+    def _write(self, data: bytes, what: str) -> None:
+        """Write ``data``, which ``what`` names for errors, to the child."""
         proc = self._proc
         assert proc is not None and proc.stdin is not None
-        data = memoryview((line + "\n").encode())
+        view = memoryview(data)
         try:
-            while data:
-                data = data[proc.stdin.write(data):]
+            while view:
+                view = view[proc.stdin.write(view):]
+                self.writes += 1
         except OSError:
+            self.close()
             raise ProcessDiedError(
-                f"classifier process died before accepting {line!r}"
+                f"classifier process died before accepting {what}"
             ) from None
 
-    def _recv(self, context: str) -> str:
+    def _recv(self, query: str | None) -> str:
+        """The next reply line, awaited for at most the timeout; ``query``
+        names what it answers for errors, None for the handshake."""
         proc = self._proc
         assert proc is not None and proc.stdout is not None
+        replies = self._replies
         deadline = time.monotonic() + self.timeout_ms / 1000.0
-        while True:
-            line, newline, rest = self._pending.partition(b"\n")
-            if newline or (self._eof and line):
-                self._pending = rest
-                return line.rstrip(b"\r").decode("utf-8", "replace")
+        while not replies:
             if self._eof:
+                if self._partial:  # a last line with no newline
+                    replies.append(self._partial)
+                    self._partial = b""
+                    break
                 code = proc.poll()
                 self.close()
                 raise ProcessDiedError(
-                    f"classifier process exited (code {code}) leaving {context} unanswered"
+                    f"classifier process exited (code {code}) leaving "
+                    f"{_what(query)} unanswered"
                 )
             left_ms = (deadline - time.monotonic()) * 1000.0
             if left_ms <= 0 or not self._poller.poll(math.ceil(left_ms)):
                 self.close()
                 raise ExternalTimeoutError(
-                    f"no reply within {self.timeout_ms} ms for {context}"
+                    f"no reply within {self.timeout_ms} ms for {_what(query)}"
                 )
             chunk = proc.stdout.read(65536)
             if chunk:
-                self._pending += chunk
+                # each byte read is split once, however many replies it holds
+                lines = (self._partial + chunk).split(b"\n")
+                self._partial = lines.pop()
+                replies.extend(lines)
             else:
                 self._eof = True
+        return replies.popleft().rstrip(b"\r").decode("utf-8", "replace")
+
+    def _send_ahead(self) -> None:
+        """Send the waiting queries that fit in AHEAD_BYTES, in one write.
+        Called only while no reply is owed."""
+        waiting, owed = self._waiting, self._owed
+        lines, room = [], AHEAD_BYTES
+        while waiting:
+            line = (waiting[0] + "\n").encode()
+            if len(line) > room:
+                break
+            room -= len(line)
+            lines.append(line)
+            owed.append(waiting.popleft())
+        if lines:
+            self._write(b"".join(lines), f"{len(lines)} announced queries")
+
+    def announce(self, vectors: Iterable[Sequence[str]]) -> None:
+        """Queue ``vectors`` as the next queries, in order, and send ahead
+        what fits. Each still needs its own ``label`` call."""
+        queries = [",".join(v) for v in vectors]
+        if not queries:
+            return
+        with self._lock:
+            if self._proc is None:
+                self._start()
+            self._waiting.extend(queries)
+            if not self._owed:
+                self._send_ahead()
 
     def label(self, values: Sequence[str]) -> int:
         query = ",".join(values)
         with self._lock:
             if self._proc is None:
                 self._start()
-            self._send(query)
-            reply = self._recv(f"query {query!r}")
-        if reply not in ("0", "1"):
+            owed = self._owed
+            if owed and owed[0] == query:
+                owed.popleft()
+                reply = self._recv(query)
+                if not owed and self._waiting:
+                    self._send_ahead()
+            else:
+                # not the query announced next: settle the replies owed and
+                # drop the rest of the announcement
+                self._waiting.clear()
+                while owed:
+                    self._recv(owed.popleft())
+                self._write((query + "\n").encode(), _what(query))
+                reply = self._recv(query)
+        result = _LABELS.get(reply)
+        if result is None:
             self.close()
             raise ProtocolError(
                 f"reply to query {query!r} must be '0' or '1', got {reply!r}"
             )
-        return int(reply)
+        return result
+
+
+def _what(query: str | None) -> str:
+    return "the #schema handshake" if query is None else f"query {query!r}"
 
 
 class MemoClassifier:
@@ -554,3 +636,10 @@ class MemoClassifier:
             result = self._cache[key] = self.backend.label(key)
             self.backend_calls += 1
         return result
+
+    def announce(self, vectors: Iterable[tuple[str, ...]]) -> None:
+        """Pass the uncached ones of ``vectors``, the next queries, on to
+        the backend's ``announce``, if it has one. Counts nothing."""
+        if hasattr(self.backend, "announce"):
+            cache = self._cache
+            self.backend.announce([v for v in vectors if v not in cache])

@@ -6,9 +6,9 @@ default, probabilistic with --prob), ``emit-asp`` renders the intervention
 program, ``classify`` prints a single label.
 
 Contract: stdout carries the payload only; diagnostics and the run manifest
-(one JSON line with config echo, classifier call counts and wall time) go to
-stderr. Payloads are pure functions of the input files, so re-running a
-command reproduces stdout byte for byte.
+(one JSON line with config echo, classifier call counts, writes to an
+external child and wall time) go to stderr. Payloads are pure functions of
+the input files, so re-running a command reproduces stdout byte for byte.
 
 Exit codes: 0 success, 1 usage, 2 invalid input (including an entity that
 already has label 0) or a payload stdout cannot take, 3 no counterfactual
@@ -136,7 +136,6 @@ def main(argv=None) -> int:
         "engine_version": __version__,
         "classifier_calls": 0,
         "backend_calls": 0,
-        "wall_time_ms": 0.0,
     }
     try:
         code = _dispatch(args, manifest)
@@ -198,6 +197,7 @@ def _dispatch(args, manifest: dict) -> int:
         manifest["backend_calls"] = classifier.backend_calls
         if isinstance(backend, ExternalClassifier):
             backend.close()
+            manifest["external_writes"] = backend.writes
     return code
 
 

@@ -216,6 +216,9 @@ class UniformDistribution(Distribution):
     def weight(self, values: Sequence[str]) -> int:
         return 1
 
+    def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
+        return dict.fromkeys(self.schema.feature(index).domain, 1)
+
 
 class ProductDistribution(Distribution):
     """Independent per-feature marginals.

@@ -24,13 +24,20 @@ empty, so nothing smaller can exist.
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Sequence
 
 from . import constrain
 from .errors import EngineError, InputError, NothingToExplainError
 from .schema import Entity, Explanation, FeatureSchema, Record
+
+# The walk asks the classifier for this many admissible candidates at a time
+# and announces each chunk to a classifier that takes announcements, so an
+# external child can answer it in few round trips. The external backend sends
+# 4096 bytes of a chunk at a time, so on external-key (18-byte lines)
+# chunks of 64 to 512 read the same cexpl_s.
+ASK_AHEAD = 256
 
 
 class SearchTruncatedError(EngineError):
@@ -224,6 +231,10 @@ def enumerate_counterfactuals(
 
     ``stop_at_first_hit`` ends the walk after the first Hamming level that
     produced hits, which is everything a minimum-cardinality query needs.
+
+    A classifier with an ``announce`` method is handed each chunk of
+    candidates before their ``label`` calls, which then come one per
+    candidate in the same order.
     """
     cfg = config or SearchConfig()
     cs = constraints or constrain.empty(schema)
@@ -247,22 +258,38 @@ def enumerate_counterfactuals(
     last: tuple[int, ...] = ()
     minimal = False
 
+    announce = hasattr(classifier, "announce")
+    admissible = cs.admissible
+
     for k in range(1, bound + 1):
-        for idxs, cand in level_candidates(alternatives, values, k):
-            if not cs.admissible(cand):
-                continue
-            if calls == budget:
-                return SearchResult(entity, hits, SearchStats(calls, k), exhausted=False)
-            calls += 1
-            if classifier.label(cand) != 0:
-                continue
-            if idxs != last:
-                last = idxs
-                mask = sum(1 << i for i in idxs)
-                minimal = not any(m & mask == m for m in minimal_masks)
-                if minimal:
-                    minimal_masks.append(mask)
-            hits.append((idxs, cand, minimal))
+        granted = (
+            pair for pair in level_candidates(alternatives, values, k)
+            if admissible(pair[1])
+        )
+        while True:
+            # the chunk is cut to the calls the budget has left; with none
+            # left, one more admissible candidate means the walk was cut short
+            room = ASK_AHEAD if budget is None else min(ASK_AHEAD, budget - calls)
+            if not room:
+                if next(granted, None) is not None:
+                    return SearchResult(entity, hits, SearchStats(calls, k), exhausted=False)
+                break
+            chunk = list(islice(granted, room))
+            calls += len(chunk)
+            if announce:
+                classifier.announce([cand for _, cand in chunk])
+            for idxs, cand in chunk:
+                if classifier.label(cand) != 0:
+                    continue
+                if idxs != last:
+                    last = idxs
+                    mask = sum(1 << i for i in idxs)
+                    minimal = not any(m & mask == m for m in minimal_masks)
+                    if minimal:
+                        minimal_masks.append(mask)
+                hits.append((idxs, cand, minimal))
+            if len(chunk) < room:
+                break
         if stop_at_first_hit and hits:
             # Levels below the hit level were explored empty, so both
             # minimality notions are settled by what was found.

@@ -12,8 +12,13 @@ misbehave on purpose:
     die-now        exit before reading anything
     slow           sleep 10 s before answering each query
     chunked        answer in two writes per line, ending lines with CRLF
+    die-after N    answer N queries, then exit without reading on
+    record FILE    append each query line to FILE before answering it, and
+                   ignore SIGTERM, so every line sent is recorded by the time
+                   the engine closes stdin and reaps the child
 """
 
+import signal
 import sys
 import time
 
@@ -55,16 +60,30 @@ def main():
     print("#ok", flush=True)
     if mode == "die":
         return
+    left = int(sys.argv[2]) if mode == "die-after" else None
+    record = None
+    if mode == "record":
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        record = open(sys.argv[2], "a", encoding="utf-8")
     for line in sys.stdin:
         query = line.rstrip("\r\n")
         if not query:
             continue
+        if left is not None:
+            if not left:
+                return
+            left -= 1
+        if record is not None:
+            record.write(query + "\n")
+            record.flush()
         if mode == "slow":
             time.sleep(10)
         if mode == "bad-reply":
             print("maybe", flush=True)
             continue
         print(classify(query.split(",")), flush=True)
+    if record is not None:
+        record.close()
 
 
 if __name__ == "__main__":

@@ -1251,6 +1251,104 @@ class TestExternalBackend:
         assert out == ""
         assert "backend failure" in err
 
+    def test_child_dying_inside_a_chunk_exit_4(self, capsys, files):
+        # the entity's query and two of the four on level 1 are answered
+        code, out, err = run(capsys, self.argv(files, "die-after 3"))
+        assert code == 4
+        assert out == ""
+        assert "exited" in err and "unanswered" in err
+
+    def test_manifest_counts_writes(self, capsys, files):
+        code, out, err = run(capsys, self.argv(files))
+        assert code == 0
+        m = manifest_of(err)
+        # 11 candidates on three levels: the handshake, the entity's query
+        # and one write per level carry all 12 queries
+        assert (m["classifier_calls"], m["backend_calls"]) == (12, 12)
+        assert m["external_writes"] == 5
+        keys = list(m)
+        assert keys.index("external_writes") == keys.index("backend_calls") + 1
+
+    def test_no_writes_count_for_in_process_backends(self, capsys, files):
+        argv = self.argv(files)
+        argv[-2:] = ["--rules", str(files / "tennis.rules")]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert "external_writes" not in manifest_of(err)
+
+
+WIDE_CHILD = str(Path(__file__).parent / "fixtures" / "wide_child.py")
+# the classifier of tests/fixtures/wide_child.py
+WIDE_RULES = """\
+if F2=v2 and F5=v2 and F7=v2 then 0
+if F8=v1 and F3=v2 then 0
+default 1
+"""
+
+
+class TestChildSeesWhatIsAsked:
+    """Queries sent ahead of their replies are exactly the ones the engine
+    asks: the child records the manifest's backend calls, in walk order, and
+    stdout is the payload an in-process backend gives."""
+
+    WIDE = 8  # 3**8 vectors: levels 3 and up span several chunks
+
+    @pytest.fixture
+    def wide(self, tmp_path):
+        schema = tmp_path / "wide_schema.json"
+        schema.write_text(json.dumps({"features": [
+            {"name": f"F{i + 1}", "domain": ["v0", "v1", "v2"]} for i in range(self.WIDE)
+        ]}))
+        entity = tmp_path / "wide_e.json"
+        entity.write_text(json.dumps({"id": "w", "values": ["v0"] * self.WIDE}))
+        rules = tmp_path / "wide.rules"
+        rules.write_text(WIDE_RULES)
+        return schema, entity, rules
+
+    def walk_order(self, schema_path, entity_path):
+        """The entity, then every other vector in canonical order."""
+        schema = load_schema(schema_path)
+        values = tuple(json.loads(Path(entity_path).read_text())["values"])
+        domains = [f.domain for f in schema.features]
+        others = [v for v in schema.iter_space() if v != values]
+        return [values, *oracles.canonical_order(domains, values, others)]
+
+    def check(self, capsys, tmp_path, command, child, schema, entity, rules, budget):
+        record = tmp_path / "queries.txt"
+        record.unlink(missing_ok=True)
+        common = [command, "--schema", str(schema), "--entity", str(entity)]
+        if budget is not None:
+            common += ["--budget", str(budget)]
+        code, out, err = run(
+            capsys, [*common, "--external", f"{sys.executable} {child} record {record}"]
+        )
+        m = manifest_of(err)
+        assert m["backend_calls"] == m["classifier_calls"]  # every vector asked once
+        want = self.walk_order(schema, entity)[: m["backend_calls"]]
+        assert record.read_text().splitlines() == [",".join(v) for v in want]
+        in_process = run(
+            capsys, [*common, "--budget", str(m["config"]["budget"]), "--rules", str(rules)]
+        )
+        assert (code, out) == in_process[:2]
+        return m
+
+    @pytest.mark.parametrize("budget", [1, 2, 200, 385, None])
+    def test_explain_wide(self, capsys, tmp_path, wide, budget):
+        # 1 + 16 + 112 calls reach level 3, whose first chunk of 256 ends at
+        # call 385; 200 cuts that chunk; None walks all 6,561 vectors
+        m = self.check(capsys, tmp_path, "explain", WIDE_CHILD, *wide, budget)
+        assert m["backend_calls"] == (3**self.WIDE if budget is None else budget)
+
+    def test_score_wide(self, capsys, tmp_path, wide):
+        m = self.check(capsys, tmp_path, "score", WIDE_CHILD, *wide, None)
+        assert m["backend_calls"] == 3**self.WIDE
+
+    def test_explain_tennis(self, capsys, tmp_path, files):
+        tennis = (files / "tennis_schema.json", files / "tennis_e.json",
+                  files / "tennis.rules")
+        m = self.check(capsys, tmp_path, "explain", CHILD, *tennis, None)
+        assert m["backend_calls"] == 12
+
 
 class TestConsoleScript:
     """The ``cfx`` console script, run as its own process.

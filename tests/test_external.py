@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cfx import classify
 from cfx.classify import (
     ExternalClassifier,
     ExternalTimeoutError,
@@ -20,8 +21,8 @@ from cfx.schema import Feature, FeatureSchema
 CHILD = str(Path(__file__).parent / "fixtures" / "tennis_child.py")
 
 
-def child_cmd(mode="ok"):
-    return [sys.executable, CHILD, mode]
+def child_cmd(mode="ok", *args):
+    return [sys.executable, CHILD, mode, *map(str, args)]
 
 
 class TestConformance:
@@ -131,3 +132,108 @@ class TestConstruction:
         while not replies.closed and time.monotonic() < deadline:
             time.sleep(0.01)
         assert replies.closed
+
+
+class TestAnnounce:
+    """Queries announced ahead go out together; each ``label`` call still
+    gets its own reply, and every failure path still reports."""
+
+    def test_one_write_answers_an_announced_space(self, tennis_schema, tennis_clf):
+        space = list(tennis_schema.iter_space())
+        with ExternalClassifier(child_cmd(), tennis_schema) as ext:
+            ext.announce(space)
+            assert [ext.label(v) for v in space] == list(map(tennis_clf.label, space))
+            # the handshake's write and the announcement's
+            assert ext.writes == 2
+
+    def test_queries_past_the_byte_cap_go_out_when_replies_drain(
+        self, tennis_schema, tennis_clf, monkeypatch
+    ):
+        # tennis lines take 15 to 23 bytes with their newline: two always
+        # fit in 46, three never
+        monkeypatch.setattr(classify, "AHEAD_BYTES", 46)
+        space = list(tennis_schema.iter_space())
+        with ExternalClassifier(child_cmd(), tennis_schema) as ext:
+            ext.announce(space)
+            assert [ext.label(v) for v in space] == list(map(tennis_clf.label, space))
+            assert ext.writes == 1 + 6
+
+    def test_a_line_longer_than_the_cap_is_asked_alone(
+        self, tennis_schema, tennis_clf, monkeypatch
+    ):
+        monkeypatch.setattr(classify, "AHEAD_BYTES", 10)
+        space = list(tennis_schema.iter_space())
+        with ExternalClassifier(child_cmd(), tennis_schema) as ext:
+            ext.announce(space)
+            assert [ext.label(v) for v in space] == list(map(tennis_clf.label, space))
+            assert ext.writes == 1 + len(space)
+
+    def test_label_out_of_announced_order(self, tennis_schema, tennis_clf, tmp_path):
+        record = tmp_path / "queries.txt"
+        space = list(tennis_schema.iter_space())
+        a, b, c = space[:3]
+        with ExternalClassifier(child_cmd("record", record), tennis_schema) as ext:
+            ext.announce([a, b, c])
+            assert ext.label(c) == tennis_clf.label(c)
+            assert ext.label(a) == tennis_clf.label(a)
+            assert ext.label(b) == tennis_clf.label(b)
+            assert ext.label(space[3]) == tennis_clf.label(space[3])
+        # the announcement, then each query alone
+        asked = [a, b, c, c, a, b, space[3]]
+        assert record.read_text().splitlines() == [",".join(v) for v in asked]
+
+    def test_announce_starts_the_child(self, tennis_schema, tennis_clf):
+        vec = ("rain", "high", "weak")
+        with ExternalClassifier(child_cmd(), tennis_schema) as ext:
+            ext.announce([])
+            assert ext.writes == 0
+            ext.announce([vec])
+            assert ext.writes == 2
+            assert ext.label(vec) == tennis_clf.label(vec)
+
+    def test_bad_reply_to_an_announced_query(self, tennis_schema):
+        space = list(tennis_schema.iter_space())
+        with ExternalClassifier(child_cmd("bad-reply"), tennis_schema) as ext:
+            ext.announce(space)
+            with pytest.raises(ProtocolError, match="must be '0' or '1'"):
+                ext.label(space[0])
+
+    def test_child_dies_in_the_middle_of_a_chunk(self, tennis_schema, tennis_clf):
+        space = list(tennis_schema.iter_space())
+        with ExternalClassifier(child_cmd("die-after", 3), tennis_schema) as ext:
+            ext.announce(space)
+            for v in space[:3]:
+                assert ext.label(v) == tennis_clf.label(v)
+            with pytest.raises(ProcessDiedError, match="unanswered"):
+                ext.label(space[3])
+
+    def test_child_dies_while_replies_are_dropped(self, tennis_schema):
+        space = list(tennis_schema.iter_space())
+        with ExternalClassifier(child_cmd("die-after", 1), tennis_schema) as ext:
+            ext.announce(space)
+            with pytest.raises(ProcessDiedError, match="unanswered"):
+                ext.label(space[-1])
+
+    def test_timeout_with_queries_in_flight(self, tennis_schema, monkeypatch):
+        monkeypatch.setenv(TIMEOUT_ENV, "200")
+        space = list(tennis_schema.iter_space())
+        with ExternalClassifier(child_cmd("slow"), tennis_schema) as ext:
+            ext.announce(space)
+            with pytest.raises(ExternalTimeoutError, match="200 ms"):
+                ext.label(space[0])
+
+    def test_reuse_after_close_starts_clean(self, tennis_schema, tennis_clf, tmp_path):
+        record = tmp_path / "queries.txt"
+        space = list(tennis_schema.iter_space())
+        ext = ExternalClassifier(child_cmd("record", record), tennis_schema)
+        try:
+            ext.announce(space[:3])
+            assert ext.label(space[0]) == tennis_clf.label(space[0])
+            ext.close()
+            # a new child, owed nothing from the old one's announcement
+            assert ext.label(space[2]) == tennis_clf.label(space[2])
+            assert ext.label(space[1]) == tennis_clf.label(space[1])
+        finally:
+            ext.close()
+        asked = [*space[:3], space[2], space[1]]
+        assert record.read_text().splitlines() == [",".join(v) for v in asked]

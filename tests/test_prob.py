@@ -12,6 +12,7 @@ from cfx.score import (
     SPACE_ENUMERATION_LIMIT,
     ConditionError,
     ConditionedDistribution,
+    Distribution,
     EmpiricalDistribution,
     ProductDistribution,
     UniformDistribution,
@@ -51,6 +52,20 @@ class TestUniform:
         cond = dist.conditional(("0", "1", "1"), 1)
         assert list(cond.items()) == [("0", 1), ("1", 1)]
         assert all(type(w) is int for w in cond.values())
+
+    def test_conditional_equals_the_base_method(self, tennis_schema):
+        # the override skips one weight call per value, and nothing else
+        dist = UniformDistribution(tennis_schema)
+        for values in tennis_schema.iter_space():
+            for index in range(len(tennis_schema)):
+                got = dist.conditional(values, index)
+                want = Distribution.conditional(dist, values, index)
+                assert list(got.items()) == list(want.items())
+        for index in (-1, len(tennis_schema)):
+            with pytest.raises(InputError, match="out of range"):
+                dist.conditional(("sunny", "high", "weak"), index)
+            with pytest.raises(InputError, match="out of range"):
+                Distribution.conditional(dist, ("sunny", "high", "weak"), index)
 
 
 class TestProduct:

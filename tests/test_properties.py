@@ -10,6 +10,7 @@ import json
 import math
 import re
 import tempfile
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import prob, section
-from cfx import classify
+from cfx import classify, search
 from cfx.classify import MemoClassifier, Rule, RuleClassifier, TableClassifier
 from cfx.errors import InputError
 from cfx.constrain import (
@@ -355,6 +356,79 @@ class TestSearchInvariants:
             assert list(level_candidates(alternatives, values, k)) == list(
                 oracles.level_candidates(alternatives, values, k)
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(classified_spaces(), st.data())
+    def test_announced_vectors_are_asked_next(self, case, data):
+        # chunks of one to five candidates, so levels span several of them,
+        # behind a memo warmed with some vectors, which it must not announce
+        schema, table, entity = case
+        n = len(schema)
+        denials = tuple(
+            DenialConstraint((DenialLiteral(i, data.draw(
+                st.sampled_from(schema.features[i].domain)
+            )),))
+            for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+        )
+        actionability = tuple(
+            ActionabilityRule(i, FIXED)
+            for i in sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=1)))
+        )
+        cs = ConstraintSet(schema, denials, actionability)
+        config = SearchConfig(
+            data.draw(st.none() | st.integers(1, n)),
+            data.draw(st.none() | st.integers(1, len(table) + 1)),
+        )
+        stop = data.draw(st.booleans())
+        warm = data.draw(st.lists(st.sampled_from(sorted(table)), max_size=4))
+
+        def run(backend):
+            memo = MemoClassifier(backend)
+            for vec in warm:
+                memo.label(vec)
+            result = enumerate_counterfactuals(
+                schema, memo, entity, cs, config, stop_at_first_hit=stop
+            )
+            return result, memo
+
+        backend = AnnouncingTable(table)
+        with mock.patch.object(search, "ASK_AHEAD", data.draw(st.integers(1, 5))):
+            announced, memo = run(backend)
+        plain, plain_memo = run(TableClassifier(schema, table))
+        assert not backend.pending
+        warmed = len(set(warm))
+        # the entity's label, unless the warm-up asked it, is asked unannounced
+        assert backend.asked[warmed:] == [
+            *([] if entity.values in warm else [entity.values]), *backend.announced
+        ]
+        assert (announced.hits, announced.stats, announced.exhausted) == (
+            plain.hits, plain.stats, plain.exhausted
+        )
+        assert (memo.queries, memo.backend_calls) == (
+            plain_memo.queries, plain_memo.backend_calls
+        )
+
+
+class AnnouncingTable:
+    """A truth table taking announcements; each ``label`` call checks that
+    it asks the oldest vector announced and not yet asked, if there is one."""
+
+    def __init__(self, table):
+        self.table = table
+        self.pending = deque()
+        self.announced = []
+        self.asked = []
+
+    def announce(self, vectors):
+        vectors = list(vectors)
+        self.pending.extend(vectors)
+        self.announced.extend(vectors)
+
+    def label(self, values):
+        if self.pending:
+            assert values == self.pending.popleft()
+        self.asked.append(values)
+        return self.table[values]
 
 
 class TestScoreInvariants:
