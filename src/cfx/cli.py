@@ -274,66 +274,46 @@ def _cmd_score(args, schema, classifier, entity, constraints, manifest) -> int:
         cfg = _search_config(args, manifest)
         report = score_mod.x_resp(schema, classifier, entity, constraints, cfg)
         payload = report.to_json_dict(schema)
-        if args.format == "json":
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            scores = payload["scores"]
-            witnesses = [s["witness"] and s["witness"]["changed"] for s in scores]
-            sys.stdout.write(_score_table(scores, "witness (changed)", witnesses))
+        title = "witness (changed)"
+        changes = [s["witness"] and s["witness"]["changed"] for s in payload["scores"]]
         found = any(fs.score > 0 for fs in report.scores)
-        return _outcome(found, report.authoritative)
-
-    # The contingency walk runs no search: a call budget or an admissibility
-    # filter would be silently ignored, so both are refused.
-    if args.budget is not None:
-        raise InputError("--budget does not apply to --prob")
-    if constraints is not None:
-        raise InputError("--constraints does not apply to --prob; use --condition")
-    if args.max_card is not None and args.max_card < 1:
-        raise InputError("max_cardinality must be >= 1")
-    # a counterfactual changes the contingency set plus the scrutinized feature
-    max_gamma = None if args.max_card is None else args.max_card - 1
-    manifest["config"] = {
-        "max_cardinality": args.max_card,
-        "prob": args.prob,
-        "condition": args.condition,
-    }
-    dist = _build_distribution(args, schema)
-    rows = []
-    any_positive = any_truncated = False
-    for i in range(len(schema)):
-        result = score_mod.global_resp(schema, classifier, entity, i, dist, max_gamma)
-        any_positive = any_positive or result.score > 0
-        any_truncated = any_truncated or result.truncated
-        rows.append(
-            {
-                "feature": schema.feature(i).name,
-                "value": entity.values[i],
-                "score": score_mod.fraction_str(result.score),
-                "score_decimal": float(result.score),
-                "gamma": (
-                    None
-                    if result.gamma is None
-                    else {
-                        schema.feature(j).name: v
-                        for j, v in zip(result.gamma, result.gamma_values)
-                    }
-                ),
-                "truncated": result.truncated,
-            }
-        )
-    payload = {
-        "entity": entity.id,
-        "mode": "resp",
-        "distribution": args.prob,
-        "condition": args.condition,
-        "scores": rows,
-    }
+        proven = report.authoritative
+    else:
+        # The contingency walk runs no search: a call budget or an
+        # admissibility filter would be silently ignored, so both are refused.
+        if args.budget is not None:
+            raise InputError("--budget does not apply to --prob")
+        if constraints is not None:
+            raise InputError("--constraints does not apply to --prob; use --condition")
+        max_card = search.SearchConfig(max_cardinality=args.max_card).max_cardinality
+        # a counterfactual changes the contingency set plus the scrutinized feature
+        max_gamma = None if max_card is None else max_card - 1
+        manifest["config"] = {
+            "max_cardinality": max_card,
+            "prob": args.prob,
+            "condition": args.condition,
+        }
+        dist = _build_distribution(args, schema)
+        results = [
+            score_mod.global_resp(schema, classifier, entity, i, dist, max_gamma)
+            for i in range(len(schema))
+        ]
+        payload = {
+            "entity": entity.id,
+            "mode": "resp",
+            "distribution": args.prob,
+            "condition": args.condition,
+            "scores": [g.to_json_dict(schema, entity) for g in results],
+        }
+        title = "contingency"
+        changes = [s["gamma"] for s in payload["scores"]]
+        found = any(g.score > 0 for g in results)
+        proven = not any(g.truncated for g in results)
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        sys.stdout.write(_score_table(rows, "contingency", [r["gamma"] for r in rows]))
-    return _outcome(any_positive, not any_truncated)
+        sys.stdout.write(_score_table(payload["scores"], title, changes))
+    return _outcome(found, proven)
 
 
 def _build_distribution(args, schema: FeatureSchema):

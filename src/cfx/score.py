@@ -53,9 +53,6 @@ class ZeroMassError(InputError):
     """A conditioning event or conditional slice carries no probability."""
 
 
-_NO_SLICE_MASS = "no probability mass on the slice fixing all other features"
-
-
 class ConditionError(InputError):
     """A contingency-set precondition does not hold; carries its number."""
 
@@ -193,7 +190,8 @@ class Distribution:
     def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
         """Weights of the vectors that differ from ``values`` only at feature
         ``index``, keyed by that feature's value in domain order. Divided by
-        their sum, they are the feature's distribution given the others.
+        their sum, they are the feature's distribution given the others; a
+        slice without mass has no such distribution, and all its weights are 0.
 
         The values other than ``values[index]`` must be known to be in their
         domains, as for ``weight``: nothing here checks them again."""
@@ -203,8 +201,6 @@ class Distribution:
         for v in domain:
             varied[index] = v
             weights[v] = self.weight(varied)
-        if not any(weights.values()):
-            raise ZeroMassError(_NO_SLICE_MASS)
         return weights
 
 
@@ -263,12 +259,11 @@ class ProductDistribution(Distribution):
         return prod(map(dict.__getitem__, self._scaled, values))
 
     def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
-        # the others' product times this feature's marginal, never all zero
+        # the others' product times this feature's marginal; all zero when
+        # another feature's value has no marginal weight
         scaled = self._scaled
         rest = scaled[:index] + scaled[index + 1:]
         others = prod(map(dict.__getitem__, rest, values[:index] + values[index + 1:]))
-        if not others:
-            raise ZeroMassError(_NO_SLICE_MASS)
         return {v: others * w for v, w in scaled[index].items()}
 
     @classmethod
@@ -386,6 +381,19 @@ class GlobalScore(Record):
         self.gamma_values = gamma_values
         self.truncated = truncated
 
+    def to_json_dict(self, schema: FeatureSchema, entity: Entity) -> dict:
+        """This score's row of the ``score --prob`` payload for ``entity``."""
+        return {
+            "feature": schema.feature(self.feature).name,
+            "value": entity.values[self.feature],
+            "score": fraction_str(self.score),
+            "score_decimal": float(self.score),
+            "gamma": None if self.gamma is None else {
+                schema.feature(j).name: v for j, v in zip(self.gamma, self.gamma_values)
+            },
+            "truncated": self.truncated,
+        }
+
 
 def local_resp(
     schema: FeatureSchema,
@@ -400,7 +408,9 @@ def local_resp(
 
     The contingency set ``gamma`` is frozen at ``values_for_gamma`` first;
     the label of the resulting entity must still be 1. The score is
-    (1 - E[label | all features but f_star fixed]) / (1 + |gamma|).
+    (1 - E[label | all features but f_star fixed]) / (1 + |gamma|); a
+    conditional slice without mass has no expectation and raises
+    ``ZeroMassError``.
     """
     schema.check_values(entity.values)
     schema.feature(f_star)
@@ -431,6 +441,10 @@ def local_resp(
             4, "the contingency intervention alone must keep label 1"
         )
     total, lost = _local_core(classifier, tuple(primed), f_star, dist)
+    if not total:
+        raise ZeroMassError(
+            "no probability mass on the slice fixing all other features"
+        )
     return Fraction(lost, total * (1 + len(gamma)))
 
 
@@ -442,7 +456,8 @@ def _local_core(
 ) -> tuple[int, int]:
     """(slice mass, mass whose label is not 1) when ``f_star`` is resampled
     in ``primed``. The caller has checked that ``primed`` carries label 1,
-    so its own value at ``f_star`` is not asked again."""
+    so its own value at ``f_star`` is not asked again. A slice without mass
+    reads (0, 0) and asks no label."""
     weights = dist.conditional(primed, f_star)
     own = primed[f_star]
     varied = list(primed)
@@ -487,17 +502,15 @@ def global_resp(
 
     for size in range(0, bound + 1):
         # every score of one size is lost / (total * (1 + size)), so the
-        # pairs compare by cross-multiplication; (0, 1) admits only lost > 0
+        # pairs compare by cross-multiplication; (0, 1) admits only lost > 0,
+        # so a slice without mass, (0, 0), never ranks
         best_lost, best_total = 0, 1
         best: tuple[tuple[int, ...], tuple[str, ...]] | None = None
         for gamma, primed in search.level_candidates(alternatives, values, size):
             # the size-0 candidate is the entity, whose label 1 was just read
             if gamma and classifier.label(primed) != 1:
                 continue
-            try:
-                total, lost = _local_core(classifier, primed, f_star, dist)
-            except ZeroMassError:
-                continue
+            total, lost = _local_core(classifier, primed, f_star, dist)
             if lost * best_total > best_lost * total:
                 best_lost, best_total, best = lost, total, (gamma, primed)
         if best is not None:

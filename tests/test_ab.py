@@ -1,7 +1,9 @@
-"""The A/B summary of bench/ab.py, fed canned perfbench result lines."""
+"""bench/ab.py: the A/B summary, fed canned perfbench result lines, and
+the two exports, run on a throwaway git repository."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,63 @@ class TestSummary:
         text = ab.render(rows)
         assert [ln.split()[0] for ln in text.splitlines()[1:]] == list(BETTER)
         assert text.splitlines()[1].endswith(" 1/1  yes")
+
+
+def git(repo, *args):
+    identity = ["-c", "user.name=cfx", "-c", "user.email=cfx@example.invalid"]
+    subprocess.run(
+        ["git", "-C", str(repo), *identity, "-c", "commit.gpgsign=false", *args],
+        check=True, capture_output=True,
+    )
+
+
+def files_under(root):
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+
+
+class TestExports:
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        """A committed tree, then edited: one file rewritten, one tracked file
+        deleted, one untracked file and one ignored file added."""
+        root = tmp_path / "repo"
+        (root / "sub").mkdir(parents=True)
+        (root / ".gitignore").write_bytes(b"*.log\n")
+        (root / "kept.txt").write_bytes(b"committed\n")
+        (root / "gone.txt").write_bytes(b"tracked\n")
+        (root / "sub" / "data.bin").write_bytes(b"\x00\xff\r\n")
+        git(root, "init", "-q")
+        git(root, "add", "-A")
+        git(root, "commit", "-q", "-m", "base")
+        (root / "kept.txt").write_bytes(b"edited\n")
+        (root / "gone.txt").unlink()
+        (root / "sub" / "new.txt").write_bytes(b"untracked\n")
+        (root / "run.log").write_bytes(b"ignored\n")
+        monkeypatch.setattr(ab, "ROOT", root)
+        return root
+
+    def test_revision_holds_the_committed_bytes(self, repo, tmp_path):
+        dest = tmp_path / "base"
+        dest.mkdir()
+        ab.export_revision("HEAD", dest)
+        assert files_under(dest) == {
+            ".gitignore": b"*.log\n",
+            "kept.txt": b"committed\n",
+            "gone.txt": b"tracked\n",
+            "sub/data.bin": b"\x00\xff\r\n",
+        }
+
+    def test_worktree_holds_what_git_does_not_ignore(self, repo, tmp_path):
+        dest = tmp_path / "change"
+        dest.mkdir()
+        ab.export_worktree(dest)
+        assert files_under(dest) == {
+            ".gitignore": b"*.log\n",
+            "kept.txt": b"edited\n",
+            "sub/data.bin": b"\x00\xff\r\n",
+            "sub/new.txt": b"untracked\n",
+        }

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from cfx.classify import MemoClassifier
 from cfx.constrain import DenialConstraint, DenialLiteral
 from cfx.errors import InputError, NothingToExplainError
 from cfx.schema import Entity, Feature, FeatureSchema
@@ -231,9 +232,11 @@ class TestEmpirical:
             EmpiricalDistribution(bits_schema, [])
 
     def test_zero_mass_conditional_slice(self, bits_schema):
+        # no sampled vector has F2=0 and F3=1: every weight of the slice is 0
         dist = EmpiricalDistribution(bits_schema, [("0", "1", "1")])
-        with pytest.raises(ZeroMassError):
-            dist.conditional(("1", "0", "1"), 0)
+        weights = dist.conditional(("1", "0", "1"), 0)
+        assert list(weights.items()) == [("0", 0), ("1", 0)]
+        assert all(type(w) is int for w in weights.values())
 
 
 class TestConditioned:
@@ -355,9 +358,12 @@ class TestLocalResp:
 
     def test_empirical_zero_slice_raises(self, bits_schema, t1_table, e1):
         dist = EmpiricalDistribution(bits_schema, [("0", "1", "1")])
-        # conditional of F1 given F2=0 (after the contingency) has no sample
-        with pytest.raises(ZeroMassError):
-            local_resp(bits_schema, t1_table, e1, 0, (2,), ("0",), dist)
+        clf = MemoClassifier(t1_table)
+        # conditional of F1 given F2=0 (after the contingency) has no sample;
+        # only the entity and the primed vector are asked
+        with pytest.raises(ZeroMassError, match="no probability mass on the slice"):
+            local_resp(bits_schema, clf, e1, 0, (2,), ("0",), dist)
+        assert clf.queries == 2
 
     def test_gamma_damping(self, bits_schema):
         # classifier 0 only at (1,0,1): flipping F1 alone keeps label 1,

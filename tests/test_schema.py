@@ -255,16 +255,16 @@ class TestNoUnusedImport:
 
 class TestEveryDefinitionIsNamed:
     """Every top-level function and class of the package is named somewhere
-    in the package outside its own definition, and every method of such a
-    class is read as an attribute (``obj.name``) outside its own body, in
-    the package or in the benchmark under ``perfbench/``; so the package
-    keeps no code that only tests call.
+    in the package outside its own definition, every method of such a class
+    is read as an attribute (``obj.name``) outside its own body, and every
+    ``__slots__`` field is read as an attribute, in the package or in the
+    benchmark under ``perfbench/``; so the package keeps no code or field
+    that only tests use.
 
-    Names are matched as words, not resolved to what they bind. So the test
-    cannot see an attribute that nothing reads (one set in ``__init__`` and
-    never looked up), and a definition counts as named when another one of
-    its name is named or read. Attributes of ``args`` are command-line
-    options (``args.prob`` is ``--prob``), so they name no definition."""
+    Names are matched as words, not resolved to what they bind, so a
+    definition or field counts as named when another one of its name is
+    named or read. Attributes of ``args`` are command-line options
+    (``args.prob`` is ``--prob``), so they name no definition."""
 
     PACKAGE = TestOneReader.PACKAGE
     BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -272,6 +272,9 @@ class TestEveryDefinitionIsNamed:
     PAPER = {"local_resp", "max_resp_features", "s_explanations"}
     # overrides that a base class calls, as the language calls dunders
     CALLED_BY_BASE = {"_Parser.error"}
+    # slot fields read only by callers outside the package: lint_cip's
+    # diagnostics, as the README documents them
+    READ_BY_CALLERS = {"Diagnostic.kind", "Diagnostic.message"}
 
     @staticmethod
     def attributes(tree):
@@ -297,9 +300,12 @@ class TestEveryDefinitionIsNamed:
             node.attr for node in self.attributes(tree) if isinstance(node.ctx, ast.Load)
         )
 
-    def test_every_definition_is_named(self):
+    def trees(self):
         paths = [*self.PACKAGE.glob("*.py"), *self.BENCH.glob("*.py")]
-        trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+        return {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+
+    def test_every_definition_is_named(self):
+        trees = self.trees()
         named = sum(map(self.names, trees.values()), Counter())
         read = sum(map(self.reads, trees.values()), Counter())
         unnamed = []
@@ -328,6 +334,27 @@ class TestEveryDefinitionIsNamed:
                     where = name if owner is None else f"{owner}.{name}"
                     unnamed.append(f"{path.name}:{node.lineno} {where}")
         assert unnamed == []
+
+    def test_every_slot_field_is_read(self):
+        trees = self.trees()
+        read = sum(map(self.reads, trees.values()), Counter())
+        fields, unread = set(), []
+        for path in sorted(self.PACKAGE.glob("*.py")):
+            for cls in trees[path].body:
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in node.targets
+                    ):
+                        for name in ast.literal_eval(node.value):
+                            where = f"{cls.name}.{name}"
+                            fields.add(where)
+                            if not read[name] and where not in self.READ_BY_CALLERS:
+                                unread.append(f"{path.name}:{node.lineno} {where}")
+        assert self.READ_BY_CALLERS <= fields
+        assert unread == []
 
 
 ROOT = Path(__file__).resolve().parent.parent
