@@ -369,7 +369,7 @@ def _classifier_section(
                 "missing rows would silently count as neither label"
             )
         facts = [
-            "cls(" + ",".join(consts[i][vec[i]] for i in range(n)) + f",{label})."
+            "cls(" + ",".join(map(dict.__getitem__, consts, vec)) + f",{label})."
             for vec, label in backend.rows.items()
         ]
         return Section("classifier", "classifier", _pack(facts))

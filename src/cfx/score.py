@@ -14,7 +14,9 @@ maximizes that quantity over contingency sets of minimum size. Every
 distribution gives integer weights, so the local score is an integer pair
 (slice mass, mass that loses label 1); candidates of one size, which share
 the damping divisor, are ranked by cross-multiplying those pairs, and each
-feature gets one ``Fraction``.
+feature gets one ``Fraction``. The scan of a size is a branch and bound:
+a candidate whose slice cannot beat the best pair asks no label, and the
+size ends once the best pair reaches the distribution's loss cap.
 
 Distributions: uniform over the product space, fully factorized (product of
 per-feature marginals), empirical (frequencies of a sample), and any of
@@ -194,7 +196,8 @@ class Distribution:
         slice without mass has no such distribution, and all its weights are 0.
 
         The values other than ``values[index]`` must be known to be in their
-        domains, as for ``weight``: nothing here checks them again."""
+        domains, as for ``weight``: nothing here checks them again. Callers
+        only read the result, which a distribution may share between calls."""
         domain = self.schema.feature(index).domain
         varied = list(values)
         weights = {}
@@ -203,17 +206,32 @@ class Distribution:
             weights[v] = self.weight(varied)
         return weights
 
+    def loss_cap(self, index: int, own: str) -> tuple[int, int]:
+        """``(lost, total)``: no slice of feature ``index`` that has mass
+        puts a larger share of it off the value ``own`` than lost / total.
+        Any share may reach 1 unless a distribution knows better."""
+        return 1, 1
+
 
 class UniformDistribution(Distribution):
     def __init__(self, schema: FeatureSchema):
         super().__init__(schema)
         self.total = schema.space_size()
+        self._slices = {
+            i: dict.fromkeys(f.domain, 1) for i, f in enumerate(schema.features)
+        }
 
     def weight(self, values: Sequence[str]) -> int:
         return 1
 
     def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
-        return dict.fromkeys(self.schema.feature(index).domain, 1)
+        if index not in self._slices:
+            self.schema.feature(index)  # raises: index out of range
+        return self._slices[index]
+
+    def loss_cap(self, index: int, own: str) -> tuple[int, int]:
+        k = len(self._slices[index])
+        return k - 1, k
 
 
 class ProductDistribution(Distribution):
@@ -265,6 +283,12 @@ class ProductDistribution(Distribution):
         rest = scaled[:index] + scaled[index + 1:]
         others = prod(map(dict.__getitem__, rest, values[:index] + values[index + 1:]))
         return {v: others * w for v, w in scaled[index].items()}
+
+    def loss_cap(self, index: int, own: str) -> tuple[int, int]:
+        # every slice with mass is this feature's marginal times one factor
+        marginal = self._scaled[index]
+        total = sum(marginal.values())
+        return total - marginal[own], total
 
     @classmethod
     def from_csv(cls, path: str | Path, schema: FeatureSchema) -> ProductDistribution:
@@ -436,11 +460,14 @@ def local_resp(
     primed = list(entity.values)
     for i, v in zip(gamma, values_for_gamma):
         primed[i] = v
-    if classifier.label(tuple(primed)) != 1:
+    primed = tuple(primed)
+    if classifier.label(primed) != 1:
         raise ConditionError(
             4, "the contingency intervention alone must keep label 1"
         )
-    total, lost = _local_core(classifier, tuple(primed), f_star, dist)
+    total, lost = _local_core(
+        classifier, primed, f_star, dist.conditional(primed, f_star)
+    )
     if not total:
         raise ZeroMassError(
             "no probability mass on the slice fixing all other features"
@@ -452,13 +479,13 @@ def _local_core(
     classifier,
     primed: tuple[str, ...],
     f_star: int,
-    dist: Distribution,
+    weights: dict[str, int],
 ) -> tuple[int, int]:
     """(slice mass, mass whose label is not 1) when ``f_star`` is resampled
-    in ``primed``. The caller has checked that ``primed`` carries label 1,
-    so its own value at ``f_star`` is not asked again. A slice without mass
-    reads (0, 0) and asks no label."""
-    weights = dist.conditional(primed, f_star)
+    in ``primed`` under ``weights``, the slice's ``dist.conditional``. The
+    caller has checked that ``primed`` carries label 1, so its own value at
+    ``f_star`` is not asked again. A slice without mass reads (0, 0) and
+    asks no label."""
     own = primed[f_star]
     varied = list(primed)
     total = lost = 0
@@ -489,6 +516,13 @@ def global_resp(
     Pairs whose contingency intervention changes the label, and pairs whose
     conditional slice has no mass, do not qualify. A size bound that stops
     the growth before any positive score marks the result truncated.
+
+    The scan of a size is a branch and bound that asks fewer labels and
+    returns the same result: a candidate whose slice could not beat the best
+    pair even if all mass off the entity's own value lost label 1 is passed
+    over unasked, and the size ends once the best pair reaches
+    ``dist.loss_cap``. Pairs rank by strict ``>``, so a candidate passed
+    over could at most tie, and a tie keeps the earlier pair.
     """
     schema.feature(f_star)
     if max_gamma is not None and max_gamma < 0:
@@ -499,20 +533,30 @@ def global_resp(
     alternatives[f_star] = ()  # keeps f_star out of every contingency set
     n_others = len(schema) - 1
     bound = n_others if max_gamma is None else min(max_gamma, n_others)
+    own = values[f_star]
+    cap_lost, cap_total = dist.loss_cap(f_star, own)
 
     for size in range(0, bound + 1):
         # every score of one size is lost / (total * (1 + size)), so the
-        # pairs compare by cross-multiplication; (0, 1) admits only lost > 0,
-        # so a slice without mass, (0, 0), never ranks
+        # pairs compare by cross-multiplication; the floor (0, 1) admits
+        # only lost > 0
         best_lost, best_total = 0, 1
         best: tuple[tuple[int, ...], tuple[str, ...]] | None = None
         for gamma, primed in search.level_candidates(alternatives, values, size):
+            weights = dist.conditional(primed, f_star)
+            total = sum(weights.values())
+            # a candidate that qualifies keeps label 1 at its own value, so
+            # lost <= total - weights[own]; a slice without mass stops here
+            if (total - weights[own]) * best_total <= best_lost * total:
+                continue
             # the size-0 candidate is the entity, whose label 1 was just read
             if gamma and classifier.label(primed) != 1:
                 continue
-            total, lost = _local_core(classifier, primed, f_star, dist)
+            total, lost = _local_core(classifier, primed, f_star, weights)
             if lost * best_total > best_lost * total:
                 best_lost, best_total, best = lost, total, (gamma, primed)
+                if best_lost * cap_total >= cap_lost * best_total:
+                    break
         if best is not None:
             gamma, primed = best
             return GlobalScore(

@@ -207,6 +207,51 @@ def global_resp(domains, values, label, f_star, table, max_gamma=None):
     return (Fraction(0), None, None)
 
 
+def unpruned_global_resp(domains, values, label, f_star, conditional, max_gamma=None):
+    """The contingency walk of global_resp without branch and bound: every
+    candidate of a size is asked and scored, in level_candidates order.
+
+    ``conditional(primed, f_star)`` gives the slice's integer weights in
+    domain order. ``label`` is called at each query the plain walk makes:
+    the entity first, then per candidate the candidate itself (not for the
+    empty one) and, when it keeps label 1, each other value of f_star with
+    weight. Candidates rank by (lost, total) cross-multiplication from the
+    (0, 1) floor, so ties keep the earlier one. Returns (score, gamma,
+    gamma_values, truncated).
+    """
+    values = tuple(values)
+    assert label(values) == 1
+    alternatives = [
+        () if i == f_star else tuple(v for v in d if v != values[i])
+        for i, d in enumerate(domains)
+    ]
+    n_others = len(domains) - 1
+    bound = n_others if max_gamma is None else min(max_gamma, n_others)
+    for size in range(bound + 1):
+        best_lost, best_total, best = 0, 1, None
+        for gamma, primed in level_candidates(alternatives, values, size):
+            if gamma and label(primed) != 1:
+                continue
+            total = lost = 0
+            varied = list(primed)
+            for v, w in conditional(primed, f_star).items():
+                if w == 0:
+                    continue
+                total += w
+                if v == primed[f_star]:
+                    continue
+                varied[f_star] = v
+                if label(tuple(varied)) != 1:
+                    lost += w
+            if lost * best_total > best_lost * total:
+                best_lost, best_total, best = lost, total, (gamma, primed)
+        if best is not None:
+            gamma, primed = best
+            score = Fraction(best_lost, best_total * (1 + size))
+            return score, gamma, tuple(primed[i] for i in gamma), False
+    return Fraction(0), None, None, bound < n_others
+
+
 # --- rule lists ---
 
 

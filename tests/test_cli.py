@@ -758,19 +758,21 @@ class TestScore:
         (("bits_schema.json", "e1.json", "--table", "table1.csv"),
          "uniform", (14, 7), ["0/1", "1/2", "0/1"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         "product:tennis_marginals.csv", (13, 6), ["1/4", "1/3", "1/8"]),
+         "product:tennis_marginals.csv", (11, 5), ["1/4", "1/3", "1/8"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         "empirical:tennis_sample.csv", (11, 6), ["1/2", "1/3", "1/2"]),
+         "empirical:tennis_sample.csv", (9, 5), ["1/2", "1/3", "1/2"]),
         (("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules",
           "--condition", "constraints.json"),
-         "empirical:tennis_sample.csv", (13, 9), ["0/1", "1/3", "0/1"]),
+         "empirical:tennis_sample.csv", (8, 5), ["0/1", "1/3", "0/1"]),
     ])
     def test_prob_call_counts(self, capsys, files, inputs, prob, calls, scores):
         # label queries and cache misses of one global_resp walk per
-        # feature: one query for the entity, one per nonempty contingency
-        # candidate, plus, for each candidate that keeps label 1 (the empty
-        # one included), one per other value of the scrutinized feature
-        # with weight in its slice
+        # feature: one query for the entity; then, for each contingency
+        # candidate before the best pair of its size reaches the loss cap
+        # and whose slice could still beat that pair, one query for the
+        # candidate unless it is the empty one, and, if it keeps label 1,
+        # one per other value of the scrutinized feature with weight in
+        # its slice
         schema, entity, backend, model, *condition = inputs
         prob = prob.replace(":", f":{files}/", 1)
         code, out, err = run(capsys, [
@@ -1158,6 +1160,39 @@ class TestPartialTable:
         lines = err.splitlines(keepends=True)
         assert lines[0] == self.NOTE
         assert lines[1].startswith("cfx: facts embedding needs a total truth table")
+
+
+    @pytest.mark.parametrize("missing, code", [
+        (None, cli.EXIT_OK), (("sunny", "high", "weak"), cli.EXIT_BACKEND),
+    ])
+    def test_prob_fails_only_on_a_query_it_makes(self, capsys, files, missing, code):
+        # the empirical walk asks these five vectors; the branch and bound
+        # passes over ("overcast", "normal", "weak"), whose Wind slice holds
+        # no sample vector, so the table need not have it
+        asked = [
+            (("rain", "normal", "strong"), 0), (("rain", "normal", "weak"), 1),
+            (("sunny", "high", "weak"), 0), (("sunny", "normal", "strong"), 1),
+            (("sunny", "normal", "weak"), 1),
+        ]
+        table = files / "partial.csv"
+        table.write_text("Outlook,Humidity,Wind,label\n" + "".join(
+            ",".join([*vec, str(lab)]) + "\n" for vec, lab in asked if vec != missing
+        ))
+        got, out, err = run(capsys, [
+            "score",
+            "--schema", str(files / "tennis_schema.json"),
+            "--entity", str(files / "tennis_e.json"),
+            "--table", str(table),
+            "--prob", f"empirical:{files / 'tennis_sample.csv'}",
+        ])
+        assert got == code
+        assert err.startswith("cfx: note: truth table covers ")
+        if missing is None:
+            scores = [r["score"] for r in json.loads(out)["scores"]]
+            assert scores == ["1/2", "1/3", "1/2"]
+        else:
+            assert out == ""
+            assert "no table row for " in err
 
 
 class TestStartup:

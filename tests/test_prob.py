@@ -1,6 +1,7 @@
 """Distributions and the probabilistic responsibility score."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -477,3 +478,39 @@ class TestGlobalResp:
             assert (got.score, got.gamma, got.gamma_values) == oracles.global_resp(
                 domains, e1.values, t1_table.label, f_star, table
             )
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_threshold_model_closed_form(self, n):
+        # label 1 iff at most h = n // 2 features leave "0", from the all-"0"
+        # entity, one memo for all features as in `score --prob uniform`.
+        # The first size with a positive score is h: one more change flips
+        # the label, so resampling f* loses 2 of its 3 values. Every such
+        # candidate reaches the uniform cap (2, 3), so the first of them ends
+        # the size. Each candidate of a smaller size asks itself and f*'s two
+        # other values: it loses nothing, but the bound cannot know that
+        # before the labels.
+        # With A(m, j) = sum over s <= j of C(m, s) 2^s:
+        #   queries       3n (A(n-1, h-1) + 1)
+        #   backend calls A(n, h) + 2n - h
+        h = n // 2
+        schema = FeatureSchema(tuple(
+            Feature(f"F{i}", ("0", "1", "2")) for i in range(n)
+        ))
+        memo = MemoClassifier(table_from_function(
+            schema, lambda v: int(n - v.count("0") <= h)
+        ))
+        entity = schema.entity("e", ("0",) * n)
+        dist = UniformDistribution(schema)
+        scores = [global_resp(schema, memo, entity, f, dist) for f in range(n)]
+
+        def a(m, j):
+            return sum(comb(m, s) * 2**s for s in range(j + 1))
+
+        assert memo.queries == 3 * n * (a(n - 1, h - 1) + 1)
+        assert memo.backend_calls == a(n, h) + 2 * n - h
+        for f, got in enumerate(scores):
+            assert got.score == Fraction(2, 3 * (h + 1))
+            # the first candidate of size h: the first h other features at "1"
+            assert got.gamma == tuple(i for i in range(n) if i != f)[:h]
+            assert set(got.gamma_values) == {"1"}
+            assert not got.truncated

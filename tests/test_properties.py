@@ -13,6 +13,7 @@ import tempfile
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -43,6 +44,7 @@ from cfx.schema import (
 from cfx.score import (
     ConditionedDistribution,
     EmpiricalDistribution,
+    GlobalScore,
     ProductDistribution,
     UniformDistribution,
     ZeroMassError,
@@ -510,6 +512,57 @@ class TestScoreInvariants:
             assert got.truncated == (
                 got.score == 0 and max_gamma is not None and max_gamma < n - 1
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(classified_spaces(), st.sampled_from([None, 0, 1]), st.data())
+    def test_global_resp_bound_only_drops_queries(self, case, max_gamma, data):
+        # the branch and bound asks a subset of the plain walk's labels, in
+        # the same order, and returns the same score, truncated included
+        schema, table, entity = case
+        domains = [f.domain for f in schema.features]
+        dist, _ = draw_distribution(data, schema)
+        if dist is None:
+            return
+
+        def recorded(log):
+            def label(values):
+                log.append(tuple(values))
+                return table[tuple(values)]
+            return label
+
+        for f_star in range(len(schema)):
+            asked, reference = [], []
+            clf = SimpleNamespace(label=recorded(asked))
+            got = global_resp(schema, clf, entity, f_star, dist, max_gamma)
+            want = oracles.unpruned_global_resp(
+                domains, entity.values, recorded(reference), f_star,
+                dist.conditional, max_gamma,
+            )
+            assert got == GlobalScore(f_star, *want)
+            rest = iter(reference)
+            assert all(vec in rest for vec in asked)  # in-order subsequence
+
+    @settings(max_examples=200, deadline=None)
+    @given(schemas(), st.data())
+    def test_loss_cap_bounds_every_slice(self, schema, data):
+        # no slice with mass loses a larger share off `own` than the cap;
+        # uniform and product slices with mass lose exactly the cap
+        dist, _ = draw_distribution(data, schema)
+        if dist is None:
+            return
+        exact = type(dist) in (UniformDistribution, ProductDistribution)
+        for index, f in enumerate(schema.features):
+            for own in f.domain:
+                cap = Fraction(*dist.loss_cap(index, own))
+                for values in schema.iter_space():
+                    if values[index] != own:
+                        continue
+                    weights = dist.conditional(values, index)
+                    total = sum(weights.values())
+                    if not total:
+                        continue
+                    share = Fraction(total - weights[own], total)
+                    assert share == cap if exact else share <= cap
 
     @settings(max_examples=200, deadline=None)
     @given(schemas(), st.data())
