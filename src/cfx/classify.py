@@ -33,16 +33,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BackendError, InputError
-from .schema import FeatureSchema, Record, read_csv, read_text, reject_row
+from .schema import FeatureSchema, Record, read_csv_blocks, read_text, reject_row
 
 TIMEOUT_ENV = "CFX_EXTERNAL_TIMEOUT_MS"
 DEFAULT_TIMEOUT_MS = 5000
-# TableClassifier.from_csv checks this many rows at once. Larger chunks
-# save little more per row, and the rows they hold when the garbage
-# collector runs get promoted: loading a 531,441-row table in a bare
-# interpreter ran 3 full collections at 64 rows and 7 at 256, each
-# walking the whole table
-CHUNK_ROWS = 64
 # ExternalClassifier sends announced queries ahead of their replies, this
 # many bytes of lines at most: one page, the least a Linux pipe buffer holds
 AHEAD_BYTES = 4096
@@ -131,20 +125,25 @@ class TableClassifier:
         column is ignored. Header names and cells are stripped. Every row
         has the header's cell count; blank rows are skipped.
 
-        Rows are read CHUNK_ROWS at a time. A chunk is taken whole when
-        every cell of it is a domain value or label as read and every
-        vector in it is new; any other chunk goes through ``_load_rows``,
-        which alone says what a row may hold and raises the first bad
-        row's error. A row that ``read_csv`` rejects is reported only after
-        the rows before it are loaded, so an earlier bad row is still
-        reported first.
+        Rows come in the blocks of ``read_csv_blocks``, about BLOCK_CHARS
+        characters of text each, with their cells column by column: split
+        out of the text at once when the file holds no quote, "\r" or
+        NUL, and transposed from the csv module's rows otherwise. Both
+        meet one check: a block is taken whole when every picked cell of
+        it is a domain value or label as read and every vector in it is
+        new. Any other block, and a block without columns, goes through
+        ``_load_rows`` row by row, as the csv module reads it: that loop
+        alone says what a row may hold, and raises the first bad row's
+        error with its line. A row that the reader rejects is reported
+        only after the rows before it are loaded, so an earlier bad row is
+        still reported first.
         """
         names = schema.names
         if "label" in names:
             raise InputError(
                 f"{path}: a feature named 'label' would share the label column"
             )
-        fields, lines = read_csv(path)
+        fields, blocks = read_csv_blocks(path)
         missing = [n for n in names if n not in fields]
         if missing:
             raise InputError(f"{path}: missing feature columns {missing}")
@@ -153,7 +152,8 @@ class TableClassifier:
         twice = [n for n in (*names, "label") if fields.count(n) > 1]
         if twice:
             raise InputError(f"{path}: columns named more than once: {twice}")
-        # one pick per row: the feature cells in schema order, then the label
+        # one pick per row or block: the feature cells or columns in schema
+        # order, then the label
         pick = itemgetter(*(fields.index(n) for n in names), fields.index("label"))
         n = len(names)
         domains = _domain_sets(schema)
@@ -162,30 +162,15 @@ class TableClassifier:
         accept = [{v for v in d if v == v.strip()} for d in domains]
         accept.append(set(_LABELS))
         rows: dict[tuple[str, ...], int] = {}
-
-        def take(chunk: list[tuple[int, list[str]]]) -> None:
-            cols = pick(list(zip(*map(itemgetter(1), chunk))))
-            if all(map(set.issuperset, accept, cols)):
-                new = dict(zip(zip(*cols[:n]), map(_LABELS.__getitem__, cols[n])))
-                if len(new) == len(chunk) and rows.keys().isdisjoint(new):
-                    rows.update(new)
-                    return
-            _load_rows(path, schema, pick, domains, rows, chunk)
-
-        chunk: list[tuple[int, list[str]]] = []
-        try:
-            for pair in lines:
-                chunk.append(pair)
-                if len(chunk) == CHUNK_ROWS:
-                    full, chunk = chunk, []
-                    take(full)
-        finally:
-            # Also when read_csv raises for a row: the rows before it load
-            # first, so an earlier bad row's error replaces that one. A
-            # chunk is emptied before ``take`` loads it, so a chunk that
-            # raised is not loaded twice.
-            if chunk:
-                take(chunk)
+        for columns, block in blocks:
+            if columns is not None:
+                cols = pick(columns)
+                if all(map(set.issuperset, accept, cols)):
+                    new = dict(zip(zip(*cols[:n]), map(_LABELS.__getitem__, cols[n])))
+                    if len(new) == len(cols[n]) and rows.keys().isdisjoint(new):
+                        rows.update(new)
+                        continue
+            _load_rows(path, schema, pick, domains, rows, block)
         if not rows:
             raise InputError(f"{path}: truth table has no rows")
         table = cls.__new__(cls)
@@ -618,8 +603,9 @@ class MemoClassifier:
     """Value-keyed memo cache in front of any object with a ``label`` method.
 
     Caching is semantically invisible for deterministic backends; ``queries``
-    counts every lookup, ``backend_calls`` only the cache misses. Not
-    thread-safe: use one per thread.
+    counts every lookup, ``backend_calls`` only the cache misses, a miss
+    whose backend call raises included. Not thread-safe: use one per
+    thread.
     """
 
     def __init__(self, backend):
@@ -633,8 +619,9 @@ class MemoClassifier:
         key = tuple(values)
         result = self._cache.get(key)  # None is never a label
         if result is None:
-            result = self._cache[key] = self.backend.label(key)
+            # counted before the call, so a call that raises is counted too
             self.backend_calls += 1
+            result = self._cache[key] = self.backend.label(key)
         return result
 
     def announce(self, vectors: Iterable[tuple[str, ...]]) -> None:

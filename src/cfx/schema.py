@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import re
-from itertools import product
+from itertools import islice, product, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -271,8 +271,8 @@ def in_file(path: str | Path, build: Callable[..., Any], *args: object) -> Any:
 
 def read_text(path: str | Path) -> str:
     """The contents of the input file ``path``, decoded as UTF-8 after any
-    leading byte order mark. Every input file is read here or through
-    ``read_csv``."""
+    leading byte order mark. Every input file is read here, also by
+    ``read_csv`` and ``read_csv_blocks``."""
     try:
         # the mark is cut here, not by "utf-8-sig", whose error offsets
         # would not index ``data``
@@ -293,32 +293,151 @@ def read_csv(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]
     ``reject_row``; a row the csv module cannot read is an error naming
     FILE:LINE. Testing every row for blankness would slow large tables,
     so a blank row of the right width reaches the loader: it fails the
-    loader's cell checks, and the loader hands it to ``reject_row``."""
+    loader's cell checks, and the loader hands it to ``reject_row``.
+    ``read_csv_blocks`` gives the same rows a block at a time."""
     # not str.splitlines, which also ends lines at U+2028 and form feeds
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = _csv_header(path, reader)
+    return [h.strip() for h in header], _csv_rows(path, reader, len(header), 0)
+
+
+# (columns, rows) of a block of CSV rows: see read_csv_blocks
+CsvBlock = tuple[list[Sequence[str]] | None, Iterable[tuple[int, list[str]]]]
+
+# read_csv_blocks reads a file about this many characters at a time. Below
+# the csv module's default field_size_limit(), so that a plain block can be
+# checked against the limit by its length alone. Larger blocks save little
+# more per row
+BLOCK_CHARS = 1 << 13
+
+# A file holding none of these is plain: each line is one row, and its cells
+# are what lies between its commas. A quote may wrap a cell, a "\r" may end
+# a line, and the csv module of some Python versions refuses a NUL
+_NOT_PLAIN = ('"', "\r", "\0")
+
+
+def read_csv_blocks(path: str | Path) -> tuple[list[str], Iterator[CsvBlock]]:
+    """The stripped header of the CSV file ``path`` and its body in blocks
+    of consecutive rows, each ``(columns, rows)``. ``rows`` gives the
+    block's rows one by one, with ``read_csv``'s checks and line numbers.
+    ``columns`` holds the block's cells column by column, as read, or is
+    None when the block must be read through ``rows``.
+
+    Neither source takes a Python step per line. A plain file, one holding
+    none of ``_NOT_PLAIN``, is cut at the first line end BLOCK_CHARS or
+    more characters past the block's start. When every line of a block
+    that is not blank holds one comma fewer than the header has cells, and
+    the block is no longer than ``csv.field_size_limit()``, those lines are
+    split at their commas at once, and column j is every width-th cell
+    from the j-th; any other block has no columns. Its ``rows`` reads its
+    lines with the csv module; each line is one row, so the line numbers
+    are exact. Any other file is read by the csv module, as many rows at
+    once as BLOCK_CHARS characters hold at the body's mean line length,
+    and a block whose rows that are not blank are all as wide as the
+    header is transposed. Its ``rows`` reads the block's text again with
+    a new reader; for a block the reader raised in, that is the rest of
+    the file. A blank line is a row that ``rows`` skips, so no block's
+    columns hold it."""
+    text = read_text(path)
+    if any(map(text.__contains__, _NOT_PLAIN)):
+        stream = io.StringIO(text, newline="")
+        reader = csv.reader(stream)
+        header = _csv_header(path, reader)
+        blocks = _row_blocks(path, text, stream, reader, len(header))
+    else:
+        # the header is the first line; the body starts after its line end
+        body = text.find("\n") + 1 or len(text)
+        header = _csv_header(path, csv.reader([text[:body]] if text else []))
+        blocks = _plain_blocks(path, text, body, len(header))
+    return [h.strip() for h in header], blocks
+
+
+def _plain_blocks(path: str | Path, text: str, start: int, width: int) -> Iterator[CsvBlock]:
+    # each block is sliced out of ``text`` by itself; the body is not copied
+    first, size, commas = 2, len(text), {width - 1}
+    while start < size:
+        end = text.find("\n", start + BLOCK_CHARS)
+        if end < 0:
+            end = size - text.endswith("\n")
+        lines = text[start:end].split("\n")
+        rows = _csv_rows(path, csv.reader(lines), width, first - 1)
+        # a blank line is a skipped row: ``rows`` keeps it, for the line
+        # numbers, and the columns leave it out
+        full = list(filter(None, lines)) if "" in lines else lines
+        if (
+            set(map(str.count, full, repeat(","))) == commas
+            and end - start <= csv.field_size_limit()
+        ):
+            cells = ",".join(full).split(",")
+            yield [cells[j::width] for j in range(width)], rows
+        else:
+            yield None, rows
+        first += len(lines)
+        start = end + 1
+
+
+def _row_blocks(
+    path: str | Path, text: str, stream: io.StringIO, reader: Any, width: int
+) -> Iterator[CsvBlock]:
+    # ``reader`` reads ``stream``, which holds ``text`` and tells how far
+    # into it the rows read so far reach
+    start = stream.tell()
+    # rows per block: the body's lines, ended by "\n", "\r\n" or "\r", per
+    # BLOCK_CHARS characters
+    ends = max(text.count("\n", start), text.count("\r", start))
+    size, widths = max(1, BLOCK_CHARS * ends // max(1, len(text) - start)), {width}
+    while start < len(text):
+        before = reader.line_num
+        try:
+            got = list(islice(reader, size))
+            stop = stream.tell()
+        except csv.Error:  # ``rows`` raises it again, naming the line
+            got, stop = [], len(text)
+        rows = _reread(path, text, start, stop, width, before)
+        # a blank line reads as [], a skipped row: the columns leave it out
+        got = list(filter(None, got))
+        if set(map(len, got)) == widths:
+            yield list(zip(*got)), rows
+        else:
+            yield None, rows
+        start = stop
+
+
+def _reread(
+    path: str | Path, text: str, start: int, stop: int, width: int, before: int
+) -> Iterator[tuple[int, list[str]]]:
+    # the rows of text[start:stop], which begins on line ``before`` + 1
+    reader = csv.reader(io.StringIO(text[start:stop], newline=""))
+    yield from _csv_rows(path, reader, width, before)
+
+
+def _csv_header(path: str | Path, reader: Iterator[list[str]]) -> list[str]:
     try:
         header = next(reader, None)
     except csv.Error as exc:
         raise InputError(f"{path}:1: {exc}") from None
     if header is None:
         raise InputError(f"{path}: empty CSV")
-    width = len(header)
+    return header
 
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        # a quoted cell may span lines, so a row is numbered by the line it
-        # starts on: one past the last line the reader consumed before it
-        start = reader.line_num + 1
-        try:
-            for row in reader:
-                if len(row) == width:
-                    yield start, row
-                else:
-                    reject_row(path, start, row, "wrong column count")
-                start = reader.line_num + 1
-        except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
-            raise InputError(f"{path}:{start}: {exc}") from None
 
-    return [h.strip() for h in header], rows()
+def _csv_rows(
+    path: str | Path, reader: Any, width: int, before: int
+) -> Iterator[tuple[int, list[str]]]:
+    """The rows ``reader`` reads from line ``before`` + 1 of ``path`` on,
+    as ``read_csv`` gives them."""
+    # a quoted cell may span lines, so a row is numbered by the line it
+    # starts on: one past the last line the reader consumed before it
+    start = before + reader.line_num + 1
+    try:
+        for row in reader:
+            if len(row) == width:
+                yield start, row
+            else:
+                reject_row(path, start, row, "wrong column count")
+            start = before + reader.line_num + 1
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+        raise InputError(f"{path}:{start}: {exc}") from None
 
 
 def reject_row(path: str | Path, lineno: int, row: list[str], reason: object) -> None:

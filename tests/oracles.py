@@ -310,10 +310,14 @@ def table_from_csv(path, names, domains):
     on; its picked cells are stripped; a row whose every cell is blank is
     skipped; otherwise a row of the wrong width, a value outside its domain,
     a repeated vector or a label other than 0/1 is an error, in that order
-    of precedence within the row."""
+    of precedence within the row. A row the csv module cannot read is an
+    error naming the line it starts on."""
     text = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf").decode("utf-8")
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: empty CSV")
     fields = [h.strip() for h in header]
@@ -328,24 +332,27 @@ def table_from_csv(path, names, domains):
     at = [fields.index(n) for n in (*names, "label")]
     rows = {}
     start = reader.line_num + 1
-    for row in reader:
-        lineno, start = start, reader.line_num + 1
-        if not any(cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: wrong column count")
-        *vec, label = (row[i].strip() for i in at)
-        vec = tuple(vec)
-        for name, domain, v in zip(names, domains, vec):
-            if v not in domain:
-                raise ValueError(
-                    f"{path}:{lineno}: value {v!r} not in domain of feature {name!r}"
-                )
-        if vec in rows:
-            raise ValueError(f"{path}:{lineno}: duplicate row for {vec}")
-        if label not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-        rows[vec] = int(label)
+    try:
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: wrong column count")
+            *vec, label = (row[i].strip() for i in at)
+            vec = tuple(vec)
+            for name, domain, v in zip(names, domains, vec):
+                if v not in domain:
+                    raise ValueError(
+                        f"{path}:{lineno}: value {v!r} not in domain of feature {name!r}"
+                    )
+            if vec in rows:
+                raise ValueError(f"{path}:{lineno}: duplicate row for {vec}")
+            if label not in ("0", "1"):
+                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+            rows[vec] = int(label)
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+        raise ValueError(f"{path}:{start}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: truth table has no rows")
     return rows

@@ -1,6 +1,5 @@
 import pytest
 
-from cfx import classify
 from cfx.classify import (
     MemoClassifier,
     MissingRowError,
@@ -101,6 +100,24 @@ class TestTableClassifier:
         clf = TableClassifier.from_csv(p, bits_schema)
         assert clf.rows == {("0", "1", "1"): 1, ("0", "0", "1"): 0}
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_from_csv_blank_lines_keep_the_block_whole(
+        self, tmp_path, bits_schema, monkeypatch, quote
+    ):
+        # a blank line is a skipped row: the block around it is taken whole
+        def no_row_by_row(*args):
+            raise AssertionError("a block went row by row")
+
+        monkeypatch.setattr("cfx.classify._load_rows", no_row_by_row)
+        p = tmp_path / "table.csv"
+        p.write_text(
+            f"F1,F2,F3,label\n\n0,1,1,{quote}1{quote}\n\n\n0,0,1,0\n1,1,1,1\n\n"
+        )
+        clf = TableClassifier.from_csv(p, bits_schema)
+        assert list(clf.rows.items()) == [
+            (("0", "1", "1"), 1), (("0", "0", "1"), 0), (("1", "1", "1"), 1),
+        ]
+
     def test_from_csv_domain_error_names_the_line(self, tmp_path, bits_schema):
         p = tmp_path / "table.csv"
         p.write_text("F1,F2,F3,label\n0,1,1,1\n0,2,1,0\n")
@@ -138,7 +155,8 @@ class TestTableClassifier:
     def test_from_csv_duplicate_across_chunks_names_the_later_line(
         self, tmp_path, bits_schema, monkeypatch
     ):
-        monkeypatch.setattr(classify, "CHUNK_ROWS", 2)
+        # blocks of two 8-character lines
+        monkeypatch.setattr("cfx.schema.BLOCK_CHARS", 8)
         p = tmp_path / "table.csv"
         p.write_text("F1,F2,F3,label\n0,1,1,1\n0,0,0,0\n1,1,1,1\n0,1,1,0\n")
         with pytest.raises(InputError) as info:
@@ -148,7 +166,7 @@ class TestTableClassifier:
     def test_from_csv_padded_and_blank_rows_in_the_last_chunk(
         self, tmp_path, bits_schema, monkeypatch
     ):
-        monkeypatch.setattr(classify, "CHUNK_ROWS", 2)
+        monkeypatch.setattr("cfx.schema.BLOCK_CHARS", 8)
         p = tmp_path / "table.csv"
         p.write_text("F1,F2,F3,label\n0,1,1,1\n0,0,0,0\n 1 ,1,\t1,1 \n , , , \n")
         clf = TableClassifier.from_csv(p, bits_schema)
@@ -159,7 +177,7 @@ class TestTableClassifier:
     def test_from_csv_bad_row_before_a_narrow_row_of_its_chunk(
         self, tmp_path, bits_schema
     ):
-        # read_csv rejects line 3 while the chunk holding line 2 is read
+        # line 3 is too narrow, in the same block as the bad line 2
         p = tmp_path / "table.csv"
         p.write_text("F1,F2,F3,label\n0,2,1,1\n0,1\n")
         with pytest.raises(InputError) as info:
@@ -408,6 +426,12 @@ class TestMemoClassifier:
         assert memo.queries == 3
         assert memo.backend_calls == 2
         assert calls == [("1", "0", "0"), ("0", "0", "0")]
+
+    def test_a_backend_call_that_raises_is_counted(self, bits_schema):
+        memo = MemoClassifier(TableClassifier(bits_schema, {("0", "0", "0"): 1}))
+        with pytest.raises(MissingRowError):
+            memo.label(("1", "1", "1"))
+        assert (memo.queries, memo.backend_calls) == (1, 1)
 
     def test_semantically_invisible(self, t1_table, bits_schema):
         memo = MemoClassifier(t1_table)

@@ -1154,6 +1154,18 @@ class TestPartialTable:
         assert lines[0] == self.NOTE
         assert lines[1].startswith("cfx: classifier backend failure: no table row for ")
 
+    def test_classify_counts_the_backend_call_that_failed(self, capsys, files):
+        argv = self.argv(files, "classify")
+        # the entity's row, sunny,normal,weak, is the one left out
+        Path(argv[-1]).write_text(
+            "Outlook,Humidity,Wind,label\nsunny,high,weak,0\nrain,normal,strong,0\n"
+        )
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_BACKEND, "")
+        assert "no table row for " in err
+        manifest = manifest_of(err)
+        assert (manifest["classifier_calls"], manifest["backend_calls"]) == (1, 1)
+
     def test_emit_asp_notes_then_refuses_facts(self, capsys, files):
         code, out, err = run(capsys, self.argv(files, "emit-asp"))
         assert (code, out) == (cli.EXIT_INPUT, "")

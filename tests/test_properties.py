@@ -21,7 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import prob, section
-from cfx import classify, search
+from cfx import search
+from cfx import schema as schema_module
 from cfx.classify import MemoClassifier, Rule, RuleClassifier, TableClassifier
 from cfx.errors import InputError
 from cfx.constrain import (
@@ -983,14 +984,20 @@ _CELL = st.text(
     min_size=1,
     max_size=3,
 ).filter(lambda v: v == v.strip())
+# cells csv writes as they are, so most drawn files are plain text
+_PLAIN_CELL = _CELL.filter(lambda v: "," not in v and '"' not in v)
+# mostly "\n", which plain text ends its lines with
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
 
 
 @st.composite
 def table_csvs(draw):
     """A schema, table rows over it, and the same rows as CSV text with
-    shuffled columns, an optional id column, and padded cells."""
+    shuffled columns, an optional id column, padded cells and drawn line
+    ends. Two draws in three use cells that need no quotes."""
     n = draw(st.integers(1, 3))
-    domains = st.lists(_CELL, min_size=2, max_size=3, unique=True).map(tuple)
+    cells = draw(st.sampled_from([_PLAIN_CELL, _PLAIN_CELL, _CELL]))
+    domains = st.lists(cells, min_size=2, max_size=3, unique=True).map(tuple)
     schema = FeatureSchema(tuple(Feature(f"F{i + 1}", draw(domains)) for i in range(n)))
     space = list(schema.iter_space())
     vecs = draw(st.lists(st.sampled_from(space), min_size=1, unique=True))
@@ -1005,7 +1012,7 @@ def table_csvs(draw):
         return draw(pad) + cell + draw(pad)
 
     out = io.StringIO()
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator=draw(_LINE_ENDS))
     writer.writerow([padded(c) for c in columns])
     for i, (vec, label) in enumerate(rows.items()):
         cells = {**dict(zip(schema.names, vec)), "label": str(label), "id": f"r{i}"}
@@ -1023,7 +1030,9 @@ def faulty_table_csvs(draw):
     domain, a label other than 0/1, a repeat of an earlier vector, padded
     cells (a newline pad makes the quoted cell span lines), a blank row or
     a row of the wrong width. A domain may hold a value with surrounding
-    whitespace, which a stripped cell never matches."""
+    whitespace, which a stripped cell never matches. Lines end mostly with
+    "\n", so most files are plain text; "\r\n" or "\r" line ends and a
+    newline pad, which csv quotes, make the others."""
     values = st.lists(st.sampled_from(["0", "1", "2", "a"]), min_size=2, max_size=3, unique=True)
     domains = [draw(values) for _ in range(draw(st.integers(1, 3)))]
     n = len(domains)
@@ -1043,7 +1052,7 @@ def faulty_table_csvs(draw):
     columns = draw(st.permutations(columns))
     pad = st.sampled_from(["", " ", "\t", "\n"])
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer = csv.writer(out, lineterminator=draw(_LINE_ENDS))
     writer.writerow(columns)
     for i, vec in enumerate(vecs):
         fault = faults.get(i)
@@ -1080,23 +1089,100 @@ class TestTableLoading:
         assert list(loaded.rows.items()) == list(built.rows.items())
 
     @settings(max_examples=300, deadline=None)
-    @given(faulty_table_csvs(), st.sampled_from([1, 2, 3, 5, classify.CHUNK_ROWS]))
-    def test_from_csv_matches_row_by_row_reference(self, case, chunk_rows):
+    @given(faulty_table_csvs(), st.sampled_from([1, 8, 16, 32, schema_module.BLOCK_CHARS]))
+    def test_from_csv_matches_row_by_row_reference(self, case, block_chars):
         """Same rows in the same order, or the same message, whichever
-        chunk a fault falls in."""
+        block a fault falls in. The small budgets cut a block after a line
+        or two."""
         schema, text = case
+        got, want = _load_and_reference(schema, text, block_chars)
+        assert got == want
+
+    @pytest.mark.parametrize("block_chars", [1, 8, schema_module.BLOCK_CHARS])
+    @pytest.mark.parametrize("text", [
+        pytest.param("F1,F2,label\n0,0,1\n0\0,1,1\n", id="nul-byte"),
+        pytest.param("F1,F2,label,id\n0,0,1,\0\n1,1,0,b\n", id="nul-in-extra-column"),
+        pytest.param("F1,F2,label\r0,0,1\r1,2,0\r", id="lone-cr-line-ends"),
+        pytest.param(
+            "F1,F2,label,id\n0,0,1,a\n0,1,0," + "x" * (csv.field_size_limit() + 1)
+            + "\n1,1,1,b\n",
+            id="cell-past-field-limit",
+        ),
+        pytest.param(
+            "F1,F2,label\n0,0,1\n0,1,0\n1,0,0\n1,1,1\n0,1,1\n", id="later-duplicate"
+        ),
+        pytest.param("F1,F2,label\n0,0,1\n1,1,0\n\n", id="trailing-blank-line"),
+        pytest.param("F1,F2,label\n0,0,1\n\n1,1,0", id="blank-line-no-final-end"),
+    ])
+    def test_from_csv_matches_row_by_row_reference_on(self, text, block_chars):
+        got, want = _load_and_reference(_BITS2, text, block_chars)
+        assert got == want
+
+
+class TestCsvBlocks:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.text(st.sampled_from('ab, "\n\r\0'), max_size=40),
+        st.sampled_from([0, 1, 3, 8, schema_module.BLOCK_CHARS]),
+    )
+    def test_blocks_hold_the_rows_read_csv_reads(self, text, block_chars):
+        """Block after block, ``rows`` gives ``read_csv``'s rows and error,
+        and a block's ``columns``, when it has them, are its rows' cells
+        column by column. A header of one cell makes a blank line hold as
+        many commas as a row."""
+        def drain(rows, out):
+            try:
+                out.extend(rows)
+            except InputError as exc:
+                return str(exc)
+
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "table.csv"
+            path = Path(tmp) / "t.csv"
             path.write_text(text, encoding="utf-8", newline="")
             try:
-                want = list(oracles.table_from_csv(
-                    path, schema.names, [f.domain for f in schema.features]
-                ).items())
-            except ValueError as exc:
-                want = str(exc)
-            with mock.patch.object(classify, "CHUNK_ROWS", chunk_rows):
-                try:
-                    got = list(TableClassifier.from_csv(path, schema).rows.items())
-                except InputError as exc:
-                    got = str(exc)
-        assert got == want
+                header, rows = schema_module.read_csv(path)
+            except InputError as exc:
+                with pytest.raises(InputError, match=re.escape(str(exc))):
+                    schema_module.read_csv_blocks(path)
+                return
+            want: list = []
+            want_error = drain(rows, want)
+            with mock.patch.object(schema_module, "BLOCK_CHARS", block_chars):
+                got_header, blocks = schema_module.read_csv_blocks(path)
+                got: list = []
+                got_error = None
+                for columns, block in blocks:
+                    pairs: list = []
+                    got_error = drain(block, pairs)
+                    got.extend(pairs)
+                    if got_error:
+                        break
+                    if columns is not None:
+                        cells = [row for _, row in pairs]
+                        assert list(map(list, columns)) == list(map(list, zip(*cells)))
+                        assert cells  # a block of no rows has no columns
+        assert (got_header, got, got_error) == (header, want, want_error)
+
+
+_BITS2 = FeatureSchema((Feature("F1", ("0", "1")), Feature("F2", ("0", "1"))))
+
+
+def _load_and_reference(schema, text, block_chars):
+    """``TableClassifier.from_csv`` on ``text`` with blocks of
+    ``block_chars`` characters, and ``oracles.table_from_csv`` on it: each
+    the rows in file order, or the error message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            want = list(oracles.table_from_csv(
+                path, schema.names, [f.domain for f in schema.features]
+            ).items())
+        except ValueError as exc:
+            want = str(exc)
+        with mock.patch.object(schema_module, "BLOCK_CHARS", block_chars):
+            try:
+                got = list(TableClassifier.from_csv(path, schema).rows.items())
+            except InputError as exc:
+                got = str(exc)
+    return got, want
