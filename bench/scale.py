@@ -7,11 +7,13 @@ Usage:
 Rung ``n`` is the threshold model over n features with domain
 ``{0,1,2}``: the label is 1 iff at most h = n // 2 features leave ``0``,
 and the entity is all ``0``. Rung ``nm`` is the same model with the values
-``a0``, ``a1``, ``a2``. The script writes each rung's schema, entity and
-total table to a temporary directory, runs ``python -m compileall -q`` on
-``src/cfx`` once, and pins itself, and so every process it starts, to one
-CPU. Then, per rung, it runs ``classify`` (the table load and one label),
-``explain`` and ``emit-asp --weak --count``, each in a fresh process.
+``a0``, ``a1``, ``a2``. The script writes each rung's schema, entity, total
+table and one denial (``F1 = 1`` with ``Fn = 2``, in the rung's values) to a
+temporary directory, runs ``python -m compileall -q`` on ``src/cfx`` once,
+and pins itself, and so every process it starts, to one CPU. Then, per
+rung, it runs each of COMMANDS in a fresh process: ``classify`` (the table
+load and one label), ``explain``, ``emit-asp --weak --count``, ``score``,
+``score --prob uniform``, and the latter conditioned on the denial.
 
 Each CLI process is started by a small helper process that waits for it
 with ``os.wait4``, so the peak RSS is the CLI's own: a child's
@@ -22,10 +24,19 @@ spawn to exit.
 
 Per run it records the wall time, the peak RSS, the manifest's
 ``classifier_calls`` and ``backend_calls``, and stdout's byte length and
-sha256 (over REPEAT runs: the median time and RSS). It checks that
-``classify`` prints ``1``, and that ``explain`` finds
-sum_{k > h} C(n, k) * 2^k counterfactuals, of which the C(n, h+1) *
-2^(h+1) on level h+1 are the s-minimal ones. ``--base DIR`` runs every
+sha256 (over REPEAT runs: the median time and RSS), and each ``score``
+command's scores. It checks these closed forms, with
+A(m, j) = sum_{s <= j} C(m, s) * 2^s:
+
+- ``classify`` prints ``1``;
+- ``explain`` finds sum_{k > h} C(n, k) * 2^k counterfactuals, of which the
+  C(n, h+1) * 2^(h+1) on level h+1 are the s-minimal ones;
+- ``score`` gives every feature 1/(h+1), in 3^n queries and backend calls;
+- ``score --prob uniform`` gives every feature 2/(3(h+1)), in
+  3n (A(n-1, h-1) + 1) queries and A(n, h) + 2n - h backend calls.
+
+The conditioned score has no closed form; only a clean exit and, with
+``--base``, the base's bytes check it. ``--base DIR`` runs every
 command also against the ``src`` of the checkout DIR, right before the
 same command here, records those runs under ``"base"``, and checks that
 both print the same bytes. It writes the results to ``--out`` as JSON.
@@ -41,13 +52,23 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from itertools import product
 from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COMMANDS = ("classify", "explain", "emit-asp")
+# each command line's first word is the subcommand; after the common
+# --schema, --entity and --table, a word naming a rung file is its path
+COMMANDS = (
+    "classify",
+    "explain",
+    "emit-asp --weak --count",
+    "score",
+    "score --prob uniform",
+    "score --prob uniform --condition condition.json",
+)
 
 # runs per command and tree; a row holds their median time and RSS
 REPEAT = 3
@@ -89,16 +110,31 @@ class Rung:
     def s_minimal(self) -> int:
         return comb(self.n, self.h + 1) * 2 ** (self.h + 1)
 
+    def prob_calls(self) -> tuple[int, int]:
+        """Queries and backend calls of ``score --prob uniform``."""
+        def a(m: int, j: int) -> int:
+            return sum(comb(m, s) * 2**s for s in range(j + 1))
+
+        n, h = self.n, self.h
+        return 3 * n * (a(n - 1, h - 1) + 1), a(n, h) + 2 * n - h
+
     def write(self, out: Path) -> dict[str, Path]:
-        """Write the schema, entity and table files into ``out``."""
+        """Write the schema, entity, table and condition files into ``out``."""
         names = [f"F{i + 1}" for i in range(self.n)]
-        files = {k: out / f"{self.name}-{k}" for k in ("schema.json", "entity.json", "table.csv")}
+        files = {
+            k: out / f"{self.name}-{k}"
+            for k in ("schema.json", "entity.json", "table.csv", "condition.json")
+        }
         files["schema.json"].write_text(json.dumps(
             {"features": [{"name": name, "domain": self.values} for name in names]}
         ))
         files["entity.json"].write_text(json.dumps(
             {"id": "e", "values": [self.values[0]] * self.n}
         ))
+        files["condition.json"].write_text(json.dumps({"denials": [{"literals": [
+            {"feature": names[0], "value": self.values[1]},
+            {"feature": names[-1], "value": self.values[2]},
+        ]}]}))
         first = self.values[0]
         with open(files["table.csv"], "w", newline="") as fh:
             fh.write(",".join([*names, "label"]) + "\n")
@@ -109,9 +145,10 @@ class Rung:
 
 
 def argv_of(command: str, files: dict[str, Path]) -> list[str]:
-    args = [command, "--schema", str(files["schema.json"]),
-            "--entity", str(files["entity.json"]), "--table", str(files["table.csv"])]
-    return [*args, "--weak", "--count"] if command == "emit-asp" else args
+    sub, *words = command.split()
+    return [sub, "--schema", str(files["schema.json"]),
+            "--entity", str(files["entity.json"]), "--table", str(files["table.csv"]),
+            *(str(files.get(word, word)) for word in words)]
 
 
 def scan(path: Path, patterns: tuple[bytes, ...]) -> tuple[int, str, list[int]]:
@@ -167,6 +204,8 @@ def run_cli(src: Path, argv: list[str], work: Path) -> dict:
         run["hits"], run["s_minimal"] = hits, s_minimal
     elif argv[0] == "classify":
         run["stdout"] = out.read_text()
+    elif argv[0] == "score" and run["exit"] == 0:
+        run["scores"] = [row["score"] for row in json.loads(out.read_text())["scores"]]
     return run
 
 
@@ -190,6 +229,12 @@ def check(rung: Rung, command: str, row: dict) -> None:
         want = (rung.hits(), rung.s_minimal())
         got = (row["hits"], row["s_minimal"])
         require(got == want, f"{where}: (hits, s-minimal) {got}, closed form {want}")
+    if command in ("score", "score --prob uniform"):
+        one = Fraction(1, rung.h + 1) if command == "score" else Fraction(2, 3 * (rung.h + 1))
+        calls = (3**rung.n,) * 2 if command == "score" else rung.prob_calls()
+        want = ([f"{one.numerator}/{one.denominator}"] * rung.n, calls)
+        got = (row["scores"], (row["classifier_calls"], row["backend_calls"]))
+        require(got == want, f"{where}: (scores, calls) {got}, closed form {want}")
 
 
 def require(holds: bool, message: str) -> None:
@@ -248,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
                     )
                     entry["base"][command] = rows["base"]
                 entry["runs"][command] = rows["change"]
-                print(f"{rung.name:>4} {command:9}" + "".join(
+                print(f"{rung.name:>4} {command:48}" + "".join(
                     f"  {side} {row['wall_s']:.3f} s {row['peak_rss_mb']:.1f} MB"
                     for side, row in rows.items()
                 ), flush=True)

@@ -20,14 +20,15 @@ size ends once the best pair reaches the distribution's loss cap.
 
 Distributions: uniform over the product space, fully factorized (product of
 per-feature marginals), empirical (frequencies of a sample), and any of
-those conditioned on denial constraints (renormalized over the satisfying
-event).
+those conditioned on denial constraints: renormalized over the satisfying
+event, whose support is scanned only up to the first vector with mass.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -46,8 +47,8 @@ from .schema import (
 )
 from .search import SearchConfig, enumerate_counterfactuals
 
-# refuse to sweep product spaces beyond this when a distribution needs
-# full-space enumeration (conditioning mass, sanity sums)
+# conditioning looks at no more than this many support vectors for one
+# with mass, and refuses when none of them has any: that proves nothing
 SPACE_ENUMERATION_LIMIT = 1 << 20
 
 
@@ -170,9 +171,7 @@ def max_resp_features(
 
 class Distribution:
     """Probability over the product space: an integer ``weight`` per value
-    vector over a positive integer ``total``, so results stay exact."""
-
-    total: int
+    vector, in proportion to its probability, so results stay exact."""
 
     def __init__(self, schema: FeatureSchema):
         self.schema = schema
@@ -182,11 +181,7 @@ class Distribution:
         raise NotImplementedError
 
     def support(self) -> Iterator[tuple[str, ...]]:
-        """Vectors that may carry mass (a superset is fine)."""
-        if self.schema.space_size() > SPACE_ENUMERATION_LIMIT:
-            raise InputError(
-                "product space too large to enumerate for this distribution"
-            )
+        """Vectors that may carry mass (a superset is fine), lazily."""
         return self.schema.iter_space()
 
     def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
@@ -196,8 +191,9 @@ class Distribution:
         slice without mass has no such distribution, and all its weights are 0.
 
         The values other than ``values[index]`` must be known to be in their
-        domains, as for ``weight``: nothing here checks them again. Callers
-        only read the result, which a distribution may share between calls."""
+        domains, as for ``weight``, but an ``index`` outside ``range(n)``
+        raises ``InputError``. Callers only read the result, which a
+        distribution may share between calls."""
         domain = self.schema.feature(index).domain
         varied = list(values)
         weights = {}
@@ -210,13 +206,13 @@ class Distribution:
         """``(lost, total)``: no slice of feature ``index`` that has mass
         puts a larger share of it off the value ``own`` than lost / total.
         Any share may reach 1 unless a distribution knows better."""
+        self.schema.feature(index)
         return 1, 1
 
 
 class UniformDistribution(Distribution):
     def __init__(self, schema: FeatureSchema):
         super().__init__(schema)
-        self.total = schema.space_size()
         self._slices = {
             i: dict.fromkeys(f.domain, 1) for i, f in enumerate(schema.features)
         }
@@ -230,7 +226,7 @@ class UniformDistribution(Distribution):
         return self._slices[index]
 
     def loss_cap(self, index: int, own: str) -> tuple[int, int]:
-        k = len(self._slices[index])
+        k = len(self.schema.feature(index).domain)
         return k - 1, k
 
 
@@ -238,9 +234,9 @@ class ProductDistribution(Distribution):
     """Independent per-feature marginals.
 
     Marginal weights are validated to sum to 1 within 1e-9 per feature.
-    Each marginal is kept as integers over the lcm of its denominators, and
-    ``total`` is the product of the scaled sums, so the full product space
-    carries mass exactly 1 and every marginal is renormalized exactly.
+    Each marginal is kept as integers over the lcm of its denominators, so
+    a vector's weight is the product of its scaled marginal weights and
+    every marginal is renormalized exactly.
     """
 
     def __init__(
@@ -252,7 +248,6 @@ class ProductDistribution(Distribution):
         if len(marginals) != len(schema):
             raise InputError("need one marginal per feature")
         self._scaled: list[dict[str, int]] = []
-        self.total = 1
         for f, marg in zip(schema.features, marginals):
             weights = dict.fromkeys(f.domain, Fraction(0))
             for v, w in marg.items():
@@ -271,7 +266,8 @@ class ProductDistribution(Distribution):
             denom = lcm(*(w.denominator for w in weights.values()))
             scaled = {v: int(w * denom) for v, w in weights.items()}
             self._scaled.append(scaled)
-            self.total *= sum(scaled.values())
+        every = self._scaled
+        self._parts = {i: (every[:i] + every[i + 1:], m) for i, m in enumerate(every)}
 
     def weight(self, values: Sequence[str]) -> int:
         return prod(map(dict.__getitem__, self._scaled, values))
@@ -279,13 +275,15 @@ class ProductDistribution(Distribution):
     def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
         # the others' product times this feature's marginal; all zero when
         # another feature's value has no marginal weight
-        scaled = self._scaled
-        rest = scaled[:index] + scaled[index + 1:]
+        if index not in self._parts:
+            self.schema.feature(index)  # raises: index out of range
+        rest, marginal = self._parts[index]
         others = prod(map(dict.__getitem__, rest, values[:index] + values[index + 1:]))
-        return {v: others * w for v, w in scaled[index].items()}
+        return {v: others * w for v, w in marginal.items()}
 
     def loss_cap(self, index: int, own: str) -> tuple[int, int]:
         # every slice with mass is this feature's marginal times one factor
+        self.schema.feature(index)  # raises: index out of range
         marginal = self._scaled[index]
         total = sum(marginal.values())
         return total - marginal[own], total
@@ -333,7 +331,6 @@ class EmpiricalDistribution(Distribution):
         if not counts:
             raise InputError("empirical sample is empty")
         self.counts = counts
-        self.total = sum(counts.values())
 
     def weight(self, values: Sequence[str]) -> int:
         return self.counts.get(tuple(values), 0)
@@ -357,9 +354,15 @@ class ConditionedDistribution(Distribution):
         super().__init__(base.schema)
         self.base = base
         self.denials = tuple(denials)
-        self.total = sum(map(self.weight, base.support()))
-        if self.total == 0:
-            raise ZeroMassError("conditioning event has zero mass")
+        # the event has mass iff one support vector has; stop at the first
+        scan = iter(base.support())
+        if not any(map(self.weight, islice(scan, SPACE_ENUMERATION_LIMIT))):
+            if next(scan, None) is None:
+                raise ZeroMassError("conditioning event has zero mass")
+            raise InputError(
+                f"conditioning event: none of the first {SPACE_ENUMERATION_LIMIT} "
+                "support vectors has mass; the scan stops there, so nothing is proven"
+            )
 
     def weight(self, values: Sequence[str]) -> int:
         if any(chi.matches(values) for chi in self.denials):
@@ -368,19 +371,15 @@ class ConditionedDistribution(Distribution):
 
 
 def _as_fraction(w: Fraction | str | float | int, context: str) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, int):
-        return Fraction(w)
     if isinstance(w, float):
         # exact decimal semantics, not the binary float's exact value; nan
         # and inf fail to parse below
         w = str(w)
-    if isinstance(w, str):
-        try:
+    try:
+        if isinstance(w, (Fraction, int, str)):
             return Fraction(w)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{context}: cannot parse probability {w!r}") from None
+    except (ValueError, ZeroDivisionError):
+        pass
     raise InputError(f"{context}: cannot parse probability {w!r}")
 
 

@@ -49,8 +49,10 @@ def section(program, name):
 
 
 def prob(dist, values):
-    """The probability ``dist`` gives ``values``: its weight over its total."""
-    return Fraction(dist.weight(values), dist.total)
+    """The probability ``dist`` gives ``values``: its weight over the sum of
+    the weights of the whole space."""
+    total = sum(map(dist.weight, dist.schema.iter_space()))
+    return Fraction(dist.weight(values), total)
 
 
 def table_from_function(schema, fn):

@@ -7,6 +7,7 @@ test, so agreement between the two is meaningful.
 
 import csv
 import io
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -262,6 +263,73 @@ def first_match(rules, default, values):
         if all(values[i] == v for i, v in conditions):
             return label
     return default
+
+
+# --- emitted rule-list classifier ---
+
+# a solver constant: a quoted string with backslash escapes, or a bare token
+_TERM = r'"(?:[^"\\]|\\.)*"|[^,()\s"]+'
+_VAR = r"[A-Z][A-Za-z0-9_]*"
+_RULE = re.compile(r"cls\((?P<head>[^()]*)\) :- (?P<body>.*)\.")
+_LITERAL = re.compile(
+    rf"(?:(?P<var>{_VAR}) = (?P<const>{_TERM})"
+    rf"|dom(?P<k>[0-9]+)\((?P<dom_var>{_VAR})\)"
+    rf"|not cls\((?P<negated>[^()]*)\))(?:, |\Z)"
+)
+_DOM_FACT = re.compile(rf"dom([0-9]+)\(({_TERM})\)\.")
+
+
+def rules_section_model(rule_lines, domain_lines):
+    """The ``cls`` atoms that an emitted rule-list classifier derives,
+    evaluated bottom-up: a set of (constant, ..., label) tuples.
+
+    ``domain_lines`` hold the ``domK(c).`` facts. Each rule line reads
+    ``cls(V1,...,Vn,L) :- body.`` with body literals ``V = c``,
+    ``domK(V)`` and, in the default rule only, ``not cls(V1,...,Vn,L')``.
+    A variable ranges over the constants that every positive literal on it
+    allows. The one negation stratifies the program: the rules without it
+    are evaluated first, and the default rule reads their model.
+    """
+    doms = {}
+    for line in domain_lines:
+        for k, const in _DOM_FACT.findall(line):
+            doms.setdefault(int(k), set()).add(const)
+    rules = []
+    for line in rule_lines:
+        m = _RULE.fullmatch(line)
+        assert m, line
+        *head, label = m["head"].split(",")
+        allowed, negated, pos = {}, None, 0
+        body = m["body"]
+        while pos < len(body):
+            lit = _LITERAL.match(body, pos)
+            assert lit, body[pos:]
+            pos = lit.end()
+            if lit["var"]:
+                allowed.setdefault(lit["var"], []).append({lit["const"]})
+            elif lit["dom_var"]:
+                allowed.setdefault(lit["dom_var"], []).append(doms[int(lit["k"])])
+            else:
+                assert negated is None, line
+                negated = lit["negated"].split(",")
+        assert set(allowed) == set(head), line  # every head variable is bound
+        pools = [set.intersection(*allowed[v]) for v in head]
+        rules.append((head, int(label), negated, pools))
+    model = set()
+    for stratum in (False, True):
+        derived = set()
+        for head, label, negated, pools in rules:
+            if (negated is not None) != stratum:
+                continue
+            for consts in product(*pools):
+                if negated is not None:
+                    binding = dict(zip(head, consts))
+                    *args, other = negated
+                    if (*(binding[a] for a in args), int(other)) in model:
+                        continue
+                derived.add((*consts, label))
+        model |= derived
+    return model
 
 
 # --- rule safety ---

@@ -657,6 +657,32 @@ class TestScore:
         payload = json.loads(out)
         assert payload["condition"] == str(chi)
 
+    def test_prob_conditioned_on_a_large_space(self, capsys, tmp_path):
+        # 3^13 vectors, past the 2^20 that conditioning may scan: it stops
+        # at the first one with mass, and the one-rule model's walk at
+        # --max-card 1 stays small
+        n = 13
+        names = [f"F{i + 1}" for i in range(n)]
+        (tmp_path / "schema.json").write_text(json.dumps(
+            {"features": [{"name": name, "domain": ["0", "1", "2"]} for name in names]}
+        ))
+        (tmp_path / "e.json").write_text(json.dumps({"id": "e", "values": ["0"] * n}))
+        (tmp_path / "model.rules").write_text("if F1=0 then 1\ndefault 0\n")
+        (tmp_path / "chi.json").write_text(json.dumps({"denials": [{"literals": [
+            {"feature": "F2", "value": "0"}, {"feature": "F3", "value": "1"},
+        ]}]}))
+        code, out, err = run(capsys, [
+            "score",
+            "--schema", str(tmp_path / "schema.json"),
+            "--entity", str(tmp_path / "e.json"),
+            "--rules", str(tmp_path / "model.rules"),
+            "--prob", "uniform", "--max-card", "1",
+            "--condition", str(tmp_path / "chi.json"),
+        ])
+        assert code == cli.EXIT_OK, err
+        scores = {row["feature"]: row["score"] for row in json.loads(out)["scores"]}
+        assert scores == {"F1": "2/3", **{name: "0/1" for name in names[1:]}}
+
     def test_condition_without_prob_exit_2(self, capsys, files):
         chi = files / "chi.json"
         chi.write_text(json.dumps({"denials": [{"literals": [

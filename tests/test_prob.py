@@ -1,12 +1,13 @@
 """Distributions and the probabilistic responsibility score."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 import oracles
-from cfx.classify import MemoClassifier
+from cfx.classify import MemoClassifier, Rule, RuleClassifier
 from cfx.constrain import DenialConstraint, DenialLiteral
 from cfx.errors import InputError, NothingToExplainError
 from cfx.schema import Entity, Feature, FeatureSchema
@@ -56,18 +57,38 @@ class TestUniform:
         assert all(type(w) is int for w in cond.values())
 
     def test_conditional_equals_the_base_method(self, tennis_schema):
-        # the override skips one weight call per value, and nothing else
-        dist = UniformDistribution(tennis_schema)
-        for values in tennis_schema.iter_space():
-            for index in range(len(tennis_schema)):
-                got = dist.conditional(values, index)
-                want = Distribution.conditional(dist, values, index)
-                assert list(got.items()) == list(want.items())
-        for index in (-1, len(tennis_schema)):
-            with pytest.raises(InputError, match="out of range"):
-                dist.conditional(("sunny", "high", "weak"), index)
-            with pytest.raises(InputError, match="out of range"):
-                Distribution.conditional(dist, ("sunny", "high", "weak"), index)
+        # each override skips weight calls, and nothing else; an index out
+        # of range, -1 included, is refused alike by every distribution
+        uniform = UniformDistribution(tennis_schema)
+        dists = [
+            uniform,
+            ProductDistribution(tennis_schema, [
+                {"sunny": Fraction(1, 2), "overcast": 0, "rain": Fraction(1, 2)},
+                {"high": Fraction(1, 3), "normal": Fraction(2, 3)},
+                {"strong": Fraction(1, 4), "weak": Fraction(3, 4)},
+            ]),
+            EmpiricalDistribution(tennis_schema, [("sunny", "high", "weak")] * 2),
+            ConditionedDistribution(uniform, [
+                DenialConstraint((DenialLiteral(0, "rain"), DenialLiteral(2, "strong")))
+            ]),
+        ]
+        values = ("sunny", "high", "weak")
+        for dist in dists:
+            for vec in tennis_schema.iter_space():
+                for index in range(len(tennis_schema)):
+                    got = dist.conditional(vec, index)
+                    want = Distribution.conditional(dist, vec, index)
+                    assert list(got.items()) == list(want.items())
+            for index in (-1, len(tennis_schema)):
+                for call in (
+                    lambda: dist.conditional(values, index),
+                    lambda: Distribution.conditional(dist, values, index),
+                    lambda: dist.loss_cap(index, "weak"),
+                    lambda: Distribution.loss_cap(dist, index, "weak"),
+                ):
+                    with pytest.raises(InputError) as info:
+                        call()
+                    assert str(info.value) == f"feature index {index} out of range"
 
 
 class TestProduct:
@@ -203,6 +224,33 @@ class TestProduct:
             ProductDistribution(bits_schema, [{"0": 1}] * 2)
         assert str(info.value) == "need one marginal per feature"
 
+    @pytest.mark.parametrize("weight, want", [
+        (Fraction(1, 4), Fraction(1, 4)),
+        (1, Fraction(1)),
+        ("1/4", Fraction(1, 4)),
+        (" 0.25 ", Fraction(1, 4)),
+        (0.25, Fraction(1, 4)),
+        (0.1, Fraction(1, 10)),
+        (Decimal("0.25"), None),
+        (None, None),
+        ("1/0", None),
+        ("", None),
+    ], ids=["fraction", "int", "str", "str-decimal", "float", "float-decimal",
+            "decimal", "none", "zero-denominator", "empty"])
+    def test_one_parse_per_weight_type(self, weight, want):
+        # Fraction, int, str and float weights parse, a float as its decimal
+        # text; any other type, and any text that is no number, is refused
+        schema = FeatureSchema((Feature("F1", ("0", "1")),))
+        marginal = {"0": weight, "1": Fraction(1) - (want or 0)}
+        if want is None:
+            with pytest.raises(InputError) as info:
+                ProductDistribution(schema, [marginal])
+            shown = str(weight) if isinstance(weight, float) else weight
+            assert str(info.value) == f"marginal of 'F1': cannot parse probability {shown!r}"
+        else:
+            dist = ProductDistribution(schema, [marginal])
+            assert prob(dist, ("0",)) == want
+
     def test_integer_and_unparsable_weights(self, bits_schema):
         dist = ProductDistribution(bits_schema, [{"0": 1, "1": 0}] * 3)
         assert prob(dist, ("0", "0", "0")) == 1
@@ -277,10 +325,38 @@ class TestConditioned:
             ConditionedDistribution(UniformDistribution(bits_schema), everything)
 
     def test_space_too_large_to_condition(self):
-        schema = FeatureSchema(tuple(Feature(f"F{i}", ("0", "1")) for i in range(21)))
-        assert schema.space_size() > SPACE_ENUMERATION_LIMIT
-        with pytest.raises(InputError, match="too large to enumerate"):
-            ConditionedDistribution(UniformDistribution(schema), [self.chi()])
+        # a space past the scan limit conditions as soon as a vector with
+        # mass turns up; only a scan cut off at the limit, which proves
+        # nothing, is refused, and it says where it stopped
+        schema = FeatureSchema(tuple(Feature(f"F{i + 1}", ("0", "1")) for i in range(21)))
+        assert schema.space_size() == 2 * SPACE_ENUMERATION_LIMIT == 1 << 21
+        dist = ConditionedDistribution(UniformDistribution(schema), [self.chi()])
+        # label 1 iff F1 = 0 and F3 = 0; the denial forbids F2 = 0 with F3 = 1
+        clf = RuleClassifier(schema, [Rule(((0, "0"), (2, "0")), 1)], 0)
+        entity = schema.entity("e", ("0",) * 21)
+        first = global_resp(schema, clf, entity, 0, dist, max_gamma=0)
+        assert (first.score, first.gamma, first.truncated) == (Fraction(1, 2), (), False)
+        # resampling F3 can only reach F3 = 1, which the denial forbids
+        third = global_resp(schema, clf, entity, 2, dist, max_gamma=0)
+        assert (third.score, third.gamma, third.truncated) == (0, None, True)
+        first_value = DenialConstraint((DenialLiteral(0, "0"),))
+        with pytest.raises(InputError) as info:
+            ConditionedDistribution(UniformDistribution(schema), [first_value])
+        assert type(info.value) is InputError
+        assert str(info.value) == (
+            "conditioning event: none of the first 1048576 support vectors has "
+            "mass; the scan stops there, so nothing is proven"
+        )
+
+    def test_scan_stops_at_the_first_vector_with_mass(self, bits_schema):
+        class OneThenFail(UniformDistribution):
+            def support(self):
+                yield ("1", "1", "1")
+                raise AssertionError("scanned past the first vector with mass")
+
+        dist = ConditionedDistribution(OneThenFail(bits_schema), [self.chi()])
+        assert dist.weight(("1", "0", "1")) == 0
+        assert dist.weight(("1", "1", "1")) == 1
 
     def test_agrees_with_oracle_table(self, bits_schema):
         chi = self.chi()

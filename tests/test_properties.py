@@ -106,13 +106,29 @@ def draw_marginals(data, schema):
     return marginals
 
 
-def draw_distribution(data, schema):
-    """A uniform, product or empirical distribution, perhaps conditioned on
-    drawn denials, and its probability table from tests/oracles.py.
+def draw_denials(data, domains):
+    """One or two denials of one or two literals each, and the test's own
+    reading of them: a predicate true on the vectors no denial forbids."""
+    literal = st.integers(0, len(domains) - 1).flatmap(lambda i: st.tuples(
+        st.just(i), st.sampled_from(domains[i]), st.sampled_from((EQ, NE))
+    ))
+    denials = data.draw(st.lists(
+        st.lists(literal, min_size=1, max_size=2), min_size=1, max_size=2
+    ))
+    chis = [DenialConstraint(tuple(DenialLiteral(*lit) for lit in chi)) for chi in denials]
 
-    When the denials leave no mass, checks that conditioning refuses them
-    and returns ``(None, None)``.
-    """
+    def keep(vec):
+        return not any(
+            all((vec[i] == v) == (polarity == EQ) for i, v, polarity in chi)
+            for chi in denials
+        )
+
+    return chis, keep
+
+
+def draw_base(data, schema):
+    """A uniform, product or empirical distribution and its probability
+    table from tests/oracles.py."""
     domains = [f.domain for f in schema.features]
     kind = data.draw(st.sampled_from(("uniform", "product", "empirical")))
     if kind == "uniform":
@@ -127,19 +143,21 @@ def draw_distribution(data, schema):
         sample = data.draw(st.lists(vectors, min_size=1, max_size=6))
         dist = EmpiricalDistribution(schema, sample)
         table = oracles.empirical_table(sample)
+    return dist, table
+
+
+def draw_distribution(data, schema):
+    """A distribution of ``draw_base``, perhaps conditioned on drawn
+    denials, and its probability table from tests/oracles.py.
+
+    When the denials leave no mass, checks that conditioning refuses them
+    and returns ``(None, None)``.
+    """
+    dist, table = draw_base(data, schema)
     if not data.draw(st.booleans(), label="conditioned"):
         return dist, table
-    literal = st.integers(0, len(domains) - 1).flatmap(lambda i: st.tuples(
-        st.just(i), st.sampled_from(domains[i]), st.sampled_from((EQ, NE))
-    ))
-    denials = data.draw(st.lists(
-        st.lists(literal, min_size=1, max_size=2), min_size=1, max_size=2
-    ))
-    table = oracles.condition_table(table, lambda vec: not any(
-        all((vec[i] == v) == (polarity == EQ) for i, v, polarity in chi)
-        for chi in denials
-    ))
-    chis = [DenialConstraint(tuple(DenialLiteral(*lit) for lit in chi)) for chi in denials]
+    chis, keep = draw_denials(data, [f.domain for f in schema.features])
+    table = oracles.condition_table(table, keep)
     if table is None:
         with pytest.raises(ZeroMassError, match="conditioning event has zero mass"):
             ConditionedDistribution(dist, chis)
@@ -170,6 +188,30 @@ def rule_lists(draw):
         min_size=1, max_size=6,
     ))
     return schema, rules, default, queries
+
+
+@st.composite
+def embeddable_rule_lists(draw):
+    """A schema of at most 3 features of at most 3 values, and a rule list
+    that the `--rules` embedding takes: one label on every rule and the
+    opposite default. A rule may test nothing, or one feature twice,
+    against the same value or against two (a rule that can never fire)."""
+    n = draw(st.integers(1, 3))
+    values = st.lists(
+        st.sampled_from(EMITTED_VALUES), min_size=2, max_size=3, unique=True
+    ).map(tuple)
+    schema = FeatureSchema(tuple(
+        Feature(f"F{i + 1}", draw(st.just(("0", "1")) | values)) for i in range(n)
+    ))
+    condition = st.integers(0, n - 1).flatmap(lambda i: st.tuples(
+        st.just(i), st.sampled_from(schema.features[i].domain)
+    ))
+    label = draw(st.integers(0, 1))
+    rules = draw(st.lists(
+        st.lists(condition, max_size=3).map(lambda c: Rule(tuple(c), label)),
+        min_size=1, max_size=4,
+    ))
+    return schema, rules, 1 - label
 
 
 class TestSearchInvariants:
@@ -544,6 +586,40 @@ class TestScoreInvariants:
             assert all(vec in rest for vec in asked)  # in-order subsequence
 
     @settings(max_examples=200, deadline=None)
+    @given(classified_spaces(), st.data())
+    def test_conditioning_verdict_matches_a_full_sweep(self, case, data):
+        # conditioning stops at the first support vector with mass, yet
+        # refuses exactly when a sweep of the whole space finds no mass;
+        # bases include zero-weight product values, samples and an already
+        # conditioned distribution
+        schema, labels, entity = case
+        domains = [f.domain for f in schema.features]
+        base, table = draw_base(data, schema)
+        if data.draw(st.booleans(), label="twice"):
+            chis, keep = draw_denials(data, domains)
+            if not sum(base.weight(v) for v in schema.iter_space() if keep(v)):
+                with pytest.raises(ZeroMassError, match="conditioning event has zero mass"):
+                    ConditionedDistribution(base, chis)
+                return
+            base = ConditionedDistribution(base, chis)
+            table = oracles.condition_table(table, keep)
+        chis, keep = draw_denials(data, domains)
+        swept = sum(base.weight(v) for v in schema.iter_space() if keep(v))
+        table = oracles.condition_table(table, keep)
+        assert (swept == 0) == (table is None)
+        if not swept:
+            with pytest.raises(ZeroMassError, match="conditioning event has zero mass"):
+                ConditionedDistribution(base, chis)
+            return
+        dist = ConditionedDistribution(base, chis)
+        clf = TableClassifier(schema, labels)
+        for f_star in range(len(schema)):
+            got = global_resp(schema, clf, entity, f_star, dist)
+            assert (got.score, got.gamma, got.gamma_values) == oracles.global_resp(
+                domains, entity.values, labels.__getitem__, f_star, table
+            )
+
+    @settings(max_examples=200, deadline=None)
     @given(schemas(), st.data())
     def test_loss_cap_bounds_every_slice(self, schema, data):
         # no slice with mass loses a larger share off `own` than the cap;
@@ -644,6 +720,34 @@ class TestRuleListInvariants:
         plain = [(r.conditions, r.label) for r in rules]
         for values in queries:
             assert clf.label(values) == oracles.first_match(plain, default, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(embeddable_rule_lists())
+    def test_emitted_rules_section_labels_every_vector_alike(self, case):
+        # the `--rules` embedding's meaning, by bottom-up evaluation: one
+        # label per vector, the classifier's and the first-match loop's
+        schema, rules, default = case
+        clf = RuleClassifier(schema, rules, default)
+        entity = Entity("e", tuple(f.domain[0] for f in schema.features))
+        program = aspgen.emit_cip(
+            schema, entity, clf, aspgen.CipOptions(classifier_embedding=aspgen.RULES)
+        )
+        model = oracles.rules_section_model(
+            section(program, "classifier").lines, section(program, "domains").lines
+        )
+        back = [
+            {c: v for v, c in aspgen.render_constants(f.domain).items()}
+            for f in schema.features
+        ]
+        labels = {}
+        for *consts, label in model:
+            vec = tuple(map(dict.__getitem__, back, consts))
+            assert vec not in labels
+            labels[vec] = label
+        plain = [(r.conditions, r.label) for r in rules]
+        assert set(labels) == set(schema.iter_space())
+        for vec in schema.iter_space():
+            assert labels[vec] == clf.label(vec) == oracles.first_match(plain, default, vec)
 
 
 # Constants the emitter passes through, lowercases (Yes collides with yes)

@@ -1,16 +1,18 @@
-"""bench/scale.py: the ladder's file at small rungs, its closed forms, and
-the piecewise stdout scan."""
+"""bench/scale.py: the ladder's file at small rungs, its closed forms, the
+committed BENCH_scale.json, and the piecewise stdout scan."""
 
 import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "bench" / "scale.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_PATH = _ROOT / "bench" / "scale.py"
 _spec = importlib.util.spec_from_file_location("scale", _PATH)
 scale = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scale)
@@ -19,6 +21,42 @@ RUN_KEYS = {
     "exit", "wall_s", "peak_rss_mb", "classifier_calls", "backend_calls",
     "stdout_bytes", "stdout_sha256",
 }
+
+
+def a(m, j):
+    return sum(comb(m, s) * 2**s for s in range(j + 1))
+
+
+def check_closed_forms(rung):
+    """Every run of one rung of a ladder file exited 0 and meets its closed
+    form; the conditioned score has none."""
+    n, h = rung["n"], rung["n"] // 2
+    assert rung["rows"] == 3**n
+    assert rung["values"] == (["a0", "a1", "a2"] if rung["rung"].endswith("m") else ["0", "1", "2"])
+    runs = rung["runs"]
+    assert list(runs) == list(scale.COMMANDS)
+    for run in runs.values():
+        assert RUN_KEYS <= set(run)
+        assert run["exit"] == 0
+        assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
+        assert len(run["stdout_sha256"]) == 64
+
+    def calls(command):
+        return runs[command]["classifier_calls"], runs[command]["backend_calls"]
+
+    assert runs["classify"]["stdout"] == "1\n"
+    assert calls("classify") == (1, 1)
+    explain = runs["explain"]
+    assert explain["hits"] == sum(comb(n, k) * 2**k for k in range(h + 1, n + 1))
+    assert explain["s_minimal"] == comb(n, h + 1) * 2 ** (h + 1)
+    assert calls("explain") == (3**n, 3**n)
+    assert calls("emit-asp --weak --count") == (0, 0)
+    assert runs["score"]["scores"] == [f"1/{h + 1}"] * n
+    assert calls("score") == (3**n, 3**n)
+    prob = Fraction(2, 3 * (h + 1))
+    assert runs["score --prob uniform"]["scores"] == [f"{prob.numerator}/{prob.denominator}"] * n
+    assert calls("score --prob uniform") == (3 * n * (a(n - 1, h - 1) + 1), a(n, h) + 2 * n - h)
+    assert len(runs["score --prob uniform --condition condition.json"]["scores"]) == n
 
 
 def ladder(tmp_path, *args):
@@ -35,33 +73,31 @@ def test_small_ladder_file_and_closed_forms(tmp_path):
     assert set(data) == {"python", "cpu", "repeat", "rungs"}
     assert [r["rung"] for r in data["rungs"]] == ["3", "4", "5", "4m"]
     for rung in data["rungs"]:
-        n, h = rung["n"], rung["n"] // 2
         assert set(rung) == {"rung", "n", "values", "rows", "table_bytes", "runs"}
-        assert rung["rows"] == 3**n
-        assert rung["values"] == (["a0", "a1", "a2"] if rung["rung"].endswith("m") else ["0", "1", "2"])
-        runs = rung["runs"]
-        assert list(runs) == ["classify", "explain", "emit-asp"]
-        for command, run in runs.items():
-            assert RUN_KEYS <= set(run)
-            assert run["exit"] == 0
-            assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
-            assert len(run["stdout_sha256"]) == 64
-        assert runs["classify"]["stdout"] == "1\n"
-        assert (runs["classify"]["classifier_calls"], runs["classify"]["backend_calls"]) == (1, 1)
-        explain = runs["explain"]
-        assert explain["hits"] == sum(comb(n, k) * 2**k for k in range(h + 1, n + 1))
-        assert explain["s_minimal"] == comb(n, h + 1) * 2 ** (h + 1)
-        assert (explain["classifier_calls"], explain["backend_calls"]) == (3**n, 3**n)
-        assert (runs["emit-asp"]["classifier_calls"], runs["emit-asp"]["backend_calls"]) == (0, 0)
+        check_closed_forms(rung)
 
 
 def test_base_runs_beside_and_prints_the_same_bytes(tmp_path):
     data = ladder(tmp_path, "--sizes", "3", "--base", str(_PATH.parent.parent))
     (rung,) = data["rungs"]
     assert data["repeat"] == scale.REPEAT == 3
-    assert list(rung["base"]) == list(rung["runs"]) == ["classify", "explain", "emit-asp"]
+    assert list(rung["base"]) == list(rung["runs"]) == list(scale.COMMANDS)
     for command, run in rung["runs"].items():
         assert rung["base"][command]["stdout_sha256"] == run["stdout_sha256"]
+
+
+def test_committed_ladder_is_whole_and_current():
+    # the committed run covers every rung and command, at REPEAT, beside a
+    # base that printed the same bytes: a new command needs a re-run
+    data = json.loads((_ROOT / "BENCH_scale.json").read_text())
+    assert data["repeat"] == scale.REPEAT
+    assert [r["rung"] for r in data["rungs"]] == ["8", "9", "10", "11", "12", "12m"]
+    for rung in data["rungs"]:
+        check_closed_forms(rung)
+        assert list(rung["base"]) == list(scale.COMMANDS)
+        for command, run in rung["runs"].items():
+            assert rung["base"][command]["exit"] == 0
+            assert rung["base"][command]["stdout_sha256"] == run["stdout_sha256"]
 
 
 @pytest.mark.parametrize("sizes", ["x", "0", "3,"])
