@@ -9,11 +9,14 @@ Rung ``n`` is the threshold model over n features with domain
 and the entity is all ``0``. Rung ``nm`` is the same model with the values
 ``a0``, ``a1``, ``a2``. The script writes each rung's schema, entity, total
 table and one denial (``F1 = 1`` with ``Fn = 2``, in the rung's values) to a
-temporary directory, runs ``python -m compileall -q`` on ``src/cfx`` once,
-and pins itself, and so every process it starts, to one CPU. Then, per
-rung, it runs each of COMMANDS in a fresh process: ``classify`` (the table
-load and one label), ``explain``, ``emit-asp --weak --count``, ``score``,
-``score --prob uniform``, and the latter conditioned on the denial.
+temporary directory, the table three times: with ``"\n"`` line ends, with
+``"\r\n"`` (``csv.writer``'s default) and with every cell quoted. It runs
+``python -m compileall -q`` on ``src/cfx`` once, and pins itself, and so
+every process it starts, to one CPU. Then, per rung, it runs each of
+COMMANDS in a fresh process: ``classify`` (the table load and one label)
+on each copy of the table, ``explain``, ``emit-asp --weak --count``,
+``score``, ``score --prob uniform``, and the latter conditioned on the
+denial.
 
 Each CLI process is started by a small helper process that waits for it
 with ``os.wait4``, so the peak RSS is the CLI's own: a child's
@@ -28,7 +31,7 @@ sha256 (over REPEAT runs: the median time and RSS), and each ``score``
 command's scores. It checks these closed forms, with
 A(m, j) = sum_{s <= j} C(m, s) * 2^s:
 
-- ``classify`` prints ``1``;
+- ``classify`` prints ``1``, whichever copy of the table it loads;
 - ``explain`` finds sum_{k > h} C(n, k) * 2^k counterfactuals, of which the
   C(n, h+1) * 2^(h+1) on level h+1 are the s-minimal ones;
 - ``score`` gives every feature 1/(h+1), in 3^n queries and backend calls;
@@ -45,6 +48,7 @@ both print the same bytes. It writes the results to ``--out`` as JSON.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -60,9 +64,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # each command line's first word is the subcommand; after the common
-# --schema, --entity and --table, a word naming a rung file is its path
+# --schema, --entity and --table (unless the command names its own table),
+# a word naming a rung file is its path
 COMMANDS = (
     "classify",
+    "classify --table table-crlf.csv",
+    "classify --table table-quoted.csv",
     "explain",
     "emit-asp --weak --count",
     "score",
@@ -72,6 +79,15 @@ COMMANDS = (
 
 # runs per command and tree; a row holds their median time and RSS
 REPEAT = 3
+
+# the rung's copies of its table, each with the csv.writer settings that
+# write it; the loader reads plain text a block at a time, and quoted text
+# row by row
+TABLES = {
+    "table.csv": {"lineterminator": "\n"},
+    "table-crlf.csv": {},
+    "table-quoted.csv": {"lineterminator": "\n", "quoting": csv.QUOTE_ALL},
+}
 
 # Run in a fresh interpreter as ``python -S -c HELPER FD PROGRAM ARG...``
 # (without ``site``, its peak RSS is about 8.6 MB):
@@ -123,7 +139,7 @@ class Rung:
         names = [f"F{i + 1}" for i in range(self.n)]
         files = {
             k: out / f"{self.name}-{k}"
-            for k in ("schema.json", "entity.json", "table.csv", "condition.json")
+            for k in ("schema.json", "entity.json", *TABLES, "condition.json")
         }
         files["schema.json"].write_text(json.dumps(
             {"features": [{"name": name, "domain": self.values} for name in names]}
@@ -136,18 +152,23 @@ class Rung:
             {"feature": names[-1], "value": self.values[2]},
         ]}]}))
         first = self.values[0]
-        with open(files["table.csv"], "w", newline="") as fh:
-            fh.write(",".join([*names, "label"]) + "\n")
+
+        def rows():
+            yield [*names, "label"]
             for vec in product(self.values, repeat=self.n):
-                label = "1" if self.n - vec.count(first) <= self.h else "0"
-                fh.write(",".join(vec) + "," + label + "\n")
+                yield [*vec, "1" if self.n - vec.count(first) <= self.h else "0"]
+
+        for table, style in TABLES.items():
+            with open(files[table], "w", newline="") as fh:
+                csv.writer(fh, **style).writerows(rows())
         return files
 
 
 def argv_of(command: str, files: dict[str, Path]) -> list[str]:
     sub, *words = command.split()
+    table = [] if "--table" in words else ["--table", str(files["table.csv"])]
     return [sub, "--schema", str(files["schema.json"]),
-            "--entity", str(files["entity.json"]), "--table", str(files["table.csv"]),
+            "--entity", str(files["entity.json"]), *table,
             *(str(files.get(word, word)) for word in words)]
 
 
@@ -223,7 +244,7 @@ def check(rung: Rung, command: str, row: dict) -> None:
     """The closed forms, and a clean exit."""
     where = f"rung {rung.name}, {command}"
     require(row["exit"] == 0, f"{where}: exit {row['exit']}")
-    if command == "classify":
+    if command.startswith("classify"):
         require(row["stdout"] == "1\n", f"{where}: printed {row['stdout']!r}")
     if command == "explain":
         want = (rung.hits(), rung.s_minimal())

@@ -125,18 +125,15 @@ class TableClassifier:
         column is ignored. Header names and cells are stripped. Every row
         has the header's cell count; blank rows are skipped.
 
-        Rows come in the blocks of ``read_csv_blocks``, about BLOCK_CHARS
-        characters of text each, with their cells column by column: split
-        out of the text at once when the file holds no quote, "\r" or
-        NUL, and transposed from the csv module's rows otherwise. Both
-        meet one check: a block is taken whole when every picked cell of
-        it is a domain value or label as read and every vector in it is
-        new. Any other block, and a block without columns, goes through
-        ``_load_rows`` row by row, as the csv module reads it: that loop
-        alone says what a row may hold, and raises the first bad row's
-        error with its line. A row that the reader rejects is reported
-        only after the rows before it are loaded, so an earlier bad row is
-        still reported first.
+        Rows come in the blocks of ``read_csv_blocks``, with their cells
+        column by column when the block has them. A block is taken whole
+        when every picked cell of it is a domain value or label as read
+        and every vector in it is new. Any other block, and a block
+        without columns, goes through ``_load_rows`` row by row, as the
+        csv module reads it: that loop alone says what a row may hold, and
+        raises the first bad row's error with its line. A row that the
+        reader rejects is reported only after the rows before it are
+        loaded, so an earlier bad row is still reported first.
         """
         names = schema.names
         if "label" in names:

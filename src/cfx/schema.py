@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import re
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -295,8 +295,14 @@ def read_csv(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]
     so a blank row of the right width reaches the loader: it fails the
     loader's cell checks, and the loader hands it to ``reject_row``.
     ``read_csv_blocks`` gives the same rows a block at a time."""
+    return _read_csv_text(path, read_text(path))
+
+
+def _read_csv_text(
+    path: str | Path, text: str
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     # not str.splitlines, which also ends lines at U+2028 and form feeds
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = _csv_header(path, reader)
     return [h.strip() for h in header], _csv_rows(path, reader, len(header), 0)
 
@@ -310,11 +316,6 @@ CsvBlock = tuple[list[Sequence[str]] | None, Iterable[tuple[int, list[str]]]]
 # more per row
 BLOCK_CHARS = 1 << 13
 
-# A file holding none of these is plain: each line is one row, and its cells
-# are what lies between its commas. A quote may wrap a cell, a "\r" may end
-# a line, and the csv module of some Python versions refuses a NUL
-_NOT_PLAIN = ('"', "\r", "\0")
-
 
 def read_csv_blocks(path: str | Path) -> tuple[list[str], Iterator[CsvBlock]]:
     """The stripped header of the CSV file ``path`` and its body in blocks
@@ -323,33 +324,29 @@ def read_csv_blocks(path: str | Path) -> tuple[list[str], Iterator[CsvBlock]]:
     ``columns`` holds the block's cells column by column, as read, or is
     None when the block must be read through ``rows``.
 
-    Neither source takes a Python step per line. A plain file, one holding
-    none of ``_NOT_PLAIN``, is cut at the first line end BLOCK_CHARS or
-    more characters past the block's start. When every line of a block
-    that is not blank holds one comma fewer than the header has cells, and
-    the block is no longer than ``csv.field_size_limit()``, those lines are
+    A file without a quote or a NUL is plain: each line is one row, and
+    its cells are what lies between its commas. Its "\r\n" line ends, and
+    then its other "\r", become "\n", as the csv module ends a line at
+    each. The body is cut at the first line end BLOCK_CHARS or more
+    characters past the block's start. When every line of a block that is
+    not blank holds one comma fewer than the header has cells, and the
+    block is no longer than ``csv.field_size_limit()``, those lines are
     split at their commas at once, and column j is every width-th cell
-    from the j-th; any other block has no columns. Its ``rows`` reads its
-    lines with the csv module; each line is one row, so the line numbers
-    are exact. Any other file is read by the csv module, as many rows at
-    once as BLOCK_CHARS characters hold at the body's mean line length,
-    and a block whose rows that are not blank are all as wide as the
-    header is transposed. Its ``rows`` reads the block's text again with
-    a new reader; for a block the reader raised in, that is the rest of
-    the file. A blank line is a row that ``rows`` skips, so no block's
-    columns hold it."""
+    from the j-th; any other block has no columns. A block's ``rows``
+    reads its lines with the csv module and skips a blank line, which no
+    block's columns hold. Any other file is one block of ``read_csv``'s
+    rows without columns: a quote may wrap a cell, and the csv module of
+    some Python versions refuses a NUL."""
     text = read_text(path)
-    if any(map(text.__contains__, _NOT_PLAIN)):
-        stream = io.StringIO(text, newline="")
-        reader = csv.reader(stream)
-        header = _csv_header(path, reader)
-        blocks = _row_blocks(path, text, stream, reader, len(header))
-    else:
-        # the header is the first line; the body starts after its line end
-        body = text.find("\n") + 1 or len(text)
-        header = _csv_header(path, csv.reader([text[:body]] if text else []))
-        blocks = _plain_blocks(path, text, body, len(header))
-    return [h.strip() for h in header], blocks
+    if '"' in text or "\0" in text:
+        header, rows = _read_csv_text(path, text)
+        return header, iter([(None, rows)])
+    if "\r" in text:  # a search for "\r\n" costs far more than one for "\r"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # the header is the first line; the body starts after its line end
+    body = text.find("\n") + 1 or len(text)
+    header = _csv_header(path, csv.reader([text[:body]] if text else []))
+    return [h.strip() for h in header], _plain_blocks(path, text, body, len(header))
 
 
 def _plain_blocks(path: str | Path, text: str, start: int, width: int) -> Iterator[CsvBlock]:
@@ -374,41 +371,6 @@ def _plain_blocks(path: str | Path, text: str, start: int, width: int) -> Iterat
             yield None, rows
         first += len(lines)
         start = end + 1
-
-
-def _row_blocks(
-    path: str | Path, text: str, stream: io.StringIO, reader: Any, width: int
-) -> Iterator[CsvBlock]:
-    # ``reader`` reads ``stream``, which holds ``text`` and tells how far
-    # into it the rows read so far reach
-    start = stream.tell()
-    # rows per block: the body's lines, ended by "\n", "\r\n" or "\r", per
-    # BLOCK_CHARS characters
-    ends = max(text.count("\n", start), text.count("\r", start))
-    size, widths = max(1, BLOCK_CHARS * ends // max(1, len(text) - start)), {width}
-    while start < len(text):
-        before = reader.line_num
-        try:
-            got = list(islice(reader, size))
-            stop = stream.tell()
-        except csv.Error:  # ``rows`` raises it again, naming the line
-            got, stop = [], len(text)
-        rows = _reread(path, text, start, stop, width, before)
-        # a blank line reads as [], a skipped row: the columns leave it out
-        got = list(filter(None, got))
-        if set(map(len, got)) == widths:
-            yield list(zip(*got)), rows
-        else:
-            yield None, rows
-        start = stop
-
-
-def _reread(
-    path: str | Path, text: str, start: int, stop: int, width: int, before: int
-) -> Iterator[tuple[int, list[str]]]:
-    # the rows of text[start:stop], which begins on line ``before`` + 1
-    reader = csv.reader(io.StringIO(text[start:stop], newline=""))
-    yield from _csv_rows(path, reader, width, before)
 
 
 def _csv_header(path: str | Path, reader: Iterator[list[str]]) -> list[str]:

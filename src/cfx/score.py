@@ -369,6 +369,25 @@ class ConditionedDistribution(Distribution):
             return 0
         return self.base.weight(values)
 
+    def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
+        # the base's slice, with each value a denial forbids zeroed: only a
+        # denial whose literals on the other features hold can forbid one
+        weights = self.base.conditional(values, index)
+        live = [
+            [lit for lit in chi.literals if lit.feature == index]
+            for chi in self.denials
+            if all(lit.holds(values) for lit in chi.literals if lit.feature != index)
+        ]
+        if not live:
+            return weights
+        weights = dict(weights)  # the base may share its slice between calls
+        varied = list(values)
+        for v in weights:
+            varied[index] = v
+            if any(all(lit.holds(varied) for lit in own) for own in live):
+                weights[v] = 0
+        return weights
+
 
 def _as_fraction(w: Fraction | str | float | int, context: str) -> Fraction:
     if isinstance(w, float):

@@ -44,6 +44,7 @@ from cfx.schema import (
 )
 from cfx.score import (
     ConditionedDistribution,
+    Distribution,
     EmpiricalDistribution,
     GlobalScore,
     ProductDistribution,
@@ -106,14 +107,15 @@ def draw_marginals(data, schema):
     return marginals
 
 
-def draw_denials(data, domains):
-    """One or two denials of one or two literals each, and the test's own
-    reading of them: a predicate true on the vectors no denial forbids."""
+def draw_denials(data, domains, most=2):
+    """One to ``most`` denials of one to ``most`` literals each, and the
+    test's own reading of them: a predicate true on the vectors no denial
+    forbids."""
     literal = st.integers(0, len(domains) - 1).flatmap(lambda i: st.tuples(
         st.just(i), st.sampled_from(domains[i]), st.sampled_from((EQ, NE))
     ))
     denials = data.draw(st.lists(
-        st.lists(literal, min_size=1, max_size=2), min_size=1, max_size=2
+        st.lists(literal, min_size=1, max_size=most), min_size=1, max_size=most
     ))
     chis = [DenialConstraint(tuple(DenialLiteral(*lit) for lit in chi)) for chi in denials]
 
@@ -685,6 +687,31 @@ class TestScoreInvariants:
             assert list(got.items()) == list(want.items())
             assert all(type(w) is int for w in got.values())
 
+    @settings(max_examples=200, deadline=None)
+    @given(schemas(max_features=3), st.data())
+    def test_conditioned_slice_is_the_base_slice_with_denied_values_zeroed(
+        self, schema, data
+    ):
+        # against the generic slice, one weight call per value; denials may
+        # test the scrutinized feature, or one feature twice. The base's
+        # slice, which a uniform base shares between calls, stays as it was
+        base, _ = draw_base(data, schema)
+        chis, _ = draw_denials(data, [f.domain for f in schema.features], most=3)
+        try:
+            dist = ConditionedDistribution(base, chis)
+        except ZeroMassError:
+            return
+        for values in schema.iter_space():
+            for index in range(len(schema)):
+                before = list(base.conditional(values, index).items())
+                got = dist.conditional(values, index)
+                want = Distribution.conditional(dist, values, index)
+                assert list(got.items()) == list(want.items())
+                assert list(base.conditional(values, index).items()) == before
+        for index in (-1, len(schema)):
+            with pytest.raises(InputError, match="out of range"):
+                dist.conditional(values, index)
+
     def test_product_conditional_zero_mass_on_another_feature(self):
         schema = FeatureSchema((
             Feature("A", ("a0", "a1")), Feature("B", ("b0", "b1", "b2")),
@@ -1217,6 +1244,15 @@ class TestTableLoading:
         ),
         pytest.param("F1,F2,label\n0,0,1\n1,1,0\n\n", id="trailing-blank-line"),
         pytest.param("F1,F2,label\n0,0,1\n\n1,1,0", id="blank-line-no-final-end"),
+        pytest.param(
+            '"F1","F2","label"\n"0","0","1"\n\n"1","1","0"\n"0","2","1"\n',
+            id="quote-all-blank-and-bad-row",
+        ),
+        pytest.param(
+            "F1,F2,label\r\n0,0,1\r\n" + "\r\n" * schema_module.BLOCK_CHARS
+            + "0,1,0\r\n1,2,0\r\n",
+            id="crlf-bad-row-in-a-later-block",
+        ),
     ])
     def test_from_csv_matches_row_by_row_reference_on(self, text, block_chars):
         got, want = _load_and_reference(_BITS2, text, block_chars)

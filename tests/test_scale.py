@@ -44,8 +44,10 @@ def check_closed_forms(rung):
     def calls(command):
         return runs[command]["classifier_calls"], runs[command]["backend_calls"]
 
-    assert runs["classify"]["stdout"] == "1\n"
-    assert calls("classify") == (1, 1)
+    for command in runs:
+        if command.startswith("classify"):  # one copy of the table each
+            assert runs[command]["stdout"] == "1\n"
+            assert calls(command) == (1, 1)
     explain = runs["explain"]
     assert explain["hits"] == sum(comb(n, k) * 2**k for k in range(h + 1, n + 1))
     assert explain["s_minimal"] == comb(n, h + 1) * 2 ** (h + 1)
