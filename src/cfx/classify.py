@@ -13,11 +13,11 @@ The external backend speaks a line protocol over stdin/stdout:
     child  -> engine: 1
 
 One reply line per query line, in order, values comma-joined in schema order
-with no quoting. The engine may send up to AHEAD_BYTES of query lines before
-it reads their replies, so the child must keep reading stdin while it
-answers and take each line as one query, however the lines arrive. The
-engine waits at most CFX_EXTERNAL_TIMEOUT_MS milliseconds (default 5000)
-for each reply.
+with no quoting. The engine may send up to AHEAD_BYTES of query lines, or one
+longer line alone, before it reads their replies, so the child must keep
+reading stdin while it answers and take each line as one query, however the
+lines arrive. The engine waits at most CFX_EXTERNAL_TIMEOUT_MS milliseconds
+(default 5000) for each reply.
 """
 
 from __future__ import annotations
@@ -33,7 +33,14 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BackendError, InputError
-from .schema import FeatureSchema, Record, read_csv_blocks, read_text, reject_row
+from .schema import (
+    FeatureSchema,
+    Record,
+    read_csv_blocks,
+    read_text,
+    reject_row,
+    unify_line_ends,
+)
 
 TIMEOUT_ENV = "CFX_EXTERNAL_TIMEOUT_MS"
 DEFAULT_TIMEOUT_MS = 5000
@@ -281,20 +288,18 @@ class RuleClassifier:
 #   default := "default" label
 #   label   := "0" | "1"
 #
-# '#' starts a comment running to end of line.
+# '#' starts a comment running to end of line. Lines end where
+# ``unify_line_ends`` puts a "\n".
 
 # '=' is a token of its own; any other token runs to whitespace, '=' or '#'
 _TOKEN = re.compile(r"=|[^\s=#]+")
-# the line ends read_csv honours; str.splitlines would also end lines at
-# form feeds and U+2028, which _TOKEN reads as whitespace
-_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 def parse_rules(text: str, schema: FeatureSchema) -> RuleClassifier:
     """Parse rule text into a classifier, reporting line/column on errors."""
     rules: list[Rule] = []
     default: int | None = None
-    lines = _LINE_END.split(text)
+    lines = unify_line_ends(text).split("\n")
     for lineno, line in enumerate(lines, start=1):
         # (token, 1-based column) pairs from the text before any comment
         code = line.split("#", 1)[0]
@@ -384,12 +389,15 @@ class ExternalClassifier:
     The child is spawned lazily on the first query and reused afterwards.
     Use as a context manager or call :meth:`close` to reap the child.
 
-    :meth:`announce` names the queries that come next. They are written to
-    the child ahead of their ``label`` calls, up to AHEAD_BYTES of lines in
-    one write, so one round trip answers many of them; each ``label`` call
-    then reads the reply it is owed. A ``label`` call for any other query
-    first reads and drops the replies still owed, then asks its own query
-    alone. ``writes`` counts the writes to the child, the handshake's too.
+    Every query reaches the child through one queue. :meth:`announce`
+    queues the queries that come next. They are written to the child ahead
+    of their ``label`` calls, up to AHEAD_BYTES of lines in one write, so
+    one round trip answers many of them; a write always carries at least
+    one line, however long. Each ``label`` call then reads the reply it is
+    owed. A ``label`` call for any other query first reads and drops the
+    replies still owed and the rest of the announcement, then queues its
+    own query alone. ``writes`` counts the writes to the child, the
+    handshake's too.
     """
 
     def __init__(self, command: str | Sequence[str], schema: FeatureSchema):
@@ -481,10 +489,11 @@ class ExternalClassifier:
     # Replies are read on the calling thread: poll the pipe until a whole
     # line is buffered or the timeout runs out. A round trip is then one
     # hand-off to the child and one back, with no reader thread to wake.
-    # Queries go out ahead only while no reply is owed, so the child's
-    # stdin holds at most AHEAD_BYTES, one page: the least a pipe buffer
-    # holds. The write never blocks, even on a child that reads no more
-    # until its replies are read.
+    # Queries go out only while no reply is owed, so the child's stdin
+    # holds at most AHEAD_BYTES, one page: the least a pipe buffer holds.
+    # The write never blocks, even on a child that reads no more until its
+    # replies are read. A line longer than that goes out alone, and the
+    # child reads it whole before it replies.
 
     def _write(self, data: bytes, what: str) -> None:
         """Write ``data``, which ``what`` names for errors, to the child."""
@@ -537,19 +546,20 @@ class ExternalClassifier:
         return replies.popleft().rstrip(b"\r").decode("utf-8", "replace")
 
     def _send_ahead(self) -> None:
-        """Send the waiting queries that fit in AHEAD_BYTES, in one write.
-        Called only while no reply is owed."""
+        """Send the first waiting query, and then those of the next that
+        fit in AHEAD_BYTES with it, in one write. A write thus always
+        carries at least one line, even one longer than AHEAD_BYTES.
+        Called only while no reply is owed and a query is waiting."""
         waiting, owed = self._waiting, self._owed
         lines, room = [], AHEAD_BYTES
         while waiting:
             line = (waiting[0] + "\n").encode()
-            if len(line) > room:
+            if len(line) > room and lines:
                 break
             room -= len(line)
             lines.append(line)
             owed.append(waiting.popleft())
-        if lines:
-            self._write(b"".join(lines), f"{len(lines)} announced queries")
+        self._write(b"".join(lines), f"{len(lines)} queued queries")
 
     def announce(self, vectors: Iterable[Sequence[str]]) -> None:
         """Queue ``vectors`` as the next queries, in order, and send ahead
@@ -570,19 +580,18 @@ class ExternalClassifier:
             if self._proc is None:
                 self._start()
             owed = self._owed
-            if owed and owed[0] == query:
-                owed.popleft()
-                reply = self._recv(query)
-                if not owed and self._waiting:
-                    self._send_ahead()
-            else:
-                # not the query announced next: settle the replies owed and
-                # drop the rest of the announcement
+            if not owed or owed[0] != query:
+                # not the query announced next: settle the replies owed,
+                # drop the rest of the announcement and queue this one alone
                 self._waiting.clear()
                 while owed:
                     self._recv(owed.popleft())
-                self._write((query + "\n").encode(), _what(query))
-                reply = self._recv(query)
+                self._waiting.append(query)
+                self._send_ahead()
+            owed.popleft()
+            reply = self._recv(query)
+            if not owed and self._waiting:
+                self._send_ahead()
         result = _LABELS.get(reply)
         if result is None:
             self.close()

@@ -287,6 +287,16 @@ def read_text(path: str | Path) -> str:
         ) from None
 
 
+def unify_line_ends(text: str) -> str:
+    """``text`` with its "\r\n" line ends, and then its other "\r", made
+    "\n": the line ends the csv module honours, and those of rule text.
+    Not those of ``str.splitlines``, which also ends lines at form feeds
+    and U+2028, both whitespace inside a line."""
+    if "\r" in text:  # a search for "\r\n" costs far more than one for "\r"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_csv(path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The stripped header of the CSV file ``path`` and its rows as (line
     number, unstripped cells) pairs. Rows not as wide as the header go to
@@ -325,24 +335,23 @@ def read_csv_blocks(path: str | Path) -> tuple[list[str], Iterator[CsvBlock]]:
     None when the block must be read through ``rows``.
 
     A file without a quote or a NUL is plain: each line is one row, and
-    its cells are what lies between its commas. Its "\r\n" line ends, and
-    then its other "\r", become "\n", as the csv module ends a line at
-    each. The body is cut at the first line end BLOCK_CHARS or more
-    characters past the block's start. When every line of a block that is
-    not blank holds one comma fewer than the header has cells, and the
-    block is no longer than ``csv.field_size_limit()``, those lines are
-    split at their commas at once, and column j is every width-th cell
-    from the j-th; any other block has no columns. A block's ``rows``
-    reads its lines with the csv module and skips a blank line, which no
-    block's columns hold. Any other file is one block of ``read_csv``'s
-    rows without columns: a quote may wrap a cell, and the csv module of
-    some Python versions refuses a NUL."""
+    its cells are what lies between its commas. ``unify_line_ends`` makes
+    its line ends "\n", as the csv module ends a line at each. The body is
+    cut at the first line end BLOCK_CHARS or more characters past the
+    block's start. When every line of a block that is not blank holds one
+    comma fewer than the header has cells, and the block is no longer than
+    ``csv.field_size_limit()``, those lines are split at their commas at
+    once, and column j is every width-th cell from the j-th; any other
+    block has no columns. A block's ``rows`` reads its lines with the csv
+    module and skips a blank line, which no block's columns hold. Any
+    other file is one block of ``read_csv``'s rows without columns: a
+    quote may wrap a cell, and the csv module of some Python versions
+    refuses a NUL."""
     text = read_text(path)
     if '"' in text or "\0" in text:
         header, rows = _read_csv_text(path, text)
         return header, iter([(None, rows)])
-    if "\r" in text:  # a search for "\r\n" costs far more than one for "\r"
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = unify_line_ends(text)
     # the header is the first line; the body starts after its line end
     body = text.find("\n") + 1 or len(text)
     header = _csv_header(path, csv.reader([text[:body]] if text else []))

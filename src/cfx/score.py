@@ -369,6 +369,11 @@ class ConditionedDistribution(Distribution):
             return 0
         return self.base.weight(values)
 
+    def support(self) -> Iterator[tuple[str, ...]]:
+        # conditioning only takes mass away, so the base's support is a
+        # superset of this one's
+        return self.base.support()
+
     def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
         # the base's slice, with each value a denial forbids zeroed: only a
         # denial whose literals on the other features hold can forbid one

@@ -12,9 +12,9 @@ import pytest
 
 import oracles
 from cfx import aspgen, cli, search
-from cfx.classify import parse_rules
-from cfx.schema import Explanation, load_schema
-from cfx.score import fraction_str
+from cfx.classify import MemoClassifier, parse_rules
+from cfx.schema import Explanation, load_entity, load_schema
+from cfx.score import UniformDistribution, fraction_str, global_resp
 from conftest import GOLDEN, T1_ROWS, TENNIS_RULES_TEXT
 
 CHILD = str(Path(__file__).parent / "fixtures" / "tennis_child.py")
@@ -1415,6 +1415,37 @@ class TestChildSeesWhatIsAsked:
     def test_score_wide(self, capsys, tmp_path, wide):
         m = self.check(capsys, tmp_path, "score", WIDE_CHILD, *wide, None)
         assert m["backend_calls"] == 3**self.WIDE
+
+    def test_score_prob_wide(self, capsys, tmp_path, wide):
+        schema_path, entity_path, rules = wide
+        record = tmp_path / "queries.txt"
+        common = ["score", "--schema", str(schema_path), "--entity", str(entity_path),
+                  "--prob", "uniform"]
+        code, out, err = run(
+            capsys, [*common, "--external", f"{sys.executable} {WIDE_CHILD} record {record}"]
+        )
+        m = manifest_of(err)
+        # global_resp announces nothing: the handshake, then one write per
+        # query, each asked alone
+        assert m["external_writes"] == m["backend_calls"] + 1
+        # the backend calls of the same global_resp calls in process
+        schema = load_schema(schema_path)
+        entity = load_entity(entity_path, schema)
+        asked = []
+        rule_clf = parse_rules(WIDE_RULES, schema)
+
+        class Recording:
+            def label(self, values):
+                asked.append(values)
+                return rule_clf.label(values)
+
+        memo = MemoClassifier(Recording())
+        dist = UniformDistribution(schema)
+        for i in range(len(schema)):
+            global_resp(schema, memo, entity, i, dist)
+        assert m["backend_calls"] == len(asked)
+        assert record.read_text().splitlines() == [",".join(v) for v in asked]
+        assert (code, out) == run(capsys, [*common, "--rules", str(rules)])[:2]
 
     def test_explain_tennis(self, capsys, tmp_path, files):
         tennis = (files / "tennis_schema.json", files / "tennis_e.json",

@@ -168,6 +168,26 @@ class TestAnnounce:
             assert [ext.label(v) for v in space] == list(map(tennis_clf.label, space))
             assert ext.writes == 1 + len(space)
 
+    def test_an_announced_line_longer_than_the_cap_keeps_the_rest(
+        self, tennis_clf, tmp_path, monkeypatch
+    ):
+        # "a,a,a\n" takes 6 bytes and the long value's lines 35: two short
+        # lines fit in 20 bytes, three fit after the long line goes alone
+        monkeypatch.setattr(classify, "AHEAD_BYTES", 20)
+        long = "x" * 30
+        schema = FeatureSchema(tuple(Feature(n, ("a", "b", long)) for n in "FGH"))
+        asked = [
+            ("a", "a", "a"), ("a", "a", "b"), ("a", "a", long),
+            ("a", "b", "a"), ("b", "a", "a"), ("b", "b", "b"),
+        ]
+        record = tmp_path / "queries.txt"
+        with ExternalClassifier(child_cmd("record", record), schema) as ext:
+            ext.announce(asked)
+            assert [ext.label(v) for v in asked] == list(map(tennis_clf.label, asked))
+            # the handshake, the two short lines, the long one, the last three
+            assert ext.writes == 4
+        assert record.read_text().splitlines() == [",".join(v) for v in asked]
+
     def test_label_out_of_announced_order(self, tennis_schema, tennis_clf, tmp_path):
         record = tmp_path / "queries.txt"
         space = list(tennis_schema.iter_space())

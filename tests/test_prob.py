@@ -358,6 +358,20 @@ class TestConditioned:
         assert dist.weight(("1", "0", "1")) == 0
         assert dist.weight(("1", "1", "1")) == 1
 
+    def test_conditioning_twice_scans_the_sample(self):
+        # a conditioned distribution's support is its base's: conditioning
+        # it again scans the two sampled vectors, not 2**21 of the space
+        schema = FeatureSchema(tuple(Feature(f"F{i + 1}", ("0", "1")) for i in range(21)))
+        sample = [("1", "0", *"0" * 19), ("1", "1", *"0" * 19)]
+        emp = EmpiricalDistribution(schema, sample)
+        deny_f3 = DenialConstraint((DenialLiteral(2, "1"),))
+        deny_f4 = DenialConstraint((DenialLiteral(3, "1"),))
+        nested = ConditionedDistribution(ConditionedDistribution(emp, [deny_f3]), [deny_f4])
+        flat = ConditionedDistribution(emp, [deny_f3, deny_f4])
+        for vec in sample:
+            for i in range(len(schema)):
+                assert nested.conditional(vec, i) == flat.conditional(vec, i), (vec, i)
+
     def test_agrees_with_oracle_table(self, bits_schema):
         chi = self.chi()
         dist = ConditionedDistribution(UniformDistribution(bits_schema), [chi])
