@@ -403,7 +403,12 @@ class ExternalClassifier:
     def __init__(self, command: str | Sequence[str], schema: FeatureSchema):
         import shlex
 
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        if isinstance(command, str):
+            try:
+                command = shlex.split(command)
+            except ValueError as exc:  # an unbalanced quote or a trailing escape
+                raise InputError(f"external classifier command: {exc}") from None
+        self.command = list(command)
         if not self.command:
             raise InputError("external classifier command is empty")
         self.schema = schema
@@ -421,6 +426,8 @@ class ExternalClassifier:
             raise InputError(f"{TIMEOUT_ENV} must be an integer, got {raw!r}") from None
         if self.timeout_ms <= 0:
             raise InputError("timeout must be positive")
+        if self.timeout_ms >= 2**31:  # the longest wait poll() takes
+            raise InputError(f"{TIMEOUT_ENV} must be at most {2**31 - 1} ms")
         self._proc: subprocess.Popen[bytes] | None = None
         self._lock = threading.Lock()
         self.writes = 0

@@ -183,7 +183,10 @@ def _dispatch(args, manifest: dict) -> int:
     if args.command == "emit-asp":
         return _cmd_emit_asp(args, schema, entity, backend, constraints, manifest)
 
-    classifier = MemoClassifier(backend)
+    # a walk never asks one vector twice, so a memo would only miss; only
+    # --prob repeats queries: each feature's walk asks what earlier ones did
+    repeats = args.command == "score" and args.prob is not None
+    classifier = MemoClassifier(backend) if repeats else _Counted(backend)
     try:
         if args.command == "classify":
             sys.stdout.write(f"{classifier.label(entity.values)}\n")
@@ -199,6 +202,25 @@ def _dispatch(args, manifest: dict) -> int:
             backend.close()
             manifest["external_writes"] = backend.writes
     return code
+
+
+class _Counted:
+    """``backend`` behind a count of its ``label`` calls, a call that raises
+    included. Its ``announce``, if it has one, is passed straight through."""
+
+    def __init__(self, backend):
+        self.queries = 0
+        self._label = backend.label
+        if hasattr(backend, "announce"):
+            self.announce = backend.announce
+
+    @property
+    def backend_calls(self) -> int:
+        return self.queries
+
+    def label(self, values):
+        self.queries += 1
+        return self._label(values)
 
 
 def _load_entity(args, schema: FeatureSchema) -> Entity:

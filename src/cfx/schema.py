@@ -251,7 +251,9 @@ def _coerce_value(v: object, kind: str) -> str:
 def _load_json(path: str | Path) -> dict:
     try:
         data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer past the digit limit, and deep
+        # nesting overflows the decoder's recursion
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     # a \uXXXX escape can spell a lone surrogate, which no output encodes
     try:

@@ -823,8 +823,8 @@ class TestScore:
          (12, 12)),
     ], ids=["explain-table1", "explain-tennis", "score-table1", "score-tennis"])
     def test_walk_call_counts(self, capsys, files, command, inputs, calls):
-        # label queries and cache misses of one full lattice walk: the
-        # entity, then every candidate once, so the memo never hits
+        # label calls of one full lattice walk: the entity, then every
+        # candidate once; no query repeats, so both counts are the same
         schema, entity, backend, model = inputs
         code, _, err = run(capsys, [
             command,
@@ -1155,6 +1155,45 @@ class TestEmitAsp:
         assert aspgen.lint_cip(out) == []
 
 
+class TestMemoOnlyWhereQueriesRepeat:
+    """Only `score --prob` puts a MemoClassifier in front of the backend:
+    its per-feature walks ask again what earlier ones asked, while a
+    search never asks one vector twice, so a memo there would only miss."""
+
+    @pytest.mark.parametrize("command, extra, golden, calls, memos", [
+        ("classify", (), None, (1, 1), 0),
+        ("explain", (), "tennis_explain.json", (12, 12), 0),
+        ("score", (), "tennis_score.json", (12, 12), 0),
+        ("score", ("--prob", "uniform", "--max-card", "1", "--format", "table"),
+         "tennis_prob_table_card1.txt", (7, 5), 1),
+    ], ids=["classify", "explain", "score", "score-prob"])
+    def test_memos_built(
+        self, capsys, files, monkeypatch, command, extra, golden, calls, memos
+    ):
+        built = []
+
+        class Recording(cli.MemoClassifier):
+            def __init__(self, backend):
+                super().__init__(backend)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "MemoClassifier", Recording)
+        code, out, err = run(capsys, [
+            command,
+            "--schema", str(files / "tennis_schema.json"),
+            "--entity", str(files / "tennis_e.json"),
+            "--rules", str(files / "tennis.rules"),
+            *extra,
+        ])
+        assert code == cli.EXIT_OK
+        assert out == (
+            "1\n" if golden is None else (GOLDEN / golden).read_text(encoding="utf-8")
+        )
+        manifest = manifest_of(err)
+        assert (manifest["classifier_calls"], manifest["backend_calls"]) == calls
+        assert len(built) == memos
+
+
 class TestPartialTable:
     """A truth table missing rows is announced on stderr before any use."""
 
@@ -1179,6 +1218,17 @@ class TestPartialTable:
         lines = err.splitlines(keepends=True)
         assert lines[0] == self.NOTE
         assert lines[1].startswith("cfx: classifier backend failure: no table row for ")
+        # the entity's query, then the first of level 1's chunk of four,
+        # overcast,normal,weak, which raises: a count per chunk would read 5
+        manifest = manifest_of(err)
+        assert (manifest["classifier_calls"], manifest["backend_calls"]) == (2, 2)
+
+    def test_score_counts_the_label_call_that_failed(self, capsys, files):
+        code, out, err = run(capsys, self.argv(files, "score"))
+        assert (code, out) == (cli.EXIT_BACKEND, "")
+        assert "no table row for value vector ('overcast', 'normal', 'weak')" in err
+        manifest = manifest_of(err)
+        assert (manifest["classifier_calls"], manifest["backend_calls"]) == (2, 2)
 
     def test_classify_counts_the_backend_call_that_failed(self, capsys, files):
         argv = self.argv(files, "classify")
@@ -1330,6 +1380,18 @@ class TestExternalBackend:
         assert code == 4
         assert out == ""
         assert "exited" in err and "unanswered" in err
+        # the third level-1 query is counted, though its reply never came;
+        # the handshake, the entity and level 1's chunk took one write each
+        m = manifest_of(err)
+        assert (m["classifier_calls"], m["backend_calls"]) == (4, 4)
+        assert m["external_writes"] == 3
+
+    def test_unsplittable_command_exit_2(self, capsys, files):
+        argv = self.argv(files)
+        argv[-1] = "python 'x"
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "No closing quotation" in err
 
     def test_manifest_counts_writes(self, capsys, files):
         code, out, err = run(capsys, self.argv(files))

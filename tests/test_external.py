@@ -117,6 +117,24 @@ class TestConstruction:
         with pytest.raises(InputError, match="positive"):
             ExternalClassifier(child_cmd(), tennis_schema)
 
+    @pytest.mark.parametrize("raw", ["2147483648", str(10**12)])
+    def test_timeout_past_what_poll_waits_rejected(self, tennis_schema, monkeypatch, raw):
+        monkeypatch.setenv(TIMEOUT_ENV, raw)
+        with pytest.raises(InputError, match=f"{TIMEOUT_ENV} must be at most 2147483647"):
+            ExternalClassifier(child_cmd(), tennis_schema)
+
+    def test_longest_timeout_still_answers(self, tennis_schema, monkeypatch):
+        # the handshake and the query each wait on poll() with it
+        monkeypatch.setenv(TIMEOUT_ENV, "2147483647")
+        with ExternalClassifier(child_cmd(), tennis_schema) as ext:
+            assert ext.label(("sunny", "normal", "weak")) == 1
+
+    @pytest.mark.parametrize("command", [f"{sys.executable} '{CHILD}", "ok \\"])
+    def test_unsplittable_command_rejected(self, tennis_schema, command):
+        # an unbalanced quote, and an escape with nothing after it
+        with pytest.raises(InputError, match="external classifier command: No "):
+            ExternalClassifier(command, tennis_schema)
+
     def test_close_is_idempotent(self, tennis_schema):
         ext = ExternalClassifier(child_cmd(), tennis_schema)
         ext.label(("sunny", "normal", "weak"))

@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -125,9 +126,20 @@ class TestSerialization:
         )
         assert e.id == "e9"
 
-    def test_load_schema_bad_json(self, tmp_path):
+    @pytest.mark.parametrize("text", ["unterminated", "long-integer", "deep-nesting"])
+    def test_load_schema_bad_json(self, tmp_path, text):
+        # the last two fail inside json.loads, but not as a JSONDecodeError
+        if text == "unterminated":
+            text = "{nope"
+        elif text == "long-integer":
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if not limit:
+                pytest.skip("this interpreter has no integer digit limit")
+            text = '{"features": %s}' % ("9" * (limit + 1))
+        else:
+            text = '{"features": [], "note": %s}' % ("[" * 100_000)
         p = tmp_path / "schema.json"
-        p.write_text("{nope")
+        p.write_text(text)
         with pytest.raises(InputError, match="invalid JSON"):
             load_schema(p)
 
