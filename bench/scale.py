@@ -16,7 +16,9 @@ every process it starts, to one CPU. Then, per rung, it runs each of
 COMMANDS in a fresh process: ``classify`` (the table load and one label)
 on each copy of the table, ``explain``, ``emit-asp --weak --count``,
 ``score``, ``score --prob uniform``, and the latter conditioned on the
-denial.
+denial. Each runs in the temporary directory and names the rung's files
+relative to it, so no stdout holds the directory's path, and the sha256
+of every cell can be compared between ladder runs.
 
 Each CLI process is started by a small helper process that waits for it
 with ``os.wait4``, so the peak RSS is the CLI's own: a child's
@@ -165,11 +167,15 @@ class Rung:
 
 
 def argv_of(command: str, files: dict[str, Path]) -> list[str]:
+    """The command line of ``command`` with the rung's ``files`` named
+    relative to their directory, where the CLI runs: ``score --prob``
+    echoes the ``--condition`` path in its payload, so an absolute
+    temporary path would change stdout from run to run."""
     sub, *words = command.split()
-    table = [] if "--table" in words else ["--table", str(files["table.csv"])]
-    return [sub, "--schema", str(files["schema.json"]),
-            "--entity", str(files["entity.json"]), *table,
-            *(str(files.get(word, word)) for word in words)]
+    table = [] if "--table" in words else ["--table", files["table.csv"].name]
+    return [sub, "--schema", files["schema.json"].name,
+            "--entity", files["entity.json"].name, *table,
+            *(files[word].name if word in files else word for word in words)]
 
 
 def scan(path: Path, patterns: tuple[bytes, ...]) -> tuple[int, str, list[int]]:
@@ -191,7 +197,8 @@ def scan(path: Path, patterns: tuple[bytes, ...]) -> tuple[int, str, list[int]]:
 
 
 def run_cli(src: Path, argv: list[str], work: Path) -> dict:
-    """One CLI run from the package in ``src``, through HELPER."""
+    """One CLI run from the package in ``src``, through HELPER, in the
+    directory ``work``."""
     out, err = work / "stdout", work / "stderr"
     env = {**os.environ, "PYTHONPATH": str(src)}
     read, write = os.pipe()
@@ -201,7 +208,7 @@ def run_cli(src: Path, argv: list[str], work: Path) -> dict:
                 [sys.executable, "-S", "-c", HELPER, str(write),
                  sys.executable, "-m", "cfx.cli", *argv],
                 stdin=subprocess.DEVNULL, stdout=fo, stderr=fe, env=env,
-                pass_fds=(write,), check=True,
+                pass_fds=(write,), check=True, cwd=work,
             )
         os.close(write)
         write = -1

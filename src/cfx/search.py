@@ -12,7 +12,9 @@ order (cardinality, index set, domain positions) without a sort. Each hit is
 one row: changed-index set, counterfactual values, s-minimal flag; the
 explanations and c-minimal flags are views derived from the rows. A set's
 subset-minimality is settled at its first hit against the minimal sets of
-lower levels, which are the only possible strict subsets.
+lower levels, which are the only possible strict subsets. A :class:`Walk`
+yields the rows as it finds them; :func:`enumerate_counterfactuals` collects
+them, and :func:`write_json` renders them as they come.
 
 A search may be truncated by ``max_cardinality`` or ``budget``; the result
 then carries ``exhausted=False`` and its minimality flags describe only the
@@ -130,62 +132,100 @@ class SearchResult(Record):
         return not self.hits and self.exhausted
 
     def to_json_dict(self, schema: FeatureSchema) -> dict:
-        return self._payload(
+        return _payload(
+            self.entity,
             [
                 {**x.to_json_dict(schema), "s_minimal": s, "c_minimal": c}
                 for x, s, c in zip(self.explanations, self.s_flags, self.c_flags)
-            ]
+            ],
+            self.min_cardinality,
+            self.no_counterfactual,
+            self.stats,
+            self.exhausted,
         )
 
-    def to_json_text(self, schema: FeatureSchema) -> str:
-        """``json.dumps(self.to_json_dict(schema), indent=2) + "\\n"``, faster.
 
-        With ``indent`` set, CPython's json runs its pure-Python encoder. Here
-        every explanation is pasted from lines quoted once per (feature,
-        value) by the escaper json.dumps itself uses, and json.dumps writes
-        only the top-level skeleton around them.
-        """
-        text = json.dumps(self._payload([]), indent=2)
-        if self.hits:
-            # json never writes a raw newline inside a string, so the marker
-            # can only be the top-level key
-            head, _, tail = text.partition('\n  "explanations": []')
-            text = f'{head}\n  "explanations": [\n{self._json_rows(schema)}\n  ]{tail}'
-        return text + "\n"
+def _payload(
+    entity: Entity, explanations: list, dstar, no_counterfactual: bool, stats, exhausted
+) -> dict:
+    """The JSON payload of a search; ``dstar`` is its minimum cardinality."""
+    return {
+        "entity": entity.id,
+        "values": list(entity.values),
+        "explanations": explanations,
+        "min_cardinality": dstar,
+        "no_counterfactual": no_counterfactual,
+        "stats": {
+            "classifier_calls": stats.classifier_calls,
+            "levels_explored": stats.levels_explored,
+        },
+        "exhausted": exhausted,
+    }
 
-    def _json_rows(self, schema: FeatureSchema) -> str:
-        # "changed" maps each changed feature to its original value
-        changed = [
-            f"        {_quote(f.name)}: {_quote(v)}"
-            for f, v in zip(schema.features, self.entity.values)
-        ]
-        values = [{v: "        " + _quote(v) for v in f.domain} for f in schema.features]
-        flag = ("false", "true")
-        rows, last = [], None
-        for (idxs, cand, s), c in zip(self.hits, self.c_flags):
-            if idxs != last:  # hits of one index set are adjacent
-                last, pairs = idxs, ",\n".join([changed[i] for i in idxs])
-                head = f'    {{\n      "changed": {{\n{pairs}\n      }},\n'
-                head += '      "counterfactual": [\n'
-                tail = f'\n      ],\n      "cardinality": {len(idxs)},\n      "s_minimal": '
-                c_tail = f',\n      "c_minimal": {flag[c]}\n    }}'
-                tails = [tail + m + c_tail for m in flag]
-            rows.append(head + ",\n".join(map(dict.__getitem__, values, cand)) + tails[s])
-        return ",\n".join(rows)
 
-    def _payload(self, explanations: list) -> dict:
-        return {
-            "entity": self.entity.id,
-            "values": list(self.entity.values),
-            "explanations": explanations,
-            "min_cardinality": self.min_cardinality,
-            "no_counterfactual": self.no_counterfactual,
-            "stats": {
-                "classifier_calls": self.stats.classifier_calls,
-                "levels_explored": self.stats.levels_explored,
-            },
-            "exhausted": self.exhausted,
-        }
+# write_json hands its file this many rows per write: a text file's write has
+# a fixed cost near that of rendering a row, and one write per row made
+# explain's JSON on enum-table (16,832 rows) about 6 ms slower
+WRITE_ROWS = 256
+
+# json never writes a raw newline inside a string, so this can only be the
+# payload's top-level key, with nothing found
+_NO_EXPLANATIONS = '\n  "explanations": []'
+
+
+def write_json(out, schema: FeatureSchema, rows: Iterable[tuple], walk) -> int:
+    """Write ``json.dumps(result.to_json_dict(schema), indent=2) + "\\n"`` of
+    the search whose hit rows are ``rows`` to the text file ``out``, and
+    return the number of rows. Each row is rendered as it is drawn, and
+    written with the rest of its ``WRITE_ROWS``.
+
+    ``walk`` is the :class:`Walk` that yields ``rows`` or a
+    :class:`SearchResult` that holds them: its ``entity`` is read before the
+    first row, its ``stats`` and ``exhausted`` after the last. Levels ascend,
+    so the first row's cardinality is the minimum, which settles every row's
+    c-flag as it comes.
+
+    With ``indent`` set, CPython's json runs its pure-Python encoder. Here
+    every explanation is pasted from lines quoted once per (feature, value)
+    by the escaper json.dumps itself uses, and json.dumps writes only the
+    top-level skeleton around them.
+    """
+    entity = walk.entity
+    write = out.write
+    empty = json.dumps(_payload(entity, [], None, False, SearchStats(), False), indent=2)
+    write(empty.partition(_NO_EXPLANATIONS)[0])
+    # "changed" maps each changed feature to its original value
+    changed = [
+        f"        {_quote(f.name)}: {_quote(v)}"
+        for f, v in zip(schema.features, entity.values)
+    ]
+    values = [{v: "        " + _quote(v) for v in f.domain} for f in schema.features]
+    flag = ("false", "true")
+    sep, last, dstar, count = '\n  "explanations": [\n', None, None, 0
+    batch: list[str] = []
+    for idxs, cand, s in rows:
+        if idxs != last:  # hits of one index set are adjacent
+            last, pairs = idxs, ",\n".join([changed[i] for i in idxs])
+            if dstar is None:
+                dstar = len(idxs)
+            head = f'    {{\n      "changed": {{\n{pairs}\n      }},\n'
+            head += '      "counterfactual": [\n'
+            tail = f'\n      ],\n      "cardinality": {len(idxs)},\n      "s_minimal": '
+            c_tail = f',\n      "c_minimal": {flag[len(idxs) == dstar]}\n    }}'
+            tails = [tail + m + c_tail for m in flag]
+        batch.append(head + ",\n".join(map(dict.__getitem__, values, cand)) + tails[s])
+        if len(batch) == WRITE_ROWS:
+            write(sep + ",\n".join(batch))
+            sep, count = ",\n", count + WRITE_ROWS
+            batch.clear()
+    if batch:
+        write(sep + ",\n".join(batch))
+        count += len(batch)
+    exhausted = walk.exhausted
+    payload = _payload(entity, [], dstar, not count and exhausted, walk.stats, exhausted)
+    end = json.dumps(payload, indent=2).partition(_NO_EXPLANATIONS)[2]
+    write(("\n  ]" if count else _NO_EXPLANATIONS) + end + "\n")
+    return count
 
 
 def require_label_one(schema: FeatureSchema, classifier, entity: Entity) -> None:
@@ -218,6 +258,108 @@ def level_candidates(
             yield idxs, cand
 
 
+class Walk:
+    """The hit rows of one search, yielded as the walk finds them.
+
+    Iterating gives one (changed-index set, counterfactual values,
+    s-minimal) row per hit, in walk order: the rows
+    :attr:`SearchResult.hits` collects. The entity's own label is asked
+    when the walk is built, every other label as the rows are drawn.
+    ``stats`` and ``exhausted`` are None until the rows run out. A walk
+    runs once.
+
+    ``stop_at_first_hit`` ends the walk after the first Hamming level that
+    produced hits, which is everything a minimum-cardinality query needs.
+
+    A classifier with an ``announce`` method is handed each chunk of
+    candidates before their ``label`` calls, which then come one per
+    candidate in the same order.
+    """
+
+    __slots__ = ("entity", "stats", "exhausted", "_rows")
+
+    def __init__(
+        self,
+        schema: FeatureSchema,
+        classifier,
+        entity: Entity,
+        constraints: constrain.ConstraintSet | None = None,
+        config: SearchConfig | None = None,
+        *,
+        stop_at_first_hit: bool = False,
+    ):
+        require_label_one(schema, classifier, entity)
+        self.entity = entity
+        self.stats: SearchStats | None = None
+        self.exhausted: bool | None = None
+        cs = constraints or constrain.empty(schema)
+        self._rows = self._walk(
+            len(schema), classifier, cs, config or SearchConfig(), stop_at_first_hit
+        )
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], tuple[str, ...], bool]]:
+        return self._rows
+
+    def _walk(self, n, classifier, cs, cfg, stop_at_first_hit):
+        bound = n if cfg.max_cardinality is None else min(cfg.max_cardinality, n)
+        budget = cfg.budget
+        calls = 1  # the entity's; SearchConfig guarantees a budget of at least 1
+
+        values = self.entity.values
+        alternatives = cs.alternatives(values)
+        # Bitmasks of the minimal sets. A strict subset of a level-k set lies
+        # on a lower level, and a non-minimal one contains a minimal one, so
+        # checking a new set against the minimal masks found so far settles
+        # it; two sets of one level are never strict subsets of each other.
+        # The walk yields all candidates of one index set together, so a set
+        # is settled at its first hit and ``last`` carries the verdict to the
+        # rest. The first hit is minimal, so there are masks once there are hits.
+        minimal_masks: list[int] = []
+        last: tuple[int, ...] = ()
+        minimal = False
+
+        announce = hasattr(classifier, "announce")
+        admissible = cs.admissible
+
+        for k in range(1, bound + 1):
+            granted = (
+                pair for pair in level_candidates(alternatives, values, k)
+                if admissible(pair[1])
+            )
+            while True:
+                # the chunk is cut to the calls the budget has left; with none
+                # left, one more admissible candidate means the walk was cut short
+                room = ASK_AHEAD if budget is None else min(ASK_AHEAD, budget - calls)
+                if not room:
+                    if next(granted, None) is not None:
+                        self.stats, self.exhausted = SearchStats(calls, k), False
+                        return
+                    break
+                chunk = list(islice(granted, room))
+                calls += len(chunk)
+                if announce:
+                    classifier.announce([cand for _, cand in chunk])
+                for idxs, cand in chunk:
+                    if classifier.label(cand) != 0:
+                        continue
+                    if idxs != last:
+                        last = idxs
+                        mask = sum(1 << i for i in idxs)
+                        minimal = not any(m & mask == m for m in minimal_masks)
+                        if minimal:
+                            minimal_masks.append(mask)
+                    yield idxs, cand, minimal
+                if len(chunk) < room:
+                    break
+            if stop_at_first_hit and minimal_masks:
+                # Levels below the hit level were explored empty, so both
+                # minimality notions are settled by what was found.
+                self.stats, self.exhausted = SearchStats(calls, k), True
+                return
+
+        self.stats, self.exhausted = SearchStats(calls, bound), bound == n
+
+
 def enumerate_counterfactuals(
     schema: FeatureSchema,
     classifier,
@@ -227,75 +369,14 @@ def enumerate_counterfactuals(
     *,
     stop_at_first_hit: bool = False,
 ) -> SearchResult:
-    """All admissible label-0 entities within the configured distance bound.
-
-    ``stop_at_first_hit`` ends the walk after the first Hamming level that
-    produced hits, which is everything a minimum-cardinality query needs.
-
-    A classifier with an ``announce`` method is handed each chunk of
-    candidates before their ``label`` calls, which then come one per
-    candidate in the same order.
-    """
-    cfg = config or SearchConfig()
-    cs = constraints or constrain.empty(schema)
-    n = len(schema)
-    bound = n if cfg.max_cardinality is None else min(cfg.max_cardinality, n)
-
-    budget = cfg.budget
-    require_label_one(schema, classifier, entity)
-    calls = 1  # SearchConfig guarantees a budget of at least 1 for this call
-
-    values = entity.values
-    alternatives = cs.alternatives(values)
-    hits: list[tuple[tuple[int, ...], tuple[str, ...], bool]] = []
-    # Bitmasks of the minimal sets. A strict subset of a level-k set lies on
-    # a lower level, and a non-minimal one contains a minimal one, so checking
-    # a new set against the minimal masks found so far settles it; two sets
-    # of one level are never strict subsets of each other. The walk yields
-    # all candidates of one index set together, so a set is settled at its
-    # first hit and ``last`` carries the verdict to the rest.
-    minimal_masks: list[int] = []
-    last: tuple[int, ...] = ()
-    minimal = False
-
-    announce = hasattr(classifier, "announce")
-    admissible = cs.admissible
-
-    for k in range(1, bound + 1):
-        granted = (
-            pair for pair in level_candidates(alternatives, values, k)
-            if admissible(pair[1])
-        )
-        while True:
-            # the chunk is cut to the calls the budget has left; with none
-            # left, one more admissible candidate means the walk was cut short
-            room = ASK_AHEAD if budget is None else min(ASK_AHEAD, budget - calls)
-            if not room:
-                if next(granted, None) is not None:
-                    return SearchResult(entity, hits, SearchStats(calls, k), exhausted=False)
-                break
-            chunk = list(islice(granted, room))
-            calls += len(chunk)
-            if announce:
-                classifier.announce([cand for _, cand in chunk])
-            for idxs, cand in chunk:
-                if classifier.label(cand) != 0:
-                    continue
-                if idxs != last:
-                    last = idxs
-                    mask = sum(1 << i for i in idxs)
-                    minimal = not any(m & mask == m for m in minimal_masks)
-                    if minimal:
-                        minimal_masks.append(mask)
-                hits.append((idxs, cand, minimal))
-            if len(chunk) < room:
-                break
-        if stop_at_first_hit and hits:
-            # Levels below the hit level were explored empty, so both
-            # minimality notions are settled by what was found.
-            return SearchResult(entity, hits, SearchStats(calls, k), exhausted=True)
-
-    return SearchResult(entity, hits, SearchStats(calls, bound), exhausted=bound == n)
+    """All admissible label-0 entities within the configured distance bound:
+    the rows of a :class:`Walk` with these arguments, collected."""
+    walk = Walk(
+        schema, classifier, entity, constraints, config,
+        stop_at_first_hit=stop_at_first_hit,
+    )
+    hits = list(walk)
+    return SearchResult(entity, hits, walk.stats, walk.exhausted)
 
 
 def c_explanations(

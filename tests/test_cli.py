@@ -2,10 +2,12 @@
 
 import argparse
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,48 @@ def manifest_of(err):
     return json.loads(last)["manifest"]
 
 
+class KeptSpool(io.StringIO):
+    """A stand-in for explain's temporary file that keeps its text when
+    closed; ``fails`` names what raises, if anything: "open" (making it),
+    "write" or "read"."""
+
+    def __init__(self, fails=None):
+        super().__init__()
+        self.fails = fails
+        self.kept = None
+        self._check("open")
+
+    def _check(self, method):
+        if method == self.fails:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        self._check("write")
+        return super().write(text)
+
+    def read(self, size=-1):
+        self._check("read")
+        return super().read(size)
+
+    def close(self):
+        if self.kept is None:
+            self.kept = self.getvalue()
+        super().close()
+
+
+@pytest.fixture
+def spools(monkeypatch):
+    """Every temporary file that explain opens in the test, each a KeptSpool."""
+    made = []
+
+    def opener(*args, **kwargs):
+        made.append(KeptSpool())
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", opener)
+    return made
+
+
 class TestClassify:
     def test_prints_label(self, capsys, files):
         code, out, err = run(capsys, [
@@ -154,6 +198,29 @@ class TestExplain:
         m = manifest_of(err)
         assert m["classifier_calls"] == 8
         assert m["config"]["budget"] is None
+
+    def test_payload_goes_through_one_spool(self, capsys, files, spools):
+        code, out, _ = run(capsys, self.argv(files))
+        assert code == 0
+        assert [spool.kept for spool in spools] == [out]
+
+    def test_table_format_prints_without_a_spool(self, capsys, files, spools):
+        code, out, _ = run(capsys, self.argv(files, "--format", "table"))
+        assert (code, spools) == (0, [])
+        assert out.startswith("changed (original values)")
+
+    # opening the file and writing the head come before level 1 is asked
+    @pytest.mark.parametrize("method, calls", [("open", 1), ("write", 1), ("read", 8)])
+    def test_spool_that_fails_exit_2(self, capsys, files, monkeypatch, method, calls):
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **k: KeptSpool(method))
+        code, out, err = run(capsys, self.argv(files))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        reason, manifest = err.splitlines()
+        assert reason == (
+            "cfx: cannot hold the payload in a temporary file: "
+            f"{os.strerror(errno.ENOSPC)}"
+        )
+        assert manifest_of(manifest)["classifier_calls"] == calls
 
     def test_stdout_reproducible(self, capsys, files):
         _, first, _ = run(capsys, self.argv(files))
@@ -1223,6 +1290,30 @@ class TestPartialTable:
         manifest = manifest_of(err)
         assert (manifest["classifier_calls"], manifest["backend_calls"]) == (2, 2)
 
+    def test_explain_fails_after_rows_reached_the_spool(
+        self, capsys, files, spools, monkeypatch
+    ):
+        # Table 1 without 1,1,0: the entity, level 1 (one hit, 0,0,1), then
+        # level 2's 1,0,1 (a hit) and 1,1,0, which raises
+        monkeypatch.setattr(search, "WRITE_ROWS", 1)
+        table = files / "partial.csv"
+        table.write_text("F1,F2,F3,label\n" + "".join(
+            ",".join([*vec, str(lab)]) + "\n"
+            for vec, lab in T1_ROWS if vec != ("1", "1", "0")
+        ))
+        code, out, err = run(capsys, [
+            "explain",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(files / "e1.json"),
+            "--table", str(table),
+        ])
+        assert (code, out) == (cli.EXIT_BACKEND, "")
+        assert "no table row for value vector ('1', '1', '0')" in err
+        manifest = manifest_of(err)
+        assert (manifest["classifier_calls"], manifest["backend_calls"]) == (6, 6)
+        (spool,) = spools
+        assert spool.kept.count('"cardinality": ') == 2
+
     def test_score_counts_the_label_call_that_failed(self, capsys, files):
         code, out, err = run(capsys, self.argv(files, "score"))
         assert (code, out) == (cli.EXIT_BACKEND, "")
@@ -1349,6 +1440,24 @@ class TestStdoutWriteFailure:
         assert reason == f"cfx: cannot write stdout: {os.strerror(errno.ENOSPC)}"
         assert manifest_of(manifest)["classifier_calls"] == 1
 
+    def test_explain_copy_out_exit_2(self, files):
+        # the payload reaches the spool whole; the copy to stdout fails
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [
+            sys.executable, "-m", "cfx.cli", "explain",
+            "--schema", str(files / "bits_schema.json"),
+            "--entity", str(files / "e1.json"),
+            "--table", str(files / "table1.csv"),
+        ]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env
+            )
+        assert result.returncode == cli.EXIT_INPUT
+        reason, manifest = result.stderr.splitlines()
+        assert reason == f"cfx: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+        assert manifest_of(manifest)["classifier_calls"] == 8
+
 
 class TestExternalBackend:
     def argv(self, files, mode="ok"):
@@ -1385,6 +1494,18 @@ class TestExternalBackend:
         m = manifest_of(err)
         assert (m["classifier_calls"], m["backend_calls"]) == (4, 4)
         assert m["external_writes"] == 3
+
+    def test_child_dying_after_a_hit_exit_4(self, capsys, files, spools, monkeypatch):
+        # the entity and level 1 (one hit, sunny,high,weak) are answered;
+        # level 2's first query, overcast,high,weak, is not
+        monkeypatch.setattr(search, "WRITE_ROWS", 1)
+        code, out, err = run(capsys, self.argv(files, "die-after 5"))
+        assert (code, out) == (cli.EXIT_BACKEND, "")
+        assert "exited" in err and "unanswered" in err
+        m = manifest_of(err)
+        assert (m["classifier_calls"], m["backend_calls"]) == (6, 6)
+        (spool,) = spools
+        assert spool.kept.count('"cardinality": ') == 1
 
     def test_unsplittable_command_exit_2(self, capsys, files):
         argv = self.argv(files)

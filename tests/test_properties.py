@@ -1100,7 +1100,9 @@ class TestRendering:
     @given(results_to_render())
     def test_json_text_equals_indented_dumps(self, case):
         schema, result = case
-        assert result.to_json_text(schema) == (
+        out = io.StringIO()
+        assert search.write_json(out, schema, result.hits, result) == len(result.hits)
+        assert out.getvalue() == (
             json.dumps(result.to_json_dict(schema), indent=2) + "\n"
         )
 

@@ -11,6 +11,7 @@ from cfx.schema import Feature, FeatureSchema
 from cfx.search import (
     SearchConfig,
     SearchTruncatedError,
+    Walk,
     c_explanations,
     enumerate_counterfactuals,
     s_explanations,
@@ -347,3 +348,36 @@ class TestResultShape:
     def test_counterfactual_entities_keep_id(self, bits_schema, t1_table, e1):
         result = enumerate_counterfactuals(bits_schema, t1_table, e1)
         assert all(x.counterfactual.id == "e" for x in result.explanations)
+
+
+class TestWalk:
+    def test_rows_come_as_they_are_found(self, bits_schema, t1_table, e1):
+        # the entity's label is asked when the walk is built; the first row
+        # comes right after its own query, the second of level 1's three
+        memo = MemoClassifier(t1_table)
+        walk = Walk(bits_schema, memo, e1)
+        assert memo.queries == 1
+        rows = iter(walk)
+        assert next(rows) == ((1,), ("0", "0", "1"), True)
+        assert memo.queries == 3
+        assert (walk.stats, walk.exhausted) == (None, None)
+        rest = list(rows)
+        assert memo.queries == 8
+        result = enumerate_counterfactuals(bits_schema, t1_table, e1)
+        assert [((1,), ("0", "0", "1"), True), *rest] == result.hits
+        assert (walk.stats, walk.exhausted) == (result.stats, result.exhausted)
+
+    def test_label_zero_entity_refused_when_built(self, bits_schema, t1_table):
+        with pytest.raises(NothingToExplainError):
+            Walk(bits_schema, t1_table, bits_schema.entity("z", ("0", "0", "0")))
+
+    @pytest.mark.parametrize("budget", [1, 3, 5])
+    def test_truncated_walk_ends_as_the_collector(self, bits_schema, t1_table, e1, budget):
+        cfg = SearchConfig(budget=budget)
+        walk = Walk(bits_schema, t1_table, e1, config=cfg)
+        rows = list(walk)
+        result = enumerate_counterfactuals(bits_schema, t1_table, e1, config=cfg)
+        assert (rows, walk.stats, walk.exhausted) == (
+            result.hits, result.stats, result.exhausted
+        )
+        assert walk.exhausted is False
