@@ -29,7 +29,8 @@ spawn to exit.
 
 Per run it records the wall time, the peak RSS, the manifest's
 ``classifier_calls`` and ``backend_calls``, and stdout's byte length and
-sha256 (over REPEAT runs: the median time and RSS), and each ``score``
+sha256 (over REPEAT runs: the median time and RSS, beside every run's
+in ``wall_s_runs`` and ``peak_rss_mb_runs``), and each ``score``
 command's scores. It checks these closed forms, with
 A(m, j) = sum_{s <= j} C(m, s) * 2^s:
 
@@ -79,7 +80,8 @@ COMMANDS = (
     "score --prob uniform --condition condition.json",
 )
 
-# runs per command and tree; a row holds their median time and RSS
+# runs per command and tree; a row holds their median time and RSS, and
+# the list of every run's
 REPEAT = 3
 
 # the rung's copies of its table, each with the csv.writer settings that
@@ -238,12 +240,14 @@ def run_cli(src: Path, argv: list[str], work: Path) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """The runs of one command: the median time and RSS, the rest as run.
-    Every run must print the same bytes."""
+    """The runs of one command: the median time and RSS, each beside the
+    list of every run's, the rest as run. Every run must print the same
+    bytes."""
     require(len({r["stdout_sha256"] for r in runs}) == 1, "stdout differs between runs")
     row = dict(runs[0])
-    row["wall_s"] = statistics.median(r["wall_s"] for r in runs)
-    row["peak_rss_mb"] = statistics.median(r["peak_rss_mb"] for r in runs)
+    for key in ("wall_s", "peak_rss_mb"):
+        row[f"{key}_runs"] = [r[key] for r in runs]
+        row[key] = statistics.median(row[f"{key}_runs"])
     return row
 
 

@@ -27,6 +27,7 @@ event, whose support is scanned only up to the first vector with mass.
 from __future__ import annotations
 
 from collections import Counter
+from decimal import Context
 from fractions import Fraction
 from itertools import islice
 from math import lcm, prod
@@ -45,7 +46,7 @@ from .schema import (
     read_csv,
     reject_row,
 )
-from .search import SearchConfig, enumerate_counterfactuals
+from .search import SearchConfig
 
 # conditioning looks at no more than this many support vectors for one
 # with mass, and refuses when none of them has any: that proves nothing
@@ -129,20 +130,21 @@ def x_resp(
     constraints: constrain.ConstraintSet | None = None,
     config: SearchConfig | None = None,
 ) -> RespReport:
-    """Reciprocal-size responsibility of every feature value of ``entity``."""
-    result = enumerate_counterfactuals(schema, classifier, entity, constraints, config)
+    """Reciprocal-size responsibility of every feature value of ``entity``.
+
+    The walk is drained, so every candidate it announces is asked, but only
+    each feature's first s-minimal row is kept."""
+    walk = search.Walk(schema, classifier, entity, constraints, config)
     # s-minimal rows run smallest first, so a feature's first is a smallest one
     first: dict[int, tuple] = {}
-    for row in result.hits:
-        if row[2]:
+    for row in walk:
+        if row[2] and len(first) < len(schema):
             for i in row[0]:
                 first.setdefault(i, row)
-            if len(first) == len(schema):
-                break
     scores = [FeatureScore(i, Fraction(0), None) for i in range(len(schema))]
-    for i, witness in zip(first, result.explain_rows(first.values())):
+    for i, witness in zip(first, search.explain_rows(entity, first.values())):
         scores[i] = FeatureScore(i, Fraction(1, witness.cardinality), witness)
-    return RespReport(entity, scores, authoritative=result.exhausted)
+    return RespReport(entity, scores, authoritative=walk.exhausted)
 
 
 def max_resp_features(
@@ -159,10 +161,10 @@ def max_resp_features(
     minimum-cardinality explanations: the walk stops at the first level with
     hits.
     """
-    result = enumerate_counterfactuals(
+    walk = search.Walk(
         schema, classifier, entity, constraints, config, stop_at_first_hit=True
     )
-    return frozenset(i for idxs, _, _ in result.hits for i in idxs)
+    return frozenset(i for idxs, _, _ in walk for i in idxs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ class ProductDistribution(Distribution):
             total = sum(weights.values(), Fraction(0))
             if abs(total - 1) > Fraction(1, 10**9):
                 raise InputError(
-                    f"marginal of {f.name!r} sums to {float(total)}, not 1"
+                    f"marginal of {f.name!r} sums to {_decimal_str(total)}, not 1"
                 )
             denom = lcm(*(w.denominator for w in weights.values()))
             scaled = {v: int(w * denom) for v, w in weights.items()}
@@ -400,11 +402,27 @@ def _as_fraction(w: Fraction | str | float | int, context: str) -> Fraction:
         # and inf fail to parse below
         w = str(w)
     try:
+        if isinstance(w, str):
+            # Fraction builds 10**exp for a decimal exponent, so a few bytes
+            # could take minutes and GBs: the exponent may have no more
+            # digits' worth than Python allows in decimal integer text
+            marker, exp = w.lower().rpartition("e")[1:]
+            if marker and abs(int(exp)) > 4300:
+                raise ValueError(exp)
         if isinstance(w, (Fraction, int, str)):
             return Fraction(w)
     except (ValueError, ZeroDivisionError):
         pass
     raise InputError(f"{context}: cannot parse probability {w!r}")
+
+
+def _decimal_str(x: Fraction) -> str:
+    """``x`` as its ``float`` prints, or to 17 significant digits when it
+    lies past a float's range."""
+    try:
+        return str(float(x))
+    except OverflowError:
+        return f"{Context(prec=17).divide(x.numerator, x.denominator).normalize():g}"
 
 
 # ---------------------------------------------------------------------------

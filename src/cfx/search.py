@@ -93,7 +93,7 @@ class SearchResult(Record):
 
     @property
     def explanations(self) -> list[Explanation]:
-        return self.explain_rows(self.hits)
+        return explain_rows(self.entity, self.hits)
 
     @property
     def s_flags(self) -> list[bool]:
@@ -107,20 +107,12 @@ class SearchResult(Record):
 
     @property
     def s_set(self) -> list[Explanation]:
-        return self.explain_rows([row for row in self.hits if row[2]])
+        return explain_rows(self.entity, [row for row in self.hits if row[2]])
 
     @property
     def c_set(self) -> list[Explanation]:
-        return self.explain_rows([row for row, c in zip(self.hits, self.c_flags) if c])
-
-    def explain_rows(self, rows: Iterable[tuple]) -> list[Explanation]:
-        """The explanation of each of ``rows``, rows of :attr:`hits`."""
-        e, out, last = self.entity, [], None
-        for idxs, cand, _ in rows:
-            if idxs != last:  # hits of one index set share its pairs
-                last, changed = idxs, tuple((i, e.values[i]) for i in idxs)
-            out.append(Explanation(changed, Entity(e.id, cand)))
-        return out
+        rows = [row for row, c in zip(self.hits, self.c_flags) if c]
+        return explain_rows(self.entity, rows)
 
     @property
     def min_cardinality(self) -> int | None:
@@ -143,6 +135,17 @@ class SearchResult(Record):
             self.stats,
             self.exhausted,
         )
+
+
+def explain_rows(entity: Entity, rows: Iterable[tuple]) -> list[Explanation]:
+    """The explanation of ``entity`` that each of ``rows`` gives, rows as a
+    :class:`Walk` yields them."""
+    out, last = [], None
+    for idxs, cand, _ in rows:
+        if idxs != last:  # hits of one index set share its pairs
+            last, changed = idxs, tuple((i, entity.values[i]) for i in idxs)
+        out.append(Explanation(changed, Entity(entity.id, cand)))
+    return out
 
 
 def _payload(

@@ -1043,6 +1043,20 @@ class TestScore:
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert f"cfx: {files / 'marginals.csv'}: {message}\n" in err
 
+    @pytest.mark.parametrize("weight, message", [
+        ("1e5000", ":8: cannot parse probability '1e5000'"),
+        ("1e400", ": marginal of 'Wind' sums to 1e+400, not 1"),
+    ], ids=["exponent-past-bound", "sum-past-float"])
+    def test_huge_decimal_exponent_exit_2(self, capsys, files, weight, message):
+        # an exponent past the bound is refused before Fraction builds
+        # 10**exp, and a sum past a float's range is still printed
+        text = (files / "tennis_marginals.csv").read_text()
+        (files / "marginals.csv").write_text(text.replace("Wind,weak,3/4", f"Wind,weak,{weight}"))
+        code, out, err = run(capsys, self.tennis_argv(files, "--prob", "product:marginals.csv"))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert f"cfx: {files / 'marginals.csv'}{message}\n" in err
+        assert "Traceback" not in err
+
     def test_sample_error_names_file_and_line(self, capsys, files):
         (files / "sample.csv").write_text(
             "id,Outlook,Humidity,Wind\ns0,sunny,high,weak\n\ns1,rain,q,weak\n"

@@ -3,6 +3,7 @@ committed BENCH_scale.json, and the piecewise stdout scan."""
 
 import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,8 +20,22 @@ _spec.loader.exec_module(scale)
 
 RUN_KEYS = {
     "exit", "wall_s", "peak_rss_mb", "classifier_calls", "backend_calls",
-    "stdout_bytes", "stdout_sha256",
+    "stdout_bytes", "stdout_sha256", "wall_s_runs", "peak_rss_mb_runs",
 }
+
+# commands that walk the table, and may hold no more than it does: the
+# megabytes each may peak above the rung's classify cell (emit-asp builds its
+# program text, so it is not one of them)
+WALKS = ("explain", "score", "score --prob uniform",
+         "score --prob uniform --condition condition.json")
+FLOOR_MB = 2
+
+
+def check_spread(run):
+    """A ladder cell keeps every run's time and RSS, whose medians it gives."""
+    for key in ("wall_s", "peak_rss_mb"):
+        assert len(run[f"{key}_runs"]) == scale.REPEAT
+        assert statistics.median(run[f"{key}_runs"]) == run[key]
 
 
 def a(m, j):
@@ -40,6 +55,7 @@ def check_closed_forms(rung):
         assert run["exit"] == 0
         assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
         assert len(run["stdout_sha256"]) == 64
+        check_spread(run)
 
     def calls(command):
         return runs[command]["classifier_calls"], runs[command]["backend_calls"]
@@ -86,6 +102,7 @@ def test_base_runs_beside_and_prints_the_same_bytes(tmp_path):
     assert list(rung["base"]) == list(rung["runs"]) == list(scale.COMMANDS)
     for command, run in rung["runs"].items():
         assert rung["base"][command]["stdout_sha256"] == run["stdout_sha256"]
+        check_spread(rung["base"][command])
 
 
 def test_committed_ladder_is_whole_and_current():
@@ -100,6 +117,10 @@ def test_committed_ladder_is_whole_and_current():
         for command, run in rung["runs"].items():
             assert rung["base"][command]["exit"] == 0
             assert rung["base"][command]["stdout_sha256"] == run["stdout_sha256"]
+            check_spread(rung["base"][command])
+        floor = rung["runs"]["classify"]["peak_rss_mb"]
+        over = {c: rung["runs"][c]["peak_rss_mb"] - floor for c in WALKS}
+        assert max(over.values()) <= FLOOR_MB, (rung["rung"], over)
 
 
 @pytest.mark.parametrize("sizes", ["x", "0", "3,"])

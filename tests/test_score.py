@@ -1,5 +1,6 @@
 """Deterministic responsibility scores."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from cfx.constrain import ConstraintSet, DenialConstraint, DenialLiteral
 from cfx.errors import NothingToExplainError
 from cfx.schema import Feature, FeatureSchema
 from cfx.score import fraction_str, max_resp_features, x_resp
-from cfx.search import SearchConfig
+from cfx.search import SearchConfig, enumerate_counterfactuals
 from conftest import table_from_function
 
 
@@ -143,6 +144,30 @@ class TestEdges:
         e = schema.entity("e", ("0", "1", "1", "0"))
         report = x_resp(schema, deep, e)
         assert [fs.score for fs in report.scores] == [Fraction(1, 4)] * 4
+
+
+class TestReadersKeepWhatTheyReturn:
+    """x_resp and max_resp_features read the walk's rows as they come and
+    keep only the rows and index sets they return, not every hit."""
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("reader", [x_resp, max_resp_features])
+    def test_peak_under_a_tenth_of_the_collector(self, reader):
+        # the threshold model of bench/scale.py's rung 8: 4,864 hits
+        n, h = 8, 4
+        schema = FeatureSchema(tuple(Feature(f"F{i}", ("0", "1", "2")) for i in range(n)))
+        table = table_from_function(schema, lambda v: int(n - v.count("0") <= h))
+        entity = schema.entity("e", ("0",) * n)
+        collector = self.peak(lambda: enumerate_counterfactuals(schema, table, entity))
+        assert self.peak(lambda: reader(schema, table, entity)) < collector / 10
 
 
 def test_fraction_str():
