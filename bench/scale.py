@@ -31,13 +31,15 @@ Per run it records the wall time, the peak RSS, the manifest's
 ``classifier_calls`` and ``backend_calls``, and stdout's byte length and
 sha256 (over REPEAT runs: the median time and RSS, beside every run's
 in ``wall_s_runs`` and ``peak_rss_mb_runs``), and each ``score``
-command's scores. It checks these closed forms, with
+command's scores. It checks these closed forms on this tree's runs, with
 A(m, j) = sum_{s <= j} C(m, s) * 2^s:
 
 - ``classify`` prints ``1``, whichever copy of the table it loads;
 - ``explain`` finds sum_{k > h} C(n, k) * 2^k counterfactuals, of which the
   C(n, h+1) * 2^(h+1) on level h+1 are the s-minimal ones;
-- ``score`` gives every feature 1/(h+1), in 3^n queries and backend calls;
+- ``score`` gives every feature 1/(h+1), in A(n, h+1) queries and backend
+  calls: every set of h+1 features is minimal, so the walk asks every
+  level up to h+1 and no set above it;
 - ``score --prob uniform`` gives every feature 2/(3(h+1)), in
   3n (A(n-1, h-1) + 1) queries and A(n, h) + 2n - h backend calls.
 
@@ -45,7 +47,7 @@ The conditioned score has no closed form; only a clean exit and, with
 ``--base``, the base's bytes check it. ``--base DIR`` runs every
 command also against the ``src`` of the checkout DIR, right before the
 same command here, records those runs under ``"base"``, and checks that
-both print the same bytes. It writes the results to ``--out`` as JSON.
+they exit 0 and print the same bytes as this tree's. It writes the results to ``--out`` as JSON.
 """
 
 from __future__ import annotations
@@ -112,6 +114,11 @@ os.write(fd, f"{wall} {usage.ru_maxrss} {os.waitstatus_to_exitcode(status)}".enc
 READ_BYTES = 1 << 20
 
 
+def a(m: int, j: int) -> int:
+    """A(m, j): the vectors within j changes of one, m features of 3 values."""
+    return sum(comb(m, s) * 2**s for s in range(j + 1))
+
+
 class Rung:
     """One threshold-model table: ``n`` features, label 1 iff at most
     ``n // 2`` of them leave the first value."""
@@ -130,11 +137,12 @@ class Rung:
     def s_minimal(self) -> int:
         return comb(self.n, self.h + 1) * 2 ** (self.h + 1)
 
+    def score_calls(self) -> int:
+        """Queries (and backend calls) of ``score``."""
+        return a(self.n, self.h + 1)
+
     def prob_calls(self) -> tuple[int, int]:
         """Queries and backend calls of ``score --prob uniform``."""
-        def a(m: int, j: int) -> int:
-            return sum(comb(m, s) * 2**s for s in range(j + 1))
-
         n, h = self.n, self.h
         return 3 * n * (a(n - 1, h - 1) + 1), a(n, h) + 2 * n - h
 
@@ -263,7 +271,7 @@ def check(rung: Rung, command: str, row: dict) -> None:
         require(got == want, f"{where}: (hits, s-minimal) {got}, closed form {want}")
     if command in ("score", "score --prob uniform"):
         one = Fraction(1, rung.h + 1) if command == "score" else Fraction(2, 3 * (rung.h + 1))
-        calls = (3**rung.n,) * 2 if command == "score" else rung.prob_calls()
+        calls = (rung.score_calls(),) * 2 if command == "score" else rung.prob_calls()
         want = ([f"{one.numerator}/{one.denominator}"] * rung.n, calls)
         got = (row["scores"], (row["classifier_calls"], row["backend_calls"]))
         require(got == want, f"{where}: (scores, calls) {got}, closed form {want}")
@@ -316,9 +324,11 @@ def main(argv: list[str] | None = None) -> int:
                     for side, src in trees.items():
                         runs[side].append(run_cli(src, argv_of(command, files), work))
                 rows = {side: summarize(rs) for side, rs in runs.items()}
-                for row in rows.values():
-                    check(rung, command, row)
+                check(rung, command, rows["change"])
                 if args.base:
+                    # the closed forms are this tree's: a base may ask more
+                    require(rows["base"]["exit"] == 0,
+                            f"rung {rung.name}, {command}: base exit {rows['base']['exit']}")
                     require(
                         rows["base"]["stdout_sha256"] == rows["change"]["stdout_sha256"],
                         f"rung {rung.name}, {command}: stdout differs from the base's",

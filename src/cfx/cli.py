@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 import time
@@ -131,6 +132,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # A run's data (a loaded table, the walk's tuples, the memo) holds no
+    # reference cycles, so the cyclic collector would only re-scan it; it is
+    # off for this call, and back on after it only if it was on before.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

@@ -6,7 +6,9 @@ rules (fixed, increase-only, decrease-only, free; the directional modes need
 an ordered domain) say which values each feature may take instead of the
 original one; ``alternatives`` lists them. One-hot groups tie a set of binary
 indicator features together: a candidate must set exactly one member of each
-group to "1". ``admissible`` checks denials and one-hot groups.
+group to "1". ``admissible`` checks denials and one-hot groups on a
+candidate; ``may_reject`` tells from a changed-index set alone whether
+``admissible`` could refuse any candidate of that set.
 """
 
 from __future__ import annotations
@@ -148,6 +150,27 @@ class ConstraintSet(Record):
             if ones != 1:
                 return False
         return True
+
+    def may_reject(self, changed: Sequence[int], original: Sequence[str]) -> bool:
+        """Can :meth:`admissible` refuse a candidate that changes exactly
+        the features ``changed`` of ``original``? It reads no candidate, so
+        the walk asks it once per index set. A denial can match only if each
+        of its literals on an unchanged feature holds on ``original``; a
+        one-hot group can fail only if ``changed`` touches it or ``original``
+        already breaks it. False is exact: every such candidate is
+        admissible."""
+        if not (self.denials or self.onehot):
+            return False
+        moved = set(changed)
+        for chi in self.denials:
+            if all(lit.feature in moved or lit.holds(original) for lit in chi.literals):
+                return True
+        for group in self.onehot:
+            if not moved.isdisjoint(group.members):
+                return True
+            if sum(1 for i in group.members if original[i] == "1") != 1:
+                return True
+        return False
 
 
 def empty(schema: FeatureSchema) -> ConstraintSet:

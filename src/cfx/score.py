@@ -132,15 +132,18 @@ def x_resp(
 ) -> RespReport:
     """Reciprocal-size responsibility of every feature value of ``entity``.
 
-    The walk is drained, so every candidate it announces is asked, but only
-    each feature's first s-minimal row is kept."""
-    walk = search.Walk(schema, classifier, entity, constraints, config)
+    The walk prunes every index set that holds a smaller minimal one, so
+    it yields only s-minimal rows, and ends once every feature that may
+    change lies in one of them. It is drained, so every candidate it
+    announces is asked, but only each feature's first row is kept."""
+    walk = search.Walk(
+        schema, classifier, entity, constraints, config, prune=search.WITNESSES
+    )
     # s-minimal rows run smallest first, so a feature's first is a smallest one
     first: dict[int, tuple] = {}
     for row in walk:
-        if row[2] and len(first) < len(schema):
-            for i in row[0]:
-                first.setdefault(i, row)
+        for i in row[0]:
+            first.setdefault(i, row)
     scores = [FeatureScore(i, Fraction(0), None) for i in range(len(schema))]
     for i, witness in zip(first, search.explain_rows(entity, first.values())):
         scores[i] = FeatureScore(i, Fraction(1, witness.cardinality), witness)

@@ -16,6 +16,11 @@ lower levels, which are the only possible strict subsets. A :class:`Walk`
 yields the rows as it finds them; :func:`enumerate_counterfactuals` collects
 them, and :func:`write_json` renders them as they come.
 
+Each index set is settled once, before any of its candidates is built: its
+candidates are checked for admissibility only when a constraint could refuse
+one of them, and a pruned walk, which wants only the s-minimal rows, asks
+nothing of a set that contains a minimal set of a lower level.
+
 A search may be truncated by ``max_cardinality`` or ``budget``; the result
 then carries ``exhausted=False`` and its minimality flags describe only the
 explored region. Results of an early-stopped minimum-distance walk are
@@ -26,7 +31,7 @@ empty, so nothing smaller can exist.
 from __future__ import annotations
 
 import json
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +45,11 @@ from .schema import Entity, Explanation, FeatureSchema, Record
 # 4096 bytes of a chunk at a time, so on external-key (18-byte lines)
 # chunks of 64 to 512 read the same cexpl_s.
 ASK_AHEAD = 256
+
+# Walk(prune=...): a pruned walk runs until it has every s-minimal set
+# (S_SET), or until every feature that may change lies in one (WITNESSES)
+S_SET = "s-set"
+WITNESSES = "witnesses"
 
 
 class SearchTruncatedError(EngineError):
@@ -104,10 +114,6 @@ class SearchResult(Record):
         # the walk yields hits by increasing cardinality, so the first is minimum
         dstar = self.min_cardinality
         return [len(idxs) == dstar for idxs, _, _ in self.hits]
-
-    @property
-    def s_set(self) -> list[Explanation]:
-        return explain_rows(self.entity, [row for row in self.hits if row[2]])
 
     @property
     def c_set(self) -> list[Explanation]:
@@ -250,15 +256,40 @@ def level_candidates(
     of size ``k`` lexicographically, then their value combinations in
     domain order. ``alternatives[i]`` lists the values feature i may take
     instead of ``values[i]``, in domain order; an empty list keeps feature
-    i out of every index set. Each candidate comes whole out of ``product``
-    over one pool per feature: alternatives inside the set, the value outside.
+    i out of every index set.
     """
-    for idxs in combinations(range(len(values)), k):
+    movable = [i for i, alts in enumerate(alternatives) if alts]
+    return set_candidates(alternatives, values, combinations(movable, k))
+
+
+def set_candidates(
+    alternatives: Sequence[Sequence[str]],
+    values: tuple[str, ...],
+    sets: Iterable[tuple[int, ...]],
+    constraints: constrain.ConstraintSet | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
+    """The (index set, candidate) pairs of each index set of ``sets`` in
+    turn. Each candidate comes whole out of ``product`` over one pool per
+    feature: alternatives inside the set, the value outside.
+
+    A set is looked at once, before any of its candidates is built: only
+    where ``constraints.may_reject`` it are its candidates filtered through
+    ``admissible``, and every other set's go out unchecked.
+    """
+    may_reject = admissible = None
+    if constraints is not None:
+        may_reject, admissible = constraints.may_reject, constraints.admissible
+
+    def candidates(idxs):
         pools: list[Sequence[str]] = [(v,) for v in values]
         for i in idxs:
             pools[i] = alternatives[i]
-        for cand in product(*pools):
-            yield idxs, cand
+        cands = product(*pools)
+        if may_reject is not None and may_reject(idxs, values):
+            cands = filter(admissible, cands)
+        return zip(repeat(idxs), cands)
+
+    return chain.from_iterable(map(candidates, sets))
 
 
 class Walk:
@@ -273,6 +304,16 @@ class Walk:
 
     ``stop_at_first_hit`` ends the walk after the first Hamming level that
     produced hits, which is everything a minimum-cardinality query needs.
+
+    ``prune`` makes a walk that yields only the s-minimal rows. An index
+    set that contains a minimal set of a lower level can hold no s-minimal
+    candidate, so it asks nothing and uses no budget. A level whose every
+    set is dominated so is every later one's, so the walk ends there,
+    exhausted. With :data:`WITNESSES` it also ends, exhausted, before a
+    level once every feature that may change lies in a minimal set, which
+    fixes each feature's reciprocal-size score; :data:`S_SET` goes on to
+    find every s-minimal set. A pruned walk that ends early counts as
+    ``levels_explored`` the levels that asked.
 
     A classifier with an ``announce`` method is handed each chunk of
     candidates before their ``label`` calls, which then come one per
@@ -290,26 +331,30 @@ class Walk:
         config: SearchConfig | None = None,
         *,
         stop_at_first_hit: bool = False,
+        prune: str | None = None,
     ):
+        if prune not in (None, S_SET, WITNESSES):
+            raise ValueError(f"prune must be None, {S_SET!r} or {WITNESSES!r}")
         require_label_one(schema, classifier, entity)
         self.entity = entity
         self.stats: SearchStats | None = None
         self.exhausted: bool | None = None
         cs = constraints or constrain.empty(schema)
         self._rows = self._walk(
-            len(schema), classifier, cs, config or SearchConfig(), stop_at_first_hit
+            len(schema), classifier, cs, config or SearchConfig(), stop_at_first_hit, prune
         )
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], tuple[str, ...], bool]]:
         return self._rows
 
-    def _walk(self, n, classifier, cs, cfg, stop_at_first_hit):
+    def _walk(self, n, classifier, cs, cfg, stop_at_first_hit, prune):
         bound = n if cfg.max_cardinality is None else min(cfg.max_cardinality, n)
         budget = cfg.budget
         calls = 1  # the entity's; SearchConfig guarantees a budget of at least 1
 
         values = self.entity.values
         alternatives = cs.alternatives(values)
+        movable = [i for i, alts in enumerate(alternatives) if alts]
         # Bitmasks of the minimal sets. A strict subset of a level-k set lies
         # on a lower level, and a non-minimal one contains a minimal one, so
         # checking a new set against the minimal masks found so far settles
@@ -318,17 +363,30 @@ class Walk:
         # is settled at its first hit and ``last`` carries the verdict to the
         # rest. The first hit is minimal, so there are masks once there are hits.
         minimal_masks: list[int] = []
+        covered, everyone = 0, sum(1 << i for i in movable)
         last: tuple[int, ...] = ()
         minimal = False
 
         announce = hasattr(classifier, "announce")
-        admissible = cs.admissible
 
         for k in range(1, bound + 1):
-            granted = (
-                pair for pair in level_candidates(alternatives, values, k)
-                if admissible(pair[1])
-            )
+            sets: Iterator[tuple[int, ...]] = combinations(movable, k)
+            if prune:
+                # the masks a set of this level may contain are all below it
+                below = tuple(minimal_masks)
+
+                def undominated(idxs, below=below):
+                    mask = sum(1 << i for i in idxs)
+                    return not any(m & mask == m for m in below)
+
+                sets = filter(undominated, sets)
+                first = next(sets, None)
+                # no set left here or above, or every score fixed
+                if first is None or (prune == WITNESSES and covered == everyone):
+                    self.stats, self.exhausted = SearchStats(calls, k - 1), True
+                    return
+                sets = chain((first,), sets)
+            granted = set_candidates(alternatives, values, sets, cs)
             while True:
                 # the chunk is cut to the calls the budget has left; with none
                 # left, one more admissible candidate means the walk was cut short
@@ -351,6 +409,7 @@ class Walk:
                         minimal = not any(m & mask == m for m in minimal_masks)
                         if minimal:
                             minimal_masks.append(mask)
+                            covered |= mask
                     yield idxs, cand, minimal
                 if len(chunk) < room:
                     break
@@ -413,11 +472,13 @@ def s_explanations(
     constraints: constrain.ConstraintSet | None = None,
     config: SearchConfig | None = None,
 ) -> list[Explanation]:
-    """Subset-minimal counterfactual explanations (needs a full enumeration)."""
-    result = enumerate_counterfactuals(schema, classifier, entity, constraints, config)
-    if not result.exhausted:
+    """Subset-minimal counterfactual explanations: the rows of a walk that
+    prunes every index set holding a smaller minimal one."""
+    walk = Walk(schema, classifier, entity, constraints, config, prune=S_SET)
+    rows = list(walk)
+    if not walk.exhausted:
         raise SearchTruncatedError(
             "search truncated; subset-minimality against the full space "
             "cannot be certified"
         )
-    return result.s_set
+    return explain_rows(entity, rows)

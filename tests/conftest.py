@@ -55,6 +55,11 @@ def prob(dist, values):
     return Fraction(dist.weight(values), total)
 
 
+def s_values(result):
+    """The counterfactual values of the rows a full walk flags s-minimal."""
+    return {x.counterfactual.values for x, s in zip(result.explanations, result.s_flags) if s}
+
+
 def table_from_function(schema, fn):
     """A total truth table: ``fn``'s label for every vector of the space."""
     return TableClassifier(schema, {vec: fn(vec) for vec in schema.iter_space()})

@@ -54,6 +54,81 @@ def actionable(domains, values, modes):
     return admissible
 
 
+def permitted(denials, onehot):
+    """Admissibility under ``denials``, each a list of (index, value, "eq" or
+    "ne") literals that together forbid a vector, and one-hot ``onehot``
+    groups of indices, each of which must hold exactly one "1"."""
+
+    def admissible(cand):
+        for literals in denials:
+            if all((cand[i] == v) == (polarity == "eq") for i, v, polarity in literals):
+                return False
+        return all(sum(cand[i] == "1" for i in group) == 1 for group in onehot)
+
+    return admissible
+
+
+def alternatives(domains, values, modes):
+    """Per feature, in domain order, the values it may take instead of its
+    own under actionability ``modes`` (as for ``actionable``)."""
+    allowed = actionable(domains, values, modes)
+    values = tuple(values)
+    return [
+        tuple(v for v in d if v != values[i] and allowed(values[:i] + (v,) + values[i + 1:]))
+        for i, d in enumerate(domains)
+    ]
+
+
+def walk(alternatives, values, label, admissible=None, max_card=None, budget=None,
+         stop_at_first_hit=False, prune=None):
+    """The levelwise search, one candidate at a time: every candidate of
+    ``level_candidates`` is checked with ``admissible`` and, if it passes,
+    asked, unless ``budget`` labels have been asked already, which cuts the
+    walk short on that level.
+
+    ``prune`` ("s-set" or "witnesses") skips every index set holding a
+    minimal set of a lower level. It ends the walk, exhausted, before a
+    level where every set of changeable features is skipped, or, with
+    "witnesses", before a level once the minimal sets cover every
+    changeable feature; the levels explored are then those below it.
+
+    Returns (rows, asked, levels explored, exhausted): rows are (index set,
+    candidate, s-minimal) per label-0 candidate, asked is every labelled
+    vector in order, the entity first.
+    """
+    values = tuple(values)
+    asked = [values]
+    assert label(values) == 1
+    n = len(values)
+    bound = n if max_card is None else min(max_card, n)
+    movable = [i for i in range(n) if alternatives[i]]
+    minimal, rows = [], []
+    for k in range(1, bound + 1):
+        below = list(minimal)
+        if prune:
+            if prune == "witnesses" and set(movable) <= set().union(*minimal):
+                return rows, asked, k - 1, True
+            if all(any(m <= set(s) for m in below) for s in combinations(movable, k)):
+                return rows, asked, k - 1, True
+        for idxs, cand in level_candidates(alternatives, values, k):
+            if prune and any(m <= set(idxs) for m in below):
+                continue
+            if admissible is not None and not admissible(cand):
+                continue
+            if budget is not None and len(asked) == budget:
+                return rows, asked, k, False
+            asked.append(cand)
+            if label(cand) == 0:
+                changed = frozenset(idxs)
+                smin = not any(m < changed for m in minimal)
+                if smin and changed not in minimal:
+                    minimal.append(changed)
+                rows.append((idxs, cand, smin))
+        if stop_at_first_hit and minimal:
+            return rows, asked, k, True
+    return rows, asked, bound, bound == n
+
+
 def canonical_order(domains, values, cands):
     """Candidates sorted by cardinality, changed index set, then the domain
     positions of their new values."""

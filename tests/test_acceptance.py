@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import T1_ROWS, T2_ROWS, TENNIS_RULES_TEXT, prob, section
+from conftest import T1_ROWS, T2_ROWS, TENNIS_RULES_TEXT, prob, s_values, section
 from cfx import aspgen
 from cfx.aspgen import (
     ASP_CORE_2,
@@ -79,7 +79,7 @@ def test_criterion_1(bits_schema, t1_table, e1):
     assert values_of(result) == {
         ("1", "0", "1"), ("0", "0", "1"), ("0", "0", "0"),
     }
-    assert {x.counterfactual.values for x in result.s_set} == {("0", "0", "1")}
+    assert s_values(result) == {("0", "0", "1")}
     assert {x.counterfactual.values for x in result.c_set} == {("0", "0", "1")}
     assert result.min_cardinality == 1
     report = x_resp(bits_schema, t1_table, e1)
@@ -94,7 +94,7 @@ def test_criterion_2(bits_schema, t2_table, e1):
     assert values_of(result) == {
         ("1", "1", "0"), ("1", "0", "0"), ("0", "0", "1"),
     }
-    assert {x.counterfactual.values for x in result.s_set} == {
+    assert s_values(result) == {
         ("0", "0", "1"), ("1", "1", "0"),
     }
     assert {x.counterfactual.values for x in result.c_set} == {("0", "0", "1")}
@@ -161,7 +161,7 @@ def test_criterion_4():
         assert [x.counterfactual.values for x in result.explanations] == (
             oracles.canonical_order(domains, entity.values, [vec for vec, _ in cfs])
         )
-        assert {x.counterfactual.values for x in result.s_set} == {
+        assert s_values(result) == {
             vec for vec, _ in oracles.s_minimal(cfs)
         }
         assert {x.counterfactual.values for x in result.c_set} == {
@@ -210,7 +210,7 @@ def test_criterion_5(bits_schema, t1_table, t2_table, e1, tennis_schema,
     ):
         result = enumerate_counterfactuals(schema, clf, entity)
         c_vals = {x.counterfactual.values for x in result.c_set}
-        s_vals = {x.counterfactual.values for x in result.s_set}
+        s_vals = s_values(result)
         assert c_vals <= s_vals
         report = x_resp(schema, clf, entity)
         top = max(fs.score for fs in report.scores)

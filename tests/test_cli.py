@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import gc
 import io
 import json
 import os
@@ -94,6 +95,36 @@ def run(capsys, argv):
 def manifest_of(err):
     last = err.strip().splitlines()[-1]
     return json.loads(last)["manifest"]
+
+
+class TestCollectorPause:
+    """``main`` runs with the cyclic collector off and leaves it as it found
+    it, since callers such as this test process run it in their own."""
+
+    @pytest.mark.parametrize("entity, code", [("e1.json", 0), ("missing.json", 2)])
+    @pytest.mark.parametrize("was_on", [True, False])
+    def test_collector_restored(self, capsys, files, monkeypatch, entity, code, was_on):
+        during = []
+        load = cli.load_schema
+
+        def recording(path):
+            during.append(gc.isenabled())
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_schema", recording)
+        before = gc.isenabled()
+        (gc.enable if was_on else gc.disable)()
+        try:
+            got = run(capsys, [
+                "classify",
+                "--schema", str(files / "bits_schema.json"),
+                "--entity", str(files / entity),
+                "--table", str(files / "table1.csv"),
+            ])[0]
+            assert gc.isenabled() == was_on
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert (got, during) == (code, [False])
 
 
 class KeptSpool(io.StringIO):
@@ -885,13 +916,17 @@ class TestScore:
         ("explain", ("bits_schema.json", "e1.json", "--table", "table1.csv"), (8, 8)),
         ("explain", ("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
          (12, 12)),
-        ("score", ("bits_schema.json", "e1.json", "--table", "table1.csv"), (8, 8)),
+        ("score", ("bits_schema.json", "e1.json", "--table", "table1.csv"), (5, 5)),
         ("score", ("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         (12, 12)),
+         (7, 7)),
     ], ids=["explain-table1", "explain-tennis", "score-table1", "score-tennis"])
     def test_walk_call_counts(self, capsys, files, command, inputs, calls):
-        # label calls of one full lattice walk: the entity, then every
-        # candidate once; no query repeats, so both counts are the same
+        # label calls of one lattice walk: the entity, then each candidate
+        # once, every one for explain; score asks no index set that holds a
+        # smaller minimal one: after the minimal {F2} (table1) or {Humidity}
+        # (tennis) on level 1, level 2 asks only the other pair's candidates
+        # (1 and 2), and level 3 holds no other set; no query repeats, so
+        # both counts are the same
         schema, entity, backend, model = inputs
         code, _, err = run(capsys, [
             command,
@@ -1244,7 +1279,7 @@ class TestMemoOnlyWhereQueriesRepeat:
     @pytest.mark.parametrize("command, extra, golden, calls, memos", [
         ("classify", (), None, (1, 1), 0),
         ("explain", (), "tennis_explain.json", (12, 12), 0),
-        ("score", (), "tennis_score.json", (12, 12), 0),
+        ("score", (), "tennis_score.json", (7, 7), 0),
         ("score", ("--prob", "uniform", "--max-card", "1", "--format", "table"),
          "tennis_prob_table_card1.txt", (7, 5), 1),
     ], ids=["classify", "explain", "score", "score-prob"])
@@ -1575,26 +1610,31 @@ class TestChildSeesWhatIsAsked:
         rules.write_text(WIDE_RULES)
         return schema, entity, rules
 
-    def walk_order(self, schema_path, entity_path):
-        """The entity, then every other vector in canonical order."""
+    def walk_order(self, schema_path, entity_path, rules_path, budget, denials=(), prune=None):
+        """The vectors the walk asks, the entity first: those tests/oracles.py's
+        walk asks with the labels of the rules the child answers by."""
         schema = load_schema(schema_path)
         values = tuple(json.loads(Path(entity_path).read_text())["values"])
-        domains = [f.domain for f in schema.features]
-        others = [v for v in schema.iter_space() if v != values]
-        return [values, *oracles.canonical_order(domains, values, others)]
+        label = parse_rules(Path(rules_path).read_text(), schema).label
+        others = [tuple(v for v in f.domain if v != x) for f, x in zip(schema, values)]
+        admissible = oracles.permitted(denials, [])
+        return oracles.walk(others, values, label, admissible, budget=budget, prune=prune)[1]
 
-    def check(self, capsys, tmp_path, command, child, schema, entity, rules, budget):
+    def check(self, capsys, tmp_path, command, child, schema, entity, rules, budget,
+              constraints=None, denials=(), prune=None):
         record = tmp_path / "queries.txt"
         record.unlink(missing_ok=True)
         common = [command, "--schema", str(schema), "--entity", str(entity)]
         if budget is not None:
             common += ["--budget", str(budget)]
+        if constraints is not None:
+            common += ["--constraints", str(constraints)]
         code, out, err = run(
             capsys, [*common, "--external", f"{sys.executable} {child} record {record}"]
         )
         m = manifest_of(err)
         assert m["backend_calls"] == m["classifier_calls"]  # every vector asked once
-        want = self.walk_order(schema, entity)[: m["backend_calls"]]
+        want = self.walk_order(schema, entity, rules, m["config"]["budget"], denials, prune)
         assert record.read_text().splitlines() == [",".join(v) for v in want]
         in_process = run(
             capsys, [*common, "--budget", str(m["config"]["budget"]), "--rules", str(rules)]
@@ -1609,9 +1649,29 @@ class TestChildSeesWhatIsAsked:
         m = self.check(capsys, tmp_path, "explain", WIDE_CHILD, *wide, budget)
         assert m["backend_calls"] == (3**self.WIDE if budget is None else budget)
 
+    def test_explain_wide_denied(self, capsys, tmp_path, wide):
+        # F1 = v1 with F4 != v0: only index sets that change both features
+        # have their candidates checked, and the child sees the queries, and
+        # the writes, of a walk that checks every candidate
+        constraints = tmp_path / "denial.json"
+        constraints.write_text(json.dumps({"denials": [{"literals": [
+            {"feature": "F1", "value": "v1"},
+            {"feature": "F4", "value": "v0", "polarity": "ne"},
+        ]}]}))
+        denials = [[(0, "v1", "eq"), (3, "v0", "ne")]]
+        m = self.check(capsys, tmp_path, "explain", WIDE_CHILD, *wide, None,
+                       constraints, denials)
+        # 3**8 vectors less the 3**6 * 2 the denial forbids; 44 writes, as
+        # when every candidate was checked
+        assert (m["backend_calls"], m["external_writes"]) == (5103, 44)
+
     def test_score_wide(self, capsys, tmp_path, wide):
-        m = self.check(capsys, tmp_path, "score", WIDE_CHILD, *wide, None)
-        assert m["backend_calls"] == 3**self.WIDE
+        # every index set holding {F3, F8} or {F2, F5, F7}, the minimal
+        # ones, asks nothing, and level 7 holds no other set: 2,577 of the
+        # 6,561 vectors are asked
+        m = self.check(capsys, tmp_path, "score", WIDE_CHILD, *wide, None,
+                       prune=search.WITNESSES)
+        assert m["backend_calls"] == 2577
 
     def test_score_prob_wide(self, capsys, tmp_path, wide):
         schema_path, entity_path, rules = wide

@@ -154,6 +154,37 @@ class TestOneHot:
             ConstraintSet(loan_schema, onehot=(OneHotGroup((2, 2)),))
 
 
+class TestMayReject:
+    """``may_reject`` reads only the changed-index set and the original."""
+
+    @pytest.mark.parametrize("changed, bites", [
+        ((1,), False),    # Outlook stays sunny: the rain literal fails
+        ((0,), True),     # Wind stays weak, which is not strong
+        ((0, 1), True),
+        ((2,), False),    # Outlook stays sunny
+        ((0, 2), True),   # both literals are on changed features
+    ])
+    def test_denial_literals_on_unchanged_features(self, tennis_schema, changed, bites):
+        # forbid: Outlook = rain and Wind != strong
+        chi = DenialConstraint((DenialLiteral(0, "rain"), DenialLiteral(2, "strong", "ne")))
+        cs = ConstraintSet(tennis_schema, denials=(chi,))
+        assert cs.may_reject(changed, ("sunny", "normal", "weak")) is bites
+
+    @pytest.mark.parametrize("original, changed, bites", [
+        (("28", "low", "0", "1"), (0, 1), False),
+        (("28", "low", "0", "1"), (0, 3), True),   # a member changes
+        (("28", "low", "1", "1"), (0,), True),     # the original breaks it
+        (("28", "low", "0", "0"), (), True),
+    ])
+    def test_onehot(self, loan_schema, original, changed, bites):
+        cs = ConstraintSet(loan_schema, onehot=(OneHotGroup((2, 3)),))
+        assert cs.may_reject(changed, original) is bites
+
+    def test_actionability_alone_never_bites(self, loan_schema):
+        cs = ConstraintSet(loan_schema, actionability=(ActionabilityRule(0, "fixed"),))
+        assert not cs.may_reject((0, 1, 2, 3), ("28", "low", "0", "1"))
+
+
 class TestCombined:
     def test_empty_set_always_admissible(self, tennis_schema):
         cs = empty(tennis_schema)

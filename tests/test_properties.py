@@ -12,6 +12,7 @@ import re
 import tempfile
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import prob, section
+from conftest import prob, s_values, section
 from cfx import search
 from cfx import schema as schema_module
 from cfx.classify import MemoClassifier, Rule, RuleClassifier, TableClassifier
@@ -54,7 +55,13 @@ from cfx.score import (
     max_resp_features,
     x_resp,
 )
-from cfx.search import SearchConfig, enumerate_counterfactuals, level_candidates
+from cfx.search import (
+    SearchConfig,
+    SearchStats,
+    enumerate_counterfactuals,
+    level_candidates,
+    s_explanations,
+)
 from cfx import aspgen
 
 
@@ -79,9 +86,9 @@ def schemas(max_features=4, max_values=3, ordered=False):
 
 
 @st.composite
-def classified_spaces(draw, ordered=False):
+def classified_spaces(draw, ordered=False, max_features=3):
     """A schema, a total truth table over it, and a label-1 entity."""
-    schema = draw(schemas(max_features=3, ordered=ordered))
+    schema = draw(schemas(max_features=max_features, ordered=ordered))
     space = list(schema.iter_space())
     labels = draw(st.lists(
         st.integers(0, 1), min_size=len(space), max_size=len(space)
@@ -126,6 +133,43 @@ def draw_denials(data, domains, most=2):
         )
 
     return chis, keep
+
+
+def draw_constraints(data, schema, values):
+    """Denials of ``eq`` and ``ne`` literals, one-hot groups over the binary
+    features and actionability rules of every mode (so every domain must be
+    ordered), as a ConstraintSet, with the test's own reading of them from
+    tests/oracles.py: each feature's alternatives to ``values``, and a
+    predicate true on the admissible vectors."""
+    domains = [f.domain for f in schema.features]
+    n = len(domains)
+    chis, keep = [], lambda vec: True
+    if data.draw(st.booleans(), label="denied"):
+        chis, keep = draw_denials(data, domains)
+    binary = [i for i, d in enumerate(domains) if set(d) == {"0", "1"}]
+    groups = []
+    if len(binary) >= 2:
+        groups = data.draw(st.lists(
+            st.lists(st.sampled_from(binary), min_size=2, max_size=len(binary), unique=True),
+            max_size=2,
+        ))
+    modes = {
+        i: data.draw(st.sampled_from(MODES))
+        for i in sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    }
+    cs = ConstraintSet(
+        schema,
+        denials=tuple(chis),
+        actionability=tuple(ActionabilityRule(*rule) for rule in modes.items()),
+        onehot=tuple(OneHotGroup(tuple(g)) for g in groups),
+    )
+    onehot = oracles.permitted([], groups)
+    actionable = oracles.actionable(domains, values, modes)
+    return (
+        cs,
+        oracles.alternatives(domains, values, modes),
+        lambda vec: keep(vec) and onehot(vec) and actionable(vec),
+    )
 
 
 def draw_base(data, schema):
@@ -227,7 +271,7 @@ class TestSearchInvariants:
         cfs = oracles.counterfactuals(domains, entity.values, table.__getitem__)
         want_s = {vec for vec, _ in oracles.s_minimal(cfs)}
         want_c = {vec for vec, _ in oracles.c_minimal(cfs)}
-        got_s = {x.counterfactual.values for x in result.s_set}
+        got_s = s_values(result)
         got_c = {x.counterfactual.values for x in result.c_set}
         assert got_s == want_s
         assert got_c == want_c
@@ -243,7 +287,7 @@ class TestSearchInvariants:
         low = min(x.cardinality for x in result.explanations)
         assert result.min_cardinality == low
         c_vals = {x.counterfactual.values for x in result.c_set}
-        s_vals = {x.counterfactual.values for x in result.s_set}
+        s_vals = s_values(result)
         assert c_vals <= s_vals
         for x, is_c in zip(result.explanations, result.c_flags):
             assert is_c == (x.cardinality == low)
@@ -328,7 +372,7 @@ class TestSearchInvariants:
             admissible=lambda vec: vec[idx] != value,
         )
         want = {vec for vec, _ in oracles.s_minimal(cfs)}
-        assert {x.counterfactual.values for x in held.s_set} == want
+        assert s_values(held) == want
         for x in held.explanations:
             assert x.counterfactual.values[idx] != value
         all_free = {tuple(vec) for vec, _ in cfs}
@@ -454,6 +498,93 @@ class TestSearchInvariants:
         assert (memo.queries, memo.backend_calls) == (
             plain_memo.queries, plain_memo.backend_calls
         )
+
+
+class TestWalkSettlesEachIndexSetOnce:
+    """The walk decides admissibility and dominance once per index set;
+    what it asks and yields is that of tests/oracles.py's walk, which
+    checks every candidate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(schemas(ordered=True), st.data())
+    def test_a_set_cleared_holds_only_admissible_candidates(self, schema, data):
+        domains = [f.domain for f in schema.features]
+        values = data.draw(st.tuples(*map(st.sampled_from, domains)))
+        cs, alternatives, admissible = draw_constraints(data, schema, values)
+        for k in range(len(values) + 1):
+            for idxs in combinations(range(len(values)), k):
+                if cs.may_reject(idxs, values):
+                    continue
+                only = [alternatives[i] if i in idxs else () for i in range(len(values))]
+                for _, cand in oracles.level_candidates(only, values, k):
+                    assert admissible(cand)
+
+    @settings(max_examples=300, deadline=None)
+    @given(classified_spaces(ordered=True, max_features=4), st.data())
+    def test_walk_matches_reference(self, case, data):
+        # budgets, bounds, both stops and both prunings, in chunks of one
+        # to five candidates, so levels span several of them
+        schema, table, entity = case
+        cs, alternatives, admissible = draw_constraints(data, schema, entity.values)
+        max_card = data.draw(st.none() | st.integers(1, len(schema)))
+        budget = data.draw(st.none() | st.integers(1, len(table) + 1))
+        stop = data.draw(st.booleans())
+        prune = data.draw(st.sampled_from((None, search.S_SET, search.WITNESSES)))
+        asked = []
+
+        def label(values):
+            asked.append(values)
+            return table[values]
+
+        with mock.patch.object(search, "ASK_AHEAD", data.draw(st.integers(1, 5))):
+            walk = search.Walk(
+                schema, SimpleNamespace(label=label), entity, cs,
+                SearchConfig(max_card, budget), stop_at_first_hit=stop, prune=prune,
+            )
+            rows = list(walk)
+        want_rows, want_asked, levels, exhausted = oracles.walk(
+            alternatives, entity.values, table.__getitem__, admissible,
+            max_card, budget, stop, prune,
+        )
+        assert (rows, asked) == (want_rows, want_asked)
+        assert walk.stats == SearchStats(len(asked), levels)
+        assert walk.exhausted == exhausted
+
+    @settings(max_examples=300, deadline=None)
+    @given(classified_spaces(ordered=True, max_features=4), st.data())
+    def test_pruned_walks_answer_as_the_full_walk(self, case, data):
+        schema, table, entity = case
+        clf = TableClassifier(schema, table)
+        cs, _, admissible = draw_constraints(data, schema, entity.values)
+        max_card = data.draw(st.none() | st.integers(1, len(schema)))
+        config = SearchConfig(max_card)
+        full = enumerate_counterfactuals(schema, clf, entity, cs, config)
+        smin = [row for row in full.hits if row[2]]
+        if full.exhausted:
+            assert [x.counterfactual.values for x in s_explanations(
+                schema, clf, entity, cs, config
+            )] == [cand for _, cand, _ in smin]
+        first = {}
+        for row in smin:
+            for i in row[0]:
+                first.setdefault(i, row)
+        report = x_resp(schema, clf, entity, cs, config)
+        assert [
+            (fs.score, fs.witness and fs.witness.counterfactual.values)
+            for fs in report.scores
+        ] == [
+            (Fraction(1, len(first[i][0])), first[i][1]) if i in first else (0, None)
+            for i in range(len(schema))
+        ]
+        # the pruned walk's stops prove more than a bound lets the full walk
+        if max_card is None:
+            assert report.authoritative == full.exhausted
+        assert report.authoritative >= full.exhausted
+        if report.authoritative:
+            assert [fs.score for fs in report.scores] == oracles.x_resp(
+                [f.domain for f in schema.features], entity.values,
+                table.__getitem__, admissible,
+            )
 
 
 class AnnouncingTable:

@@ -70,7 +70,8 @@ def check_closed_forms(rung):
     assert calls("explain") == (3**n, 3**n)
     assert calls("emit-asp --weak --count") == (0, 0)
     assert runs["score"]["scores"] == [f"1/{h + 1}"] * n
-    assert calls("score") == (3**n, 3**n)
+    # every set of h + 1 features is minimal: the walk stops above level h + 1
+    assert calls("score") == (a(n, h + 1), a(n, h + 1))
     prob = Fraction(2, 3 * (h + 1))
     assert runs["score --prob uniform"]["scores"] == [f"{prob.numerator}/{prob.denominator}"] * n
     assert calls("score --prob uniform") == (3 * n * (a(n - 1, h - 1) + 1), a(n, h) + 2 * n - h)

@@ -4,19 +4,21 @@ from math import comb
 import pytest
 
 import oracles
+from cfx import search
 from cfx.classify import MemoClassifier
 from cfx.constrain import ConstraintSet, DenialConstraint, DenialLiteral
 from cfx.errors import InputError, NothingToExplainError
 from cfx.schema import Feature, FeatureSchema
 from cfx.search import (
     SearchConfig,
+    SearchStats,
     SearchTruncatedError,
     Walk,
     c_explanations,
     enumerate_counterfactuals,
     s_explanations,
 )
-from conftest import table_from_function
+from conftest import s_values, table_from_function
 
 
 def cf_values(result):
@@ -62,7 +64,7 @@ class TestTable1:
         domains = [f.domain for f in bits_schema]
         cfs = oracles.counterfactuals(domains, e1.values, t1_table.label)
         assert set(cf_values(result)) == {cand for cand, _ in cfs}
-        assert {x.counterfactual.values for x in result.s_set} == {
+        assert s_values(result) == {
             cand for cand, _ in oracles.s_minimal(cfs)
         }
         assert {x.counterfactual.values for x in result.c_set} == {
@@ -78,7 +80,7 @@ class TestTable2:
             ("1", "0", "0"),
             ("0", "0", "1"),
         }
-        assert {x.counterfactual.values for x in result.s_set} == {
+        assert s_values(result) == {
             ("0", "0", "1"),
             ("1", "1", "0"),
         }
@@ -113,7 +115,7 @@ class TestTennis:
         assert [x.counterfactual.values for x in result.c_set] == [
             ("sunny", "high", "weak")
         ]
-        assert {x.counterfactual.values for x in result.s_set} == {
+        assert s_values(result) == {
             ("sunny", "high", "weak"),
             ("rain", "normal", "strong"),
         }
@@ -381,3 +383,43 @@ class TestWalk:
             result.hits, result.stats, result.exhausted
         )
         assert walk.exhausted is False
+
+
+class TestPrunedWalk:
+    """Four binary features from 0000; a vector has label 0 iff it changes
+    {F1, F4}, {F2, F4}, {F3, F4} or {F1, F2, F3}: the pairs cover every
+    feature on level 2, yet {F1, F2, F3} is s-minimal on level 3."""
+
+    @pytest.fixture
+    def case(self):
+        schema = FeatureSchema(tuple(Feature(f"F{i + 1}", ("0", "1")) for i in range(4)))
+
+        def label(vec):
+            ones = {i for i, v in enumerate(vec) if v == "1"}
+            return int(not any(m <= ones for m in ({0, 3}, {1, 3}, {2, 3}, {0, 1, 2})))
+
+        table = table_from_function(schema, label)
+        return schema, table, schema.entity("z", ("0",) * 4)
+
+    def test_s_set_walk_goes_past_the_cover(self, case):
+        schema, table, entity = case
+        memo = MemoClassifier(table)
+        got = ["".join(x.counterfactual.values) for x in s_explanations(schema, memo, entity)]
+        assert got == ["1001", "0101", "0011", "1110"]
+        # the entity, 4 + 6 candidates, then {F1, F2, F3} alone on level 3;
+        # level 4 holds no set left
+        assert memo.queries == 12
+
+    def test_witness_walk_stops_at_the_cover(self, case):
+        schema, table, entity = case
+        memo = MemoClassifier(table)
+        walk = Walk(schema, memo, entity, prune=search.WITNESSES)
+        rows = [idxs for idxs, _, _ in walk]
+        assert rows == [(0, 3), (1, 3), (2, 3)]
+        assert (walk.stats, walk.exhausted) == (SearchStats(11, 2), True)
+        assert memo.queries == 11
+
+    def test_unknown_prune_refused(self, case):
+        schema, table, entity = case
+        with pytest.raises(ValueError, match="prune must be"):
+            Walk(schema, table, entity, prune="s")
