@@ -10,13 +10,16 @@ untracked files that git does not ignore) to two temporary copies, runs
 ``run_seconds`` that ``BENCHMARK.json`` gives, for ``--pairs`` pairs, one
 after the other, alternating which side goes first.
 It prints, per metric, each side's median and quartiles over its runs and
-how many pairs the change won, then deletes the copies.
+how many pairs each side won, then deletes the copies.
 
 A change wins a pair when its value is better than the base's in the
 direction ``BENCHMARK.json`` gives for the metric; ties count for neither
 side. A gain is claimed only when the change wins at least nine tenths of
 the pairs, its median beats the base's by more than the distance between
-the base's quartiles, and no larger share of its operations failed.
+the base's quartiles, and no larger share of its operations failed. The
+same rule with the sides swapped marks a metric worse: the base wins at
+least nine tenths of the pairs, and its median beats the change's by more
+than the distance between the change's quartiles.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        losses = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         bq, cq = quartiles(base), quartiles(change)
         gain = sign * (bq[1] - cq[1])
         rows.append({
@@ -69,18 +73,21 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
             "base": bq,
             "change": cq,
             "wins": wins,
+            "losses": losses,
             "pairs": len(pairs),
             "claim": steady and wins * 10 >= 9 * len(pairs) and gain > bq[2] - bq[0],
+            "worse": losses * 10 >= 9 * len(pairs) and -gain > cq[2] - cq[0],
         })
     return rows
 
 
 def render(rows: list[dict]) -> str:
     lines = [f"{'metric':16} {'base q1 / median / q3':>36} "
-             f"{'change q1 / median / q3':>36}  wins  claim"]
+             f"{'change q1 / median / q3':>36}  losses  worse  wins  claim"]
     for row in rows:
         cells = [" / ".join(f"{x:10.6g}" for x in row[side]) for side in ("base", "change")]
         lines.append(f"{row['metric']:16} {cells[0]:>36} {cells[1]:>36}  "
+                     f"{row['losses']:>4}/{row['pairs']:<2} {'yes' if row['worse'] else 'no':>5}  "
                      f"{row['wins']:>2}/{row['pairs']:<2} {'yes' if row['claim'] else 'no'}")
     return "\n".join(lines)
 

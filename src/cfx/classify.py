@@ -3,7 +3,10 @@
 Every backend exposes ``label(values) -> int`` over a value tuple conforming
 to its schema. Labels are a function of feature values only; entity ids
 never influence them. ``MemoClassifier`` fronts any backend with a
-value-keyed cache so repeated queries cost one backend call.
+value-keyed cache so repeated queries cost one backend call. Two methods
+are optional: the external backend takes ``announce``d queries ahead, and
+the rule list tells with ``may_label_zero`` whether a whole space of
+vectors may hold a label 0.
 
 The external backend speaks a line protocol over stdin/stdout:
 
@@ -266,6 +269,7 @@ class RuleClassifier:
             passing = {v: untested | (by_value.get(v, 0) & live) for v in f.domain}
             self._masks.append((passing, untested))
         self._labels = [rule.label for rule in self.rules]
+        self._zeros = live & sum(1 << r for r, lab in enumerate(self._labels) if lab == 0)
 
     def label(self, values: Sequence[str]) -> int:
         if len(values) != len(self._masks):
@@ -278,6 +282,30 @@ class RuleClassifier:
                 break
             mask &= passing.get(v, untested)
         return self._labels[(mask & -mask).bit_length() - 1] if mask else self.default
+
+    def may_label_zero(self, pools: Sequence[Sequence[str]]) -> bool:
+        """Might a vector that takes each feature i's value from ``pools[i]``
+        read label 0? Told from the masks alone, with no label asked; False
+        is exact: every vector of that space reads 1.
+
+        A rule may fire somewhere in the space if it passes some value of
+        every pool, and fires on every vector if it passes all of them; the
+        first rule certain to fire hides every later one. Label 0 is then
+        reachable iff a rule left may fire with label 0, or no rule is
+        certain and the default is 0."""
+        may = certain = self._live
+        for (passing, untested), pool in zip(self._masks, pools):
+            some, every = 0, -1
+            for v in pool:
+                mask = passing.get(v, untested)
+                some |= mask
+                every &= mask
+            may &= some
+            certain &= every
+        first = certain & -certain
+        if first:
+            may &= (first << 1) - 1
+        return bool(may & self._zeros) or (not first and self.default == 0)
 
 
 # --- rule DSL ---------------------------------------------------------------
@@ -626,6 +654,9 @@ class MemoClassifier:
         self.queries = 0
         self.backend_calls = 0
         self._cache: dict[tuple[str, ...], int] = {}
+        # a verdict on a space of vectors asks no label: passed straight through
+        if hasattr(backend, "may_label_zero"):
+            self.may_label_zero = backend.may_label_zero
 
     def label(self, values: Sequence[str]) -> int:
         self.queries += 1

@@ -15,8 +15,10 @@ distribution gives integer weights, so the local score is an integer pair
 (slice mass, mass that loses label 1); candidates of one size, which share
 the damping divisor, are ranked by cross-multiplying those pairs, and each
 feature gets one ``Fraction``. The scan of a size is a branch and bound:
-a candidate whose slice cannot beat the best pair asks no label, and the
-size ends once the best pair reaches the distribution's loss cap.
+a contingency set that a rule list rules out, or whose cap cannot beat
+the best pair, is passed over whole; a candidate whose slice cannot beat
+the best pair asks no label; and the size ends once the best pair
+reaches the distribution's loss cap.
 
 Distributions: uniform over the product space, fully factorized (product of
 per-feature marginals), empirical (frequencies of a sample), and any of
@@ -29,10 +31,10 @@ from __future__ import annotations
 from collections import Counter
 from decimal import Context
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from math import lcm, prod
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import constrain, search
 from .errors import InputError
@@ -214,6 +216,22 @@ class Distribution:
         self.schema.feature(index)
         return 1, 1
 
+    def contingency(
+        self, gamma: tuple[int, ...], values: Sequence[str], index: int
+    ) -> tuple[int, int, Callable | None]:
+        """What the scan of one contingency set needs, settled once for all
+        its candidates: ``values`` with the features ``gamma`` (``index``
+        not among them) changed, each resampled at ``index``.
+
+        Returns ``(lost, total, conditional)``. No slice of the set that
+        has mass puts a larger share of it off ``values[index]`` than
+        lost / total. ``conditional`` gives the candidates' slices as
+        :meth:`conditional` would, for this set and ``index`` only, or is
+        None where :meth:`conditional` itself serves."""
+        self.schema.feature(index)  # raises: index out of range
+        lost, total = self.loss_cap(index, values[index])
+        return lost, total, None
+
 
 class UniformDistribution(Distribution):
     def __init__(self, schema: FeatureSchema):
@@ -380,23 +398,61 @@ class ConditionedDistribution(Distribution):
         return self.base.support()
 
     def conditional(self, values: Sequence[str], index: int) -> dict[str, int]:
-        # the base's slice, with each value a denial forbids zeroed: only a
-        # denial whose literals on the other features hold can forbid one
-        weights = self.base.conditional(values, index)
-        live = [
-            [lit for lit in chi.literals if lit.feature == index]
+        return self._slices((), values, index, self.base.conditional)(values, index)
+
+    def contingency(
+        self, gamma: tuple[int, ...], values: Sequence[str], index: int
+    ) -> tuple[int, int, Callable | None]:
+        lost, total, base = self.base.contingency(gamma, values, index)
+        # Conditioning only zeroes slice values. Where no denial may match
+        # at the value values[index], that value keeps its weight, and
+        # zeroing others only lowers the share off it: the base's cap holds.
+        # A denial may match there only if its literals outside gamma hold.
+        if any(
+            all(lit.feature in gamma or lit.holds(values) for lit in chi.literals)
             for chi in self.denials
-            if all(lit.holds(values) for lit in chi.literals if lit.feature != index)
+        ):
+            lost, total = 1, 1
+        return lost, total, self._slices(gamma, values, index, base or self.base.conditional)
+
+    def _slices(
+        self, gamma: tuple[int, ...], values: Sequence[str], index: int, base: Callable
+    ) -> Callable:
+        """The slices ``base`` gives the candidates of ``values`` with the
+        features ``gamma`` changed, with each value of ``index`` a denial
+        forbids zeroed. Only a denial whose literals outside gamma and
+        ``index`` hold on ``values`` can forbid one; that is settled here
+        once, and each candidate tests only the literals on gamma."""
+        live = [
+            (
+                [lit for lit in chi.literals if lit.feature in gamma],
+                [lit for lit in chi.literals if lit.feature == index],
+            )
+            for chi in self.denials
+            if all(
+                lit.feature in gamma or lit.feature == index or lit.holds(values)
+                for lit in chi.literals
+            )
         ]
         if not live:
+            return base
+
+        def conditional(primed: Sequence[str], index: int) -> dict[str, int]:
+            weights = base(primed, index)
+            denying = [
+                own for moved, own in live if all(lit.holds(primed) for lit in moved)
+            ]
+            if not denying:
+                return weights
+            weights = dict(weights)  # the base may share its slice between calls
+            varied = list(primed)
+            for v in weights:
+                varied[index] = v
+                if any(all(lit.holds(varied) for lit in own) for own in denying):
+                    weights[v] = 0
             return weights
-        weights = dict(weights)  # the base may share its slice between calls
-        varied = list(values)
-        for v in weights:
-            varied[index] = v
-            if any(all(lit.holds(varied) for lit in own) for own in live):
-                weights[v] = 0
-        return weights
+
+        return conditional
 
 
 def _as_fraction(w: Fraction | str | float | int, context: str) -> Fraction:
@@ -562,9 +618,13 @@ def global_resp(
     the growth before any positive score marks the result truncated.
 
     The scan of a size is a branch and bound that asks fewer labels and
-    returns the same result: a candidate whose slice could not beat the best
-    pair even if all mass off the entity's own value lost label 1 is passed
-    over unasked, and the size ends once the best pair reaches
+    returns the same result. Each contingency set gets one verdict before
+    any of its candidates is built, and is passed over whole when
+    ``classifier.may_label_zero`` (an optional method) says no vector of its
+    space reads label 0, or when ``dist.contingency``'s cap on its slices
+    cannot beat the best pair. A candidate whose slice could not beat the
+    best pair even if all mass off the entity's own value lost label 1 is
+    passed over unasked, and the size ends once the best pair reaches
     ``dist.loss_cap``. Pairs rank by strict ``>``, so a candidate passed
     over could at most tie, and a tie keeps the earlier pair.
     """
@@ -575,32 +635,55 @@ def global_resp(
     values = entity.values
     alternatives = constrain.empty(schema).alternatives(values)
     alternatives[f_star] = ()  # keeps f_star out of every contingency set
+    movable = [i for i, alts in enumerate(alternatives) if alts]
     n_others = len(schema) - 1
     bound = n_others if max_gamma is None else min(max_gamma, n_others)
     own = values[f_star]
     cap_lost, cap_total = dist.loss_cap(f_star, own)
+    may_label_zero = None
+    if hasattr(classifier, "may_label_zero"):
+        may_label_zero = classifier.may_label_zero
+        # a set's space: f_star takes its whole domain, the set its alternatives
+        pools = [(v,) for v in values]
+        pools[f_star] = schema.feature(f_star).domain
+
+    def best_of(size):
+        """``(lost, total, (gamma, primed))`` of the best pair of one size,
+        or ``(0, 1, None)``. Every score of one size is lost / (total * (1 +
+        size)), so the pairs compare by cross-multiplication; the floor
+        (0, 1) admits only lost > 0."""
+        best_lost, best_total, best = 0, 1, None
+        for gamma in combinations(movable, size):
+            # no label-0 vector in the set's space: every candidate loses 0
+            if may_label_zero is not None:
+                space = list(pools)
+                for i in gamma:
+                    space[i] = alternatives[i]
+                if not may_label_zero(space):
+                    continue
+            set_lost, set_total, conditional = dist.contingency(gamma, values, f_star)
+            if set_lost * best_total <= best_lost * set_total:
+                continue
+            conditional = conditional or dist.conditional
+            for _, primed in search.set_candidates(alternatives, values, (gamma,)):
+                weights = conditional(primed, f_star)
+                total = sum(weights.values())
+                # a candidate that qualifies keeps label 1 at its own value,
+                # so lost <= total - weights[own]; a slice without mass stops
+                if (total - weights[own]) * best_total <= best_lost * total:
+                    continue
+                # the size-0 candidate is the entity, whose label 1 was just read
+                if gamma and classifier.label(primed) != 1:
+                    continue
+                total, lost = _local_core(classifier, primed, f_star, weights)
+                if lost * best_total > best_lost * total:
+                    best_lost, best_total, best = lost, total, (gamma, primed)
+                    if best_lost * cap_total >= cap_lost * best_total:
+                        return best_lost, best_total, best
+        return best_lost, best_total, best
 
     for size in range(0, bound + 1):
-        # every score of one size is lost / (total * (1 + size)), so the
-        # pairs compare by cross-multiplication; the floor (0, 1) admits
-        # only lost > 0
-        best_lost, best_total = 0, 1
-        best: tuple[tuple[int, ...], tuple[str, ...]] | None = None
-        for gamma, primed in search.level_candidates(alternatives, values, size):
-            weights = dist.conditional(primed, f_star)
-            total = sum(weights.values())
-            # a candidate that qualifies keeps label 1 at its own value, so
-            # lost <= total - weights[own]; a slice without mass stops here
-            if (total - weights[own]) * best_total <= best_lost * total:
-                continue
-            # the size-0 candidate is the entity, whose label 1 was just read
-            if gamma and classifier.label(primed) != 1:
-                continue
-            total, lost = _local_core(classifier, primed, f_star, weights)
-            if lost * best_total > best_lost * total:
-                best_lost, best_total, best = lost, total, (gamma, primed)
-                if best_lost * cap_total >= cap_lost * best_total:
-                    break
+        best_lost, best_total, best = best_of(size)
         if best is not None:
             gamma, primed = best
             return GlobalScore(

@@ -247,21 +247,6 @@ def require_label_one(schema: FeatureSchema, classifier, entity: Entity) -> None
         )
 
 
-def level_candidates(
-    alternatives: Sequence[Sequence[str]], values: tuple[str, ...], k: int
-) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
-    """(index set, candidate) pairs at Hamming distance ``k``, canonical order.
-
-    This is the one walk over the lattice of intervention sets: index sets
-    of size ``k`` lexicographically, then their value combinations in
-    domain order. ``alternatives[i]`` lists the values feature i may take
-    instead of ``values[i]``, in domain order; an empty list keeps feature
-    i out of every index set.
-    """
-    movable = [i for i, alts in enumerate(alternatives) if alts]
-    return set_candidates(alternatives, values, combinations(movable, k))
-
-
 def set_candidates(
     alternatives: Sequence[Sequence[str]],
     values: tuple[str, ...],
@@ -271,6 +256,11 @@ def set_candidates(
     """The (index set, candidate) pairs of each index set of ``sets`` in
     turn. Each candidate comes whole out of ``product`` over one pool per
     feature: alternatives inside the set, the value outside.
+    ``alternatives[i]`` lists the values feature i may take instead of
+    ``values[i]``, in domain order. Over ``combinations`` of the features
+    that have alternatives, this is the walk over the lattice of
+    intervention sets: index sets lexicographically, then their value
+    combinations in domain order.
 
     A set is looked at once, before any of its candidates is built: only
     where ``constraints.may_reject`` it are its candidates filtered through
@@ -313,7 +303,11 @@ class Walk:
     level once every feature that may change lies in a minimal set, which
     fixes each feature's reciprocal-size score; :data:`S_SET` goes on to
     find every s-minimal set. A pruned walk that ends early counts as
-    ``levels_explored`` the levels that asked.
+    ``levels_explored`` the levels that asked. One cut by
+    ``max_cardinality`` looks at the level past the bound, and is
+    exhausted when either stop holds there. Any walk whose bound is at
+    least the number of features that may change has asked every set,
+    and is exhausted.
 
     A classifier with an ``announce`` method is handed each chunk of
     candidates before their ``label`` calls, which then come one per
@@ -369,7 +363,9 @@ class Walk:
 
         announce = hasattr(classifier, "announce")
 
-        for k in range(1, bound + 1):
+        # a pruned walk looks at the level past its bound too: with no set
+        # left there, the bound cut off nothing
+        for k in range(1, bound + 2):
             sets: Iterator[tuple[int, ...]] = combinations(movable, k)
             if prune:
                 # the masks a set of this level may contain are all below it
@@ -386,6 +382,8 @@ class Walk:
                     self.stats, self.exhausted = SearchStats(calls, k - 1), True
                     return
                 sets = chain((first,), sets)
+            if k > bound:
+                break
             granted = set_candidates(alternatives, values, sets, cs)
             while True:
                 # the chunk is cut to the calls the budget has left; with none
@@ -419,7 +417,9 @@ class Walk:
                 self.stats, self.exhausted = SearchStats(calls, k), True
                 return
 
-        self.stats, self.exhausted = SearchStats(calls, bound), bound == n
+        # every set of the features that may change was asked; a pruned walk
+        # that gets here found an undominated set past its bound
+        self.stats, self.exhausted = SearchStats(calls, bound), bound >= len(movable)
 
 
 def enumerate_counterfactuals(

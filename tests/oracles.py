@@ -90,7 +90,10 @@ def walk(alternatives, values, label, admissible=None, max_card=None, budget=Non
     minimal set of a lower level. It ends the walk, exhausted, before a
     level where every set of changeable features is skipped, or, with
     "witnesses", before a level once the minimal sets cover every
-    changeable feature; the levels explored are then those below it.
+    changeable feature; the levels explored are then those below it. A
+    pruned walk cut by ``max_card`` is exhausted when it would end so
+    before the level past the bound, and any walk is exhausted once its
+    bound is at least the number of changeable features.
 
     Returns (rows, asked, levels explored, exhausted): rows are (index set,
     candidate, s-minimal) per label-0 candidate, asked is every labelled
@@ -103,13 +106,17 @@ def walk(alternatives, values, label, admissible=None, max_card=None, budget=Non
     bound = n if max_card is None else min(max_card, n)
     movable = [i for i in range(n) if alternatives[i]]
     minimal, rows = [], []
+
+    def settled(k):
+        """Does a pruned walk end, exhausted, before level k?"""
+        if prune == "witnesses" and set(movable) <= set().union(*minimal):
+            return True
+        return all(any(m <= set(s) for m in minimal) for s in combinations(movable, k))
+
     for k in range(1, bound + 1):
         below = list(minimal)
-        if prune:
-            if prune == "witnesses" and set(movable) <= set().union(*minimal):
-                return rows, asked, k - 1, True
-            if all(any(m <= set(s) for m in below) for s in combinations(movable, k)):
-                return rows, asked, k - 1, True
+        if prune and settled(k):
+            return rows, asked, k - 1, True
         for idxs, cand in level_candidates(alternatives, values, k):
             if prune and any(m <= set(idxs) for m in below):
                 continue
@@ -126,7 +133,7 @@ def walk(alternatives, values, label, admissible=None, max_card=None, budget=Non
                 rows.append((idxs, cand, smin))
         if stop_at_first_hit and minimal:
             return rows, asked, k, True
-    return rows, asked, bound, bound == n
+    return rows, asked, bound, bound >= len(movable) or bool(prune and settled(bound + 1))
 
 
 def canonical_order(domains, values, cands):

@@ -56,10 +56,40 @@ class TestSummary:
         rows = rows_by_metric(ab.summarize(pairs(base, change), BETTER))
         assert (rows["wall_s"]["wins"], rows["wall_s"]["claim"]) == (8, False)
 
+    def test_nine_losses_and_a_gap_past_the_change_spread_are_worse(self):
+        # the claim's rule with the sides swapped, in both directions
+        base = [(0.110 + 0.001 * i, 120.0 + i) for i in range(9)] + [(0.150, 90.0)]
+        change = [(0.140 + 0.001 * i, 100.0 + i) for i in range(10)]
+        rows = rows_by_metric(ab.summarize(pairs(base, change), BETTER))
+        for row in rows.values():
+            assert (row["losses"], row["wins"], row["worse"], row["claim"]) == (
+                9, 1, True, False
+            )
+
+    def test_eight_losses_are_not_worse(self):
+        base = [(0.100, 100.0)] * 8 + [(0.150, 100.0)] * 2
+        change = [(0.140, 100.0)] * 10
+        rows = rows_by_metric(ab.summarize(pairs(base, change), BETTER))
+        assert (rows["wall_s"]["losses"], rows["wall_s"]["worse"]) == (8, False)
+
+    def test_a_loss_inside_the_change_spread_is_not_worse(self):
+        # the base wins every pair, but by less than the change's own
+        # quartile distance
+        change = [(0.100 + 0.010 * (i % 2), 100.0) for i in range(10)]
+        base = [(c - 0.001, 100.0) for c, _ in change]
+        rows = rows_by_metric(ab.summarize(pairs(base, change), BETTER))
+        assert (rows["wall_s"]["losses"], rows["wall_s"]["worse"]) == (10, False)
+        # the same gap past a tight spread is worse
+        change = [(0.110, 100.0)] * 10
+        base = [(0.100, 100.0)] * 10
+        rows = rows_by_metric(ab.summarize(pairs(base, change), BETTER))
+        assert (rows["wall_s"]["losses"], rows["wall_s"]["worse"]) == (10, True)
+
     def test_ties_count_for_neither_side(self):
         base = [(0.140, 100.0)] * 10
         rows = rows_by_metric(ab.summarize(pairs(base, base), BETTER))
         assert [(r["wins"], r["claim"]) for r in rows.values()] == [(0, False)] * 2
+        assert [(r["losses"], r["worse"]) for r in rows.values()] == [(0, False)] * 2
 
     def test_a_gap_inside_the_base_spread_does_not_claim(self):
         # the change wins every pair, but by less than the base's own
@@ -87,6 +117,8 @@ class TestSummary:
         text = ab.render(rows)
         assert [ln.split()[0] for ln in text.splitlines()[1:]] == list(BETTER)
         assert text.splitlines()[1].endswith(" 1/1  yes")
+        assert text.splitlines()[0].endswith("losses  worse  wins  claim")
+        assert text.splitlines()[1].split()[-4:] == ["0/1", "no", "1/1", "yes"]
 
 
 def git(repo, *args):

@@ -307,6 +307,44 @@ class TestRuleClassifier:
             with pytest.raises(InputError, match="expected 3 values"):
                 tennis_clf.label(values)
 
+    @pytest.mark.parametrize("pools, may", [
+        # Wind free on sunny/normal: the first rule fires on both vectors
+        ((("sunny",), ("normal",), ("strong", "weak")), False),
+        # Humidity free: sunny/high falls through to the default 0
+        ((("sunny",), ("high", "normal"), ("weak",)), True),
+        # overcast is certain to fire rule 2, and rule 1 never fires on it
+        ((("overcast",), ("high", "normal"), ("strong", "weak")), False),
+        # rain/strong fires no rule
+        ((("rain",), ("normal",), ("strong",)), True),
+        # rain with Wind free: weak fires rule 3, strong nothing
+        ((("rain",), ("normal",), ("strong", "weak")), True),
+    ])
+    def test_may_label_zero(self, tennis_clf, pools, may):
+        assert tennis_clf.may_label_zero(pools) is may
+
+    def test_may_label_zero_reads_labels_past_the_first_certain_rule_only(
+        self, tennis_schema
+    ):
+        text = (
+            "if Outlook=sunny then 0\n"
+            "if Humidity=normal then 1\n"
+            "if Wind=weak then 0\n"
+            "default 0\n"
+        )
+        clf = parse_rules(text, tennis_schema)
+        # Humidity=normal hides the later label-0 rule and the default
+        assert not clf.may_label_zero((("rain",), ("normal",), ("strong", "weak")))
+        # with sunny in the pool, the first rule may fire before it
+        assert clf.may_label_zero((("sunny", "rain"), ("normal",), ("weak",)))
+
+    def test_memo_passes_the_verdict_through(self, tennis_clf, t1_table):
+        memo = MemoClassifier(tennis_clf)
+        pools = (("sunny",), ("normal",), ("strong", "weak"))
+        assert memo.may_label_zero(pools) is False
+        assert (memo.queries, memo.backend_calls) == (0, 0)
+        # a table offers no verdict, so neither does its memo
+        assert not hasattr(MemoClassifier(t1_table), "may_label_zero")
+
     def test_rule_value_outside_domain_rejected(self, tennis_schema):
         with pytest.raises(InputError, match="not in its domain"):
             RuleClassifier(tennis_schema, [Rule(((0, "hail"),), 1)], 0)

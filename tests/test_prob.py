@@ -85,6 +85,8 @@ class TestUniform:
                     lambda: Distribution.conditional(dist, values, index),
                     lambda: dist.loss_cap(index, "weak"),
                     lambda: Distribution.loss_cap(dist, index, "weak"),
+                    lambda: dist.contingency((), values, index),
+                    lambda: Distribution.contingency(dist, (), values, index),
                 ):
                     with pytest.raises(InputError) as info:
                         call()

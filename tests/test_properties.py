@@ -12,7 +12,7 @@ import re
 import tempfile
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -59,8 +59,8 @@ from cfx.search import (
     SearchConfig,
     SearchStats,
     enumerate_counterfactuals,
-    level_candidates,
     s_explanations,
+    set_candidates,
 )
 from cfx import aspgen
 
@@ -414,7 +414,7 @@ class TestSearchInvariants:
         levels = [
             k
             for k in range(1, (max_card or n) + 1)
-            for _, cand in level_candidates(cs.alternatives(values), values, k)
+            for _, cand in oracles.level_candidates(cs.alternatives(values), values, k)
             if cs.admissible(cand)
         ]
         for b in range(1, calls + 2):
@@ -433,8 +433,10 @@ class TestSearchInvariants:
     @settings(max_examples=200, deadline=None)
     @given(schemas(), st.data())
     def test_level_candidates_match_splice_reference(self, schema, data):
-        # empty alternatives included: global_resp empties the scrutinized
-        # feature's, an actionability rule may empty any
+        # a level's candidates are set_candidates over the combinations of
+        # the features with alternatives; empty alternatives included:
+        # global_resp empties the scrutinized feature's, an actionability
+        # rule may empty any
         domains = [f.domain for f in schema.features]
         values = data.draw(st.tuples(*map(st.sampled_from, domains)))
         alternatives = [
@@ -443,10 +445,11 @@ class TestSearchInvariants:
             ))
             for d, v in zip(domains, values)
         ]
+        movable = [i for i, alts in enumerate(alternatives) if alts]
         for k in range(len(values) + 1):
-            assert list(level_candidates(alternatives, values, k)) == list(
-                oracles.level_candidates(alternatives, values, k)
-            )
+            assert list(set_candidates(
+                alternatives, values, combinations(movable, k)
+            )) == list(oracles.level_candidates(alternatives, values, k))
 
     @settings(max_examples=150, deadline=None)
     @given(classified_spaces(), st.data())
@@ -586,6 +589,40 @@ class TestWalkSettlesEachIndexSetOnce:
                 table.__getitem__, admissible,
             )
 
+    @settings(max_examples=300, deadline=None)
+    @given(classified_spaces(ordered=True, max_features=4), st.data())
+    def test_a_bounded_pruned_walk_is_exhausted_iff_nothing_lies_past_it(
+        self, case, data
+    ):
+        # a pruned walk cut by max_cardinality looks at the level past its
+        # bound: exhausted exactly when the unbounded walk ends within the
+        # bound, and then it answers as that walk and as brute force does
+        schema, table, entity = case
+        clf = TableClassifier(schema, table)
+        cs, _, admissible = draw_constraints(data, schema, entity.values)
+        prune = data.draw(st.sampled_from((search.S_SET, search.WITNESSES)))
+        max_card = data.draw(st.integers(1, len(schema)))
+        walk = search.Walk(schema, clf, entity, cs, SearchConfig(max_card), prune=prune)
+        rows = list(walk)
+        free = search.Walk(schema, clf, entity, cs, prune=prune)
+        free_rows = list(free)
+        assert rows == [row for row in free_rows if len(row[0]) <= max_card]
+        assert walk.exhausted == (free.stats.levels_explored <= max_card)
+        if not walk.exhausted:
+            return
+        assert (rows, walk.stats) == (free_rows, free.stats)
+        domains = [f.domain for f in schema.features]
+        cfs = oracles.counterfactuals(domains, entity.values, table.__getitem__, admissible)
+        if prune == search.S_SET:
+            assert [cand for _, cand, _ in rows] == oracles.canonical_order(
+                domains, entity.values, [cand for cand, _ in oracles.s_minimal(cfs)]
+            )
+        report = x_resp(schema, clf, entity, cs, SearchConfig(max_card))
+        assert report.authoritative
+        assert [fs.score for fs in report.scores] == oracles.x_resp(
+            domains, entity.values, table.__getitem__, admissible
+        )
+
 
 class AnnouncingTable:
     """A truth table taking announcements; each ``label`` call checks that
@@ -718,6 +755,53 @@ class TestScoreInvariants:
             rest = iter(reference)
             assert all(vec in rest for vec in asked)  # in-order subsequence
 
+    @settings(max_examples=150, deadline=None)
+    @given(rule_lists(), st.sampled_from([None, 0, 1]), st.data())
+    def test_global_resp_over_rule_lists_matches_brute_force(self, case, max_gamma, data):
+        # a rule list rules out whole contingency sets: the same scores as
+        # brute force and as the plain walk, whose labels it asks a subset
+        # of, in order
+        schema, rules, default, _ = case
+        clf = RuleClassifier(schema, rules, default)
+        plain = [(r.conditions, r.label) for r in rules]
+
+        def label(values):
+            return oracles.first_match(plain, default, values)
+
+        ones = [vec for vec in schema.iter_space() if label(vec) == 1]
+        if not ones:
+            return
+        entity = Entity("e", data.draw(st.sampled_from(ones)))
+        domains = [f.domain for f in schema.features]
+        dist, table = draw_distribution(data, schema)
+        if dist is None:
+            return
+
+        def recorded(log):
+            def ask(values):
+                log.append(tuple(values))
+                return label(values)
+            return ask
+
+        for f_star in range(len(schema)):
+            asked, reference = [], []
+            rule_list = SimpleNamespace(
+                label=recorded(asked), may_label_zero=clf.may_label_zero
+            )
+            got = global_resp(schema, rule_list, entity, f_star, dist, max_gamma)
+            assert (got.score, got.gamma, got.gamma_values) == oracles.global_resp(
+                domains, entity.values, label, f_star, table, max_gamma
+            )
+            want = oracles.unpruned_global_resp(
+                domains, entity.values, recorded(reference), f_star,
+                dist.conditional, max_gamma,
+            )
+            assert got == GlobalScore(f_star, *want)
+            rest = iter(reference)
+            assert all(vec in rest for vec in asked)  # in-order subsequence
+            memo = MemoClassifier(clf)
+            assert global_resp(schema, memo, entity, f_star, dist, max_gamma) == got
+
     @settings(max_examples=200, deadline=None)
     @given(classified_spaces(), st.data())
     def test_conditioning_verdict_matches_a_full_sweep(self, case, data):
@@ -773,6 +857,41 @@ class TestScoreInvariants:
                         continue
                     share = Fraction(total - weights[own], total)
                     assert share == cap if exact else share <= cap
+
+    @settings(max_examples=200, deadline=None)
+    @given(schemas(max_features=3), st.data())
+    def test_set_cap_bounds_every_slice_of_its_set(self, schema, data):
+        # conditioned on eq and ne denials, once or twice: each contingency
+        # set's slices are the distribution's own, and no slice with mass
+        # loses a larger share off the entity's value than the set's cap
+        domains = [f.domain for f in schema.features]
+        dist, _ = draw_base(data, schema)
+        for _ in range(data.draw(st.integers(1, 2), label="conditionings")):
+            chis, _ = draw_denials(data, domains, most=3)
+            try:
+                dist = ConditionedDistribution(dist, chis)
+            except ZeroMassError:
+                return
+        values = data.draw(st.tuples(*map(st.sampled_from, domains)))
+        n = len(domains)
+        for index in range(n):
+            own = values[index]
+            others = [i for i in range(n) if i != index]
+            for size in range(n):
+                for gamma in combinations(others, size):
+                    lost, total, conditional = dist.contingency(gamma, values, index)
+                    cap = Fraction(lost, total)
+                    alternatives = [
+                        tuple(v for v in d if v != values[i]) if i in gamma else ()
+                        for i, d in enumerate(domains)
+                    ]
+                    for _, primed in oracles.level_candidates(alternatives, values, size):
+                        weights = (conditional or dist.conditional)(primed, index)
+                        want = Distribution.conditional(dist, primed, index)
+                        assert list(weights.items()) == list(want.items())
+                        mass = sum(weights.values())
+                        if mass:
+                            assert Fraction(mass - weights[own], mass) <= cap
 
     @settings(max_examples=200, deadline=None)
     @given(schemas(), st.data())
@@ -859,6 +978,25 @@ class TestScoreInvariants:
 
 
 class TestRuleListInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(rule_lists(), st.data())
+    def test_may_label_zero_never_rules_out_a_label_zero(self, case, data):
+        # dead rules, rules testing nothing and both defaults; pools of one
+        # value up to the whole domain, in any order, perhaps with a value
+        # outside it
+        schema, rules, default, _ = case
+        clf = RuleClassifier(schema, rules, default)
+        plain = [(r.conditions, r.label) for r in rules]
+        pools = [
+            data.draw(st.lists(
+                st.sampled_from(f.domain + ("?",)), min_size=1,
+                max_size=len(f.domain) + 1, unique=True,
+            ))
+            for f in schema.features
+        ]
+        if any(oracles.first_match(plain, default, vec) == 0 for vec in product(*pools)):
+            assert clf.may_label_zero(pools)
+
     @settings(max_examples=300, deadline=None)
     @given(rule_lists())
     @example((

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from cfx import search
 from cfx.classify import MemoClassifier
-from cfx.constrain import ConstraintSet, DenialConstraint, DenialLiteral
+from cfx.constrain import ActionabilityRule, ConstraintSet, DenialConstraint, DenialLiteral
 from cfx.errors import InputError, NothingToExplainError
 from cfx.schema import Feature, FeatureSchema
 from cfx.search import (
@@ -18,6 +18,7 @@ from cfx.search import (
     enumerate_counterfactuals,
     s_explanations,
 )
+from cfx.score import x_resp
 from conftest import s_values, table_from_function
 
 
@@ -195,6 +196,21 @@ class TestModesAndConfig:
             bits_schema, t1_table, e1, config=SearchConfig(max_cardinality=3)
         )
         assert result.exhausted
+
+    def test_a_bound_covering_every_movable_feature_is_exhaustive(self, bits_schema, e1):
+        # only F3 decides the label, and F3 is fixed: no set holds more
+        # than F1 and F2, so a bound of 2 asks every set there is
+        table = table_from_function(bits_schema, lambda v: int(v[2] == "1"))
+        cs = ConstraintSet(bits_schema, actionability=(ActionabilityRule(2, "fixed"),))
+        config = SearchConfig(max_cardinality=2)
+        result = enumerate_counterfactuals(bits_schema, table, e1, cs, config)
+        assert (result.exhausted, result.no_counterfactual) == (True, True)
+        assert result.stats == SearchStats(4, 2)
+        assert c_explanations(bits_schema, table, e1, cs, config) == []
+        cut = enumerate_counterfactuals(
+            bits_schema, table, e1, cs, SearchConfig(max_cardinality=1)
+        )
+        assert not cut.exhausted
 
     def test_budget_truncates(self, bits_schema, t1_table, e1):
         result = enumerate_counterfactuals(
@@ -418,6 +434,36 @@ class TestPrunedWalk:
         assert rows == [(0, 3), (1, 3), (2, 3)]
         assert (walk.stats, walk.exhausted) == (SearchStats(11, 2), True)
         assert memo.queries == 11
+
+    @pytest.mark.parametrize("prune, bound, exhausted", [
+        # level 3 still holds {F1, F2, F3}, which no minimal pair is inside
+        (search.S_SET, 2, False),
+        # the pairs cover every feature after level 2
+        (search.WITNESSES, 2, True),
+        # level 4's only set holds {F1, F4}
+        (search.S_SET, 3, True),
+    ])
+    def test_a_bound_is_checked_against_the_level_past_it(
+        self, case, prune, bound, exhausted
+    ):
+        schema, table, entity = case
+        walk = Walk(schema, table, entity, config=SearchConfig(bound), prune=prune)
+        free = Walk(schema, table, entity, prune=prune)
+        rows, free_rows = list(walk), list(free)
+        assert walk.exhausted is exhausted
+        assert (rows == free_rows) is exhausted
+        assert walk.stats.levels_explored == bound
+
+    def test_table1_bound_past_the_last_minimal_set(self, bits_schema, t1_table, e1):
+        # from 011 the minimal {F2} lies inside level 3's only set, so a
+        # walk cut at 2 missed nothing
+        config = SearchConfig(max_cardinality=2)
+        assert s_explanations(bits_schema, t1_table, e1, config=config) == (
+            s_explanations(bits_schema, t1_table, e1)
+        )
+        report = x_resp(bits_schema, t1_table, e1, config=config)
+        assert report.authoritative
+        assert report == x_resp(bits_schema, t1_table, e1)
 
     def test_unknown_prune_refused(self, case):
         schema, table, entity = case
