@@ -2,6 +2,7 @@
 
 Usage:
     python3 bench/ab.py --workload NAME --seed N [--pairs 10] [--trace 0|1]
+                        [--control]
 
 Exports ``HEAD`` (``git archive``) and the working tree (tracked and
 untracked files that git does not ignore) to two temporary copies, runs
@@ -20,6 +21,10 @@ the base's quartiles, and no larger share of its operations failed. The
 same rule with the sides swapped marks a metric worse: the base wins at
 least nine tenths of the pairs, and its median beats the change's by more
 than the distance between the change's quartiles.
+
+``--control`` exports ``HEAD`` to both copies: an A/A run of the same
+pairs, whose wins, losses and verdicts show what drift alone reads on the
+workload. A verdict near the line is reported next to its control.
 """
 
 from __future__ import annotations
@@ -113,6 +118,16 @@ def export_worktree(dest: Path) -> None:
             shutil.copy2(src, dest / rel)
 
 
+def export_sides(base: Path, change: Path, control: bool) -> None:
+    """Export ``HEAD`` to ``base``, and the working tree to ``change``, or
+    ``HEAD`` again with ``control``."""
+    export_revision("HEAD", base)
+    if control:
+        export_revision("HEAD", change)
+    else:
+        export_worktree(change)
+
+
 def run_once(copy: Path, args: argparse.Namespace, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
@@ -129,6 +144,8 @@ def main() -> int:
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--control", action="store_true",
+                    help="A/A: export HEAD to both sides")
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     key = "per_layer" if args.trace else "end_to_end"
@@ -139,8 +156,7 @@ def main() -> int:
         base, change = Path(tmp, "base"), Path(tmp, "change")
         base.mkdir()
         change.mkdir()
-        export_revision("HEAD", base)
-        export_worktree(change)
+        export_sides(base, change, args.control)
         for copy in (base, change):
             subprocess.run(
                 [sys.executable, "-m", "compileall", "-q", "src/cfx"],
@@ -157,7 +173,8 @@ def main() -> int:
             pairs.append((b, c))
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
     print(f"workload {args.workload}, seed {args.seed}, trace {args.trace}, "
-          f"{args.pairs} pairs of {seconds:g}-s runs, base HEAD")
+          f"{args.pairs} pairs of {seconds:g}-s runs, base HEAD, change "
+          f"{'HEAD (A/A control)' if args.control else 'the working tree'}")
     print(render(summarize(pairs, better)))
     for side, k in (("base", 0), ("change", 1)):
         print(f"{side}: {sum(p[k]['correct'] for p in pairs)} of {args.pairs} runs correct")

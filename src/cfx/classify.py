@@ -5,8 +5,8 @@ to its schema. Labels are a function of feature values only; entity ids
 never influence them. ``MemoClassifier`` fronts any backend with a
 value-keyed cache so repeated queries cost one backend call. Two methods
 are optional: the external backend takes ``announce``d queries ahead, and
-the rule list tells with ``may_label_zero`` whether a whole space of
-vectors may hold a label 0.
+the rule list tells with ``space_label`` the label that every vector of a
+whole space reads, when its masks settle it.
 
 The external backend speaks a line protocol over stdin/stdout:
 
@@ -283,16 +283,17 @@ class RuleClassifier:
             mask &= passing.get(v, untested)
         return self._labels[(mask & -mask).bit_length() - 1] if mask else self.default
 
-    def may_label_zero(self, pools: Sequence[Sequence[str]]) -> bool:
-        """Might a vector that takes each feature i's value from ``pools[i]``
-        read label 0? Told from the masks alone, with no label asked; False
-        is exact: every vector of that space reads 1.
+    def space_label(self, pools: Sequence[Sequence[str]]) -> int | None:
+        """The label that every vector taking each feature i's value from
+        ``pools[i]`` reads, or None when the masks cannot tell. Told from
+        the masks alone, with no label asked, and exact when not None.
 
         A rule may fire somewhere in the space if it passes some value of
         every pool, and fires on every vector if it passes all of them; the
-        first rule certain to fire hides every later one. Label 0 is then
-        reachable iff a rule left may fire with label 0, or no rule is
-        certain and the default is 0."""
+        first rule certain to fire hides every later one. Each vector then
+        reads the label of a rule left that may fire, or, when no rule is
+        certain, perhaps the default: the space reads b when every rule
+        left has label b and either a rule is certain or the default is b."""
         may = certain = self._live
         for (passing, untested), pool in zip(self._masks, pools):
             some, every = 0, -1
@@ -305,7 +306,12 @@ class RuleClassifier:
         first = certain & -certain
         if first:
             may &= (first << 1) - 1
-        return bool(may & self._zeros) or (not first and self.default == 0)
+        zeros = may & self._zeros
+        if not zeros and (first or self.default == 1):
+            return 1
+        if zeros == may and (first or self.default == 0):
+            return 0
+        return None
 
 
 # --- rule DSL ---------------------------------------------------------------
@@ -645,8 +651,9 @@ class MemoClassifier:
 
     Caching is semantically invisible for deterministic backends; ``queries``
     counts every lookup, ``backend_calls`` only the cache misses, a miss
-    whose backend call raises included. Not thread-safe: use one per
-    thread.
+    whose backend call raises included. A backend's ``space_label`` is
+    passed straight through and counts nothing. Not thread-safe: use one
+    per thread.
     """
 
     def __init__(self, backend):
@@ -655,8 +662,8 @@ class MemoClassifier:
         self.backend_calls = 0
         self._cache: dict[tuple[str, ...], int] = {}
         # a verdict on a space of vectors asks no label: passed straight through
-        if hasattr(backend, "may_label_zero"):
-            self.may_label_zero = backend.may_label_zero
+        if hasattr(backend, "space_label"):
+            self.space_label = backend.space_label
 
     def label(self, values: Sequence[str]) -> int:
         self.queries += 1

@@ -225,13 +225,15 @@ def _dispatch(args, manifest: dict) -> int:
 
 class _Counted:
     """``backend`` behind a count of its ``label`` calls, a call that raises
-    included. Its ``announce``, if it has one, is passed straight through."""
+    included. Its ``announce`` and ``space_label``, where it has them, are
+    passed straight through and count nothing."""
 
     def __init__(self, backend):
         self.queries = 0
         self._label = backend.label
-        if hasattr(backend, "announce"):
-            self.announce = backend.announce
+        for name in ("announce", "space_label"):
+            if hasattr(backend, name):
+                setattr(self, name, getattr(backend, name))
 
     @property
     def backend_calls(self) -> int:

@@ -15,10 +15,10 @@ distribution gives integer weights, so the local score is an integer pair
 (slice mass, mass that loses label 1); candidates of one size, which share
 the damping divisor, are ranked by cross-multiplying those pairs, and each
 feature gets one ``Fraction``. The scan of a size is a branch and bound:
-a contingency set that a rule list rules out, or whose cap cannot beat
-the best pair, is passed over whole; a candidate whose slice cannot beat
-the best pair asks no label; and the size ends once the best pair
-reaches the distribution's loss cap.
+a contingency set whose space a rule list reads as one label, or whose cap
+cannot beat the best pair, is passed over whole; a candidate whose slice
+cannot beat the best pair asks no label; and the size ends once the best
+pair reaches the distribution's loss cap.
 
 Distributions: uniform over the product space, fully factorized (product of
 per-feature marginals), empirical (frequencies of a sample), and any of
@@ -620,8 +620,9 @@ def global_resp(
     The scan of a size is a branch and bound that asks fewer labels and
     returns the same result. Each contingency set gets one verdict before
     any of its candidates is built, and is passed over whole when
-    ``classifier.may_label_zero`` (an optional method) says no vector of its
-    space reads label 0, or when ``dist.contingency``'s cap on its slices
+    ``classifier.space_label`` (an optional method) gives the label every
+    vector of its space reads (1: no candidate loses any mass; 0: no primed
+    vector keeps label 1), or when ``dist.contingency``'s cap on its slices
     cannot beat the best pair. A candidate whose slice could not beat the
     best pair even if all mass off the entity's own value lost label 1 is
     passed over unasked, and the size ends once the best pair reaches
@@ -640,9 +641,9 @@ def global_resp(
     bound = n_others if max_gamma is None else min(max_gamma, n_others)
     own = values[f_star]
     cap_lost, cap_total = dist.loss_cap(f_star, own)
-    may_label_zero = None
-    if hasattr(classifier, "may_label_zero"):
-        may_label_zero = classifier.may_label_zero
+    space_label = None
+    if hasattr(classifier, "space_label"):
+        space_label = classifier.space_label
         # a set's space: f_star takes its whole domain, the set its alternatives
         pools = [(v,) for v in values]
         pools[f_star] = schema.feature(f_star).domain
@@ -654,12 +655,13 @@ def global_resp(
         (0, 1) admits only lost > 0."""
         best_lost, best_total, best = 0, 1, None
         for gamma in combinations(movable, size):
-            # no label-0 vector in the set's space: every candidate loses 0
-            if may_label_zero is not None:
+            # a space that reads 1 loses no mass anywhere; one that reads 0
+            # holds each primed vector, which then reads 0 and qualifies not
+            if space_label is not None:
                 space = list(pools)
                 for i in gamma:
                     space[i] = alternatives[i]
-                if not may_label_zero(space):
+                if space_label(space) is not None:
                     continue
             set_lost, set_total, conditional = dist.contingency(gamma, values, f_star)
             if set_lost * best_total <= best_lost * set_total:

@@ -18,12 +18,17 @@ them, and :func:`write_json` renders them as they come.
 
 Each index set is settled once, before any of its candidates is built: its
 candidates are checked for admissibility only when a constraint could refuse
-one of them, and a pruned walk, which wants only the s-minimal rows, asks
-nothing of a set that contains a minimal set of a lower level.
+one of them; a pruned walk, which wants only the s-minimal rows, asks
+nothing of a set that contains a minimal set of a lower level; and a
+classifier that tells the label of a whole space of vectors (a rule list's
+``space_label``) is asked nothing about a set whose space reads one label:
+a set that reads 1 holds no hit, and each admissible candidate of a set
+that reads 0 is one.
 
 A search may be truncated by ``max_cardinality`` or ``budget``; the result
 then carries ``exhausted=False`` and its minimality flags describe only the
-explored region. Results of an early-stopped minimum-distance walk are
+explored region. A candidate whose label is known asks nothing and uses no
+budget. Results of an early-stopped minimum-distance walk are
 authoritative despite the stop: every level below the hit level was explored
 empty, so nothing smaller can exist.
 """
@@ -31,7 +36,7 @@ empty, so nothing smaller can exist.
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations, islice, product, repeat
+from itertools import chain, combinations, groupby, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Sequence
 
@@ -312,6 +317,14 @@ class Walk:
     A classifier with an ``announce`` method is handed each chunk of
     candidates before their ``label`` calls, which then come one per
     candidate in the same order.
+
+    A classifier with a ``space_label`` method gets one call per index set,
+    with one pool per feature: the set's alternatives inside it, the
+    entity's value outside. A set that reads 1 is passed over; each
+    admissible candidate of a set that reads 0 is a hit row, yielded
+    without a ``label`` call; the candidates of a set that reads None are
+    asked. Only asked candidates are counted as calls and use budget, so a
+    budget cuts the walk where the next label would have to be asked.
     """
 
     __slots__ = ("entity", "stats", "exhausted", "_rows")
@@ -361,7 +374,28 @@ class Walk:
         last: tuple[int, ...] = ()
         minimal = False
 
+        def settle(idxs):
+            """Is ``idxs``, the index set of a first hit, minimal? A minimal
+            set joins the masks."""
+            nonlocal covered
+            mask = sum(1 << i for i in idxs)
+            if any(m & mask == m for m in minimal_masks):
+                return False
+            minimal_masks.append(mask)
+            covered |= mask
+            return True
+
         announce = hasattr(classifier, "announce")
+        verdict = None
+        if hasattr(classifier, "space_label"):
+            space_label, entity_pools = classifier.space_label, [(v,) for v in values]
+
+            def verdict(idxs):
+                """The label every vector of the set's space reads, or None."""
+                pools = entity_pools.copy()
+                for i in idxs:
+                    pools[i] = alternatives[i]
+                return space_label(pools)
 
         # a pruned walk looks at the level past its bound too: with no set
         # left there, the bound cut off nothing
@@ -384,33 +418,42 @@ class Walk:
                 sets = chain((first,), sets)
             if k > bound:
                 break
-            granted = set_candidates(alternatives, values, sets, cs)
-            while True:
-                # the chunk is cut to the calls the budget has left; with none
-                # left, one more admissible candidate means the walk was cut short
-                room = ASK_AHEAD if budget is None else min(ASK_AHEAD, budget - calls)
-                if not room:
-                    if next(granted, None) is not None:
-                        self.stats, self.exhausted = SearchStats(calls, k), False
-                        return
-                    break
-                chunk = list(islice(granted, room))
-                calls += len(chunk)
-                if announce:
-                    classifier.announce([cand for _, cand in chunk])
-                for idxs, cand in chunk:
-                    if classifier.label(cand) != 0:
-                        continue
-                    if idxs != last:
-                        last = idxs
-                        mask = sum(1 << i for i in idxs)
-                        minimal = not any(m & mask == m for m in minimal_masks)
-                        if minimal:
-                            minimal_masks.append(mask)
-                            covered |= mask
-                    yield idxs, cand, minimal
-                if len(chunk) < room:
-                    break
+            # runs of adjacent sets with one verdict: a set that reads 1
+            # holds no hit, one that reads 0 makes each admissible candidate
+            # a hit, and the candidates of the others are asked
+            runs = [(None, sets)] if verdict is None else groupby(sets, verdict)
+            for known, run in runs:
+                if known == 1:
+                    continue
+                granted = set_candidates(alternatives, values, run, cs)
+                if known == 0:
+                    for idxs, cand in granted:
+                        if idxs != last:
+                            last, minimal = idxs, settle(idxs)
+                        yield idxs, cand, minimal
+                    continue
+                while True:
+                    # the chunk is cut to the calls the budget has left; with
+                    # none left, one more admissible candidate to ask means
+                    # the walk was cut short
+                    room = ASK_AHEAD if budget is None else min(ASK_AHEAD, budget - calls)
+                    if not room:
+                        if next(granted, None) is not None:
+                            self.stats, self.exhausted = SearchStats(calls, k), False
+                            return
+                        break
+                    chunk = list(islice(granted, room))
+                    calls += len(chunk)
+                    if announce:
+                        classifier.announce([cand for _, cand in chunk])
+                    for idxs, cand in chunk:
+                        if classifier.label(cand) != 0:
+                            continue
+                        if idxs != last:
+                            last, minimal = idxs, settle(idxs)
+                        yield idxs, cand, minimal
+                    if len(chunk) < room:
+                        break
             if stop_at_first_hit and minimal_masks:
                 # Levels below the hit level were explored empty, so both
                 # minimality notions are settled by what was found.

@@ -80,11 +80,13 @@ def alternatives(domains, values, modes):
 
 
 def walk(alternatives, values, label, admissible=None, max_card=None, budget=None,
-         stop_at_first_hit=False, prune=None):
+         stop_at_first_hit=False, prune=None, known=None):
     """The levelwise search, one candidate at a time: every candidate of
     ``level_candidates`` is checked with ``admissible`` and, if it passes,
     asked, unless ``budget`` labels have been asked already, which cuts the
-    walk short on that level.
+    walk short on that level. ``known(idxs)``, if given, is the label every
+    candidate of the index set reads, or None: a candidate whose label is
+    known is taken as read without asking, and uses no budget.
 
     ``prune`` ("s-set" or "witnesses") skips every index set holding a
     minimal set of a lower level. It ends the walk, exhausted, before a
@@ -122,10 +124,13 @@ def walk(alternatives, values, label, admissible=None, max_card=None, budget=Non
                 continue
             if admissible is not None and not admissible(cand):
                 continue
-            if budget is not None and len(asked) == budget:
-                return rows, asked, k, False
-            asked.append(cand)
-            if label(cand) == 0:
+            reads = None if known is None else known(idxs)
+            if reads is None:
+                if budget is not None and len(asked) == budget:
+                    return rows, asked, k, False
+                asked.append(cand)
+                reads = label(cand)
+            if reads == 0:
                 changed = frozenset(idxs)
                 smin = not any(m < changed for m in minimal)
                 if smin and changed not in minimal:

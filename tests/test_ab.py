@@ -179,3 +179,19 @@ class TestExports:
             "sub/data.bin": b"\x00\xff\r\n",
             "sub/new.txt": b"untracked\n",
         }
+
+    @pytest.mark.parametrize("control", [False, True])
+    def test_sides(self, repo, tmp_path, control):
+        # an A/A control exports the committed tree to both sides
+        base, change = tmp_path / "base", tmp_path / "change"
+        base.mkdir()
+        change.mkdir()
+        ab.export_sides(base, change, control)
+        committed = {
+            ".gitignore": b"*.log\n",
+            "kept.txt": b"committed\n",
+            "gone.txt": b"tracked\n",
+            "sub/data.bin": b"\x00\xff\r\n",
+        }
+        assert files_under(base) == committed
+        assert (files_under(change) == committed) is control

@@ -320,7 +320,24 @@ class TestRuleClassifier:
         ((("rain",), ("normal",), ("strong", "weak")), True),
     ])
     def test_may_label_zero(self, tennis_clf, pools, may):
-        assert tennis_clf.may_label_zero(pools) is may
+        # a space may hold a label 0 unless it reads 1 throughout
+        assert (tennis_clf.space_label(pools) != 1) is may
+
+    @pytest.mark.parametrize("pools, label", [
+        # the pools of test_may_label_zero: a space that may hold a label 0
+        # reads 0 throughout only where no rule with label 1 may fire
+        ((("sunny",), ("normal",), ("strong", "weak")), 1),
+        ((("sunny",), ("high", "normal"), ("weak",)), None),
+        ((("overcast",), ("high", "normal"), ("strong", "weak")), 1),
+        ((("rain",), ("normal",), ("strong",)), 0),
+        ((("rain",), ("normal",), ("strong", "weak")), None),
+        # high fails rule 1 and weak on sunny rule 3: no rule may fire
+        ((("sunny",), ("high",), ("strong", "weak")), 0),
+        # rule 2 may fire on overcast, but is certain on no vector
+        ((("sunny", "overcast"), ("high",), ("strong",)), None),
+    ])
+    def test_space_label(self, tennis_clf, pools, label):
+        assert tennis_clf.space_label(pools) == label
 
     def test_may_label_zero_reads_labels_past_the_first_certain_rule_only(
         self, tennis_schema
@@ -333,17 +350,20 @@ class TestRuleClassifier:
         )
         clf = parse_rules(text, tennis_schema)
         # Humidity=normal hides the later label-0 rule and the default
-        assert not clf.may_label_zero((("rain",), ("normal",), ("strong", "weak")))
+        assert clf.space_label((("rain",), ("normal",), ("strong", "weak"))) == 1
         # with sunny in the pool, the first rule may fire before it
-        assert clf.may_label_zero((("sunny", "rain"), ("normal",), ("weak",)))
+        assert clf.space_label((("sunny", "rain"), ("normal",), ("weak",))) is None
+        # the first certain rule is read itself: sunny fires rule 1 throughout
+        assert clf.space_label((("sunny",), ("high", "normal"), ("weak",))) == 0
 
     def test_memo_passes_the_verdict_through(self, tennis_clf, t1_table):
         memo = MemoClassifier(tennis_clf)
         pools = (("sunny",), ("normal",), ("strong", "weak"))
-        assert memo.may_label_zero(pools) is False
+        assert memo.space_label(pools) == 1
+        assert memo.space_label((("rain",), ("normal",), ("strong",))) == 0
         assert (memo.queries, memo.backend_calls) == (0, 0)
         # a table offers no verdict, so neither does its memo
-        assert not hasattr(MemoClassifier(t1_table), "may_label_zero")
+        assert not hasattr(MemoClassifier(t1_table), "space_label")
 
     def test_rule_value_outside_domain_rejected(self, tennis_schema):
         with pytest.raises(InputError, match="not in its domain"):

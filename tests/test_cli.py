@@ -917,10 +917,10 @@ class TestScore:
     @pytest.mark.parametrize("command, inputs, calls", [
         ("explain", ("bits_schema.json", "e1.json", "--table", "table1.csv"), (8, 8)),
         ("explain", ("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         (12, 12)),
+         (9, 9)),
         ("score", ("bits_schema.json", "e1.json", "--table", "table1.csv"), (5, 5)),
         ("score", ("tennis_schema.json", "tennis_e.json", "--rules", "tennis.rules"),
-         (7, 7)),
+         (5, 5)),
     ], ids=["explain-table1", "explain-tennis", "score-table1", "score-tennis"])
     def test_walk_call_counts(self, capsys, files, command, inputs, calls):
         # label calls of one lattice walk: the entity, then each candidate
@@ -928,7 +928,11 @@ class TestScore:
         # smaller minimal one: after the minimal {F2} (table1) or {Humidity}
         # (tennis) on level 1, level 2 asks only the other pair's candidates
         # (1 and 2), and level 3 holds no other set; no query repeats, so
-        # both counts are the same
+        # both counts are the same. The rule list asks no set whose space
+        # reads one label: {Wind} reads 1, {Humidity} and {Humidity, Wind}
+        # read 0, so explain asks the entity and 2 vectors each of
+        # {Outlook}, {Outlook, Humidity}, {Outlook, Wind} and all three,
+        # and score the entity, {Outlook}'s 2 and {Outlook, Wind}'s 2
         schema, entity, backend, model = inputs
         code, _, err = run(capsys, [
             command,
@@ -1280,8 +1284,8 @@ class TestMemoOnlyWhereQueriesRepeat:
 
     @pytest.mark.parametrize("command, extra, golden, calls, memos", [
         ("classify", (), None, (1, 1), 0),
-        ("explain", (), "tennis_explain.json", (12, 12), 0),
-        ("score", (), "tennis_score.json", (7, 7), 0),
+        ("explain", (), "tennis_explain.json", (9, 9), 0),
+        ("score", (), "tennis_score.json", (5, 5), 0),
         ("score", ("--prob", "uniform", "--max-card", "1", "--format", "table"),
          "tennis_prob_table_card1.txt", (6, 4), 1),
     ], ids=["classify", "explain", "score", "score-prob"])
@@ -1596,7 +1600,8 @@ default 1
 class TestChildSeesWhatIsAsked:
     """Queries sent ahead of their replies are exactly the ones the engine
     asks: the child records the manifest's backend calls, in walk order, and
-    stdout is the payload an in-process backend gives."""
+    stdout is the payload an in-process backend that asks every candidate,
+    the rule list's truth table, gives."""
 
     WIDE = 8  # 3**8 vectors: levels 3 and up span several chunks
 
@@ -1638,8 +1643,15 @@ class TestChildSeesWhatIsAsked:
         assert m["backend_calls"] == m["classifier_calls"]  # every vector asked once
         want = self.walk_order(schema, entity, rules, m["config"]["budget"], denials, prune)
         assert record.read_text().splitlines() == [",".join(v) for v in want]
+        # the rule list itself tells whole sets apart and asks fewer labels
+        loaded = load_schema(schema)
+        label = parse_rules(Path(rules).read_text(), loaded).label
+        table = tmp_path / "rules_table.csv"
+        table.write_text(",".join([*loaded.names, "label"]) + "\n" + "".join(
+            ",".join([*vec, str(label(vec))]) + "\n" for vec in loaded.iter_space()
+        ))
         in_process = run(
-            capsys, [*common, "--budget", str(m["config"]["budget"]), "--rules", str(rules)]
+            capsys, [*common, "--budget", str(m["config"]["budget"]), "--table", str(table)]
         )
         assert (code, out) == in_process[:2]
         return m

@@ -504,9 +504,9 @@ class TestSearchInvariants:
 
 
 class TestWalkSettlesEachIndexSetOnce:
-    """The walk decides admissibility and dominance once per index set;
-    what it asks and yields is that of tests/oracles.py's walk, which
-    checks every candidate."""
+    """The walk decides admissibility, dominance and, over a rule list, the
+    label of a whole space once per index set; what it asks and yields is
+    that of tests/oracles.py's walk, which checks every candidate."""
 
     @settings(max_examples=300, deadline=None)
     @given(schemas(ordered=True), st.data())
@@ -552,6 +552,82 @@ class TestWalkSettlesEachIndexSetOnce:
         assert (rows, asked) == (want_rows, want_asked)
         assert walk.stats == SearchStats(len(asked), levels)
         assert walk.exhausted == exhausted
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule_lists(), st.data())
+    def test_a_rule_list_walk_answers_as_its_truth_table(self, case, data):
+        # a set whose space reads one label asks nothing: the rows, flags,
+        # stops and levels of the walk over the rule list's truth table,
+        # which offers no verdict, from no more labels; and what it asks is
+        # what the reference walk told each set's verdict asks, in chunks
+        # of one to five, under every budget
+        schema, rules, default, _ = case
+        clf = RuleClassifier(schema, rules, default)
+        table = {vec: clf.label(vec) for vec in schema.iter_space()}
+        ones = [vec for vec, lab in table.items() if lab == 1]
+        if not ones:
+            return
+        entity = Entity("e", data.draw(st.sampled_from(ones)))
+        n, values = len(schema), entity.values
+        chis, admissible = (), None
+        if data.draw(st.booleans(), label="denied"):
+            chis, admissible = draw_denials(data, [f.domain for f in schema.features])
+        fixed = data.draw(st.sets(st.integers(0, n - 1), max_size=1))
+        cs = ConstraintSet(
+            schema, tuple(chis), tuple(ActionabilityRule(i, FIXED) for i in sorted(fixed))
+        )
+        alternatives = cs.alternatives(values)
+        max_card = data.draw(st.none() | st.integers(1, n))
+        stop = data.draw(st.booleans())
+        prune = data.draw(st.sampled_from((None, search.S_SET, search.WITNESSES)))
+
+        def walk(backend, budget=None):
+            """(rows, asked, levels explored, exhausted) of one walk."""
+            asked = []
+            recorder = SimpleNamespace(label=lambda vec: asked.append(vec) or backend.label(vec))
+            if hasattr(backend, "space_label"):
+                recorder.space_label = backend.space_label
+            with mock.patch.object(search, "ASK_AHEAD", data.draw(st.integers(1, 5))):
+                w = search.Walk(
+                    schema, recorder, entity, cs, SearchConfig(max_card, budget),
+                    stop_at_first_hit=stop, prune=prune,
+                )
+                rows = list(w)
+            assert w.stats.classifier_calls == len(asked)
+            return rows, asked, w.stats.levels_explored, w.exhausted
+
+        def known(idxs):
+            return clf.space_label(
+                [alternatives[i] if i in idxs else (v,) for i, v in enumerate(values)]
+            )
+
+        def reference(budget=None):
+            return oracles.walk(
+                alternatives, values, table.__getitem__, admissible, max_card, budget,
+                stop, prune, known,
+            )
+
+        full = walk(clf)
+        assert full == reference()
+        rows, asked, levels, exhausted = full
+        plain = walk(TableClassifier(schema, table))
+        assert (plain[0], plain[2], plain[3]) == (rows, levels, exhausted)
+        assert len(asked) <= len(plain[1])
+        # a budget of b grants the entity's call and b - 1 more: the walk
+        # stops where the next label would have to be asked, on its level
+        calls = len(asked)
+        for b in range(1, calls + 2):
+            cut = walk(clf, b)
+            assert cut == reference(b)
+            assert cut[0] == rows[:len(cut[0])]
+            assert len(cut[1]) == min(b, calls)
+            assert cut[3] == (exhausted and b >= calls)
+            assert cut[2] == (
+                len(oracles.changed_set(values, asked[b])) if b < calls else levels
+            )
+            # the truth table's walk on the same budget gets no further
+            plain_rows = walk(TableClassifier(schema, table), b)[0]
+            assert plain_rows == cut[0][:len(plain_rows)]
 
     @settings(max_examples=300, deadline=None)
     @given(classified_spaces(ordered=True, max_features=4), st.data())
@@ -786,7 +862,7 @@ class TestScoreInvariants:
         for f_star in range(len(schema)):
             asked, reference = [], []
             rule_list = SimpleNamespace(
-                label=recorded(asked), may_label_zero=clf.may_label_zero
+                label=recorded(asked), space_label=clf.space_label
             )
             got = global_resp(schema, rule_list, entity, f_star, dist, max_gamma)
             assert (got.score, got.gamma, got.gamma_values) == oracles.global_resp(
@@ -994,8 +1070,15 @@ class TestRuleListInvariants:
             ))
             for f in schema.features
         ]
-        if any(oracles.first_match(plain, default, vec) == 0 for vec in product(*pools)):
-            assert clf.may_label_zero(pools)
+        labels = {oracles.first_match(plain, default, vec) for vec in product(*pools)}
+        verdict = clf.space_label(pools)
+        # exact when it speaks: every vector of the space reads the verdict,
+        # so a space holding a label 0 never reads 1
+        if verdict is not None:
+            assert labels == {verdict}
+        # a space of one vector is always told
+        if all(len(pool) == 1 for pool in pools):
+            assert {verdict} == labels
 
     @settings(max_examples=300, deadline=None)
     @given(rule_lists())
